@@ -9,21 +9,26 @@ Verbs:
   connect       numerical connection matrix between two Frobenius bases
 
 Global options: --format json|csv|text, --output PATH. The environment
-variable HEUNKIT_TOL overrides the default integration tolerance 1e-10.
-Exit status: 0 success, 1 domain error, 2 usage error. Output is
-deterministic: fixed key order, floats at 17 significant digits.
+variable HEUNKIT_TOL overrides the default integration tolerance 1e-10, and
+connect's --tol overrides both; a tolerance must be a finite number in
+(0, 1), and one below 100 machine epsilons is raised to that floor.
+Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
+option, a malformed or non-finite number, an invalid tolerance, a center
+that is none of 0, 1, f). Output is deterministic: fixed key order, floats
+at 17 significant digits.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 
 from .corpus import canonical_corpus
-from .engine import connection_matrix
-from .errors import GrammarError, HeunkitError, MalformedComplex, \
-    MissingOption, UnknownVerb
+from .engine import DEFAULT_TOL, check_tolerance, connection_matrix
+from .errors import GrammarError, HeunkitError, InvalidTolerance, \
+    MalformedComplex, MissingOption, UnknownCenter, UnknownVerb
 from .grammar import format_complex, parse_complex, parse_ode
 from .heun import GeneralHeunParams, heun_value
 from .mathieu import characteristic_value
@@ -31,20 +36,16 @@ from .ode import classify_singularities
 from .scenarios import SCENARIOS, run_scenario
 from .serialize import emit_json, render_report_text, to_jsonable
 
-DEFAULT_TOL = 1e-10
 
-
-def _tolerance():
+def _tolerance(options):
+    """--tol, else HEUNKIT_TOL, else DEFAULT_TOL; a given value goes through
+    the engine's check (InvalidTolerance, a usage error)."""
+    if "tol" in options:
+        return check_tolerance(options["tol"], "--tol")
     raw = os.environ.get("HEUNKIT_TOL")
     if raw is None:
         return DEFAULT_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise MissingOption(f"HEUNKIT_TOL is not a number: {raw!r}")
-    if not (0.0 < value < 1.0):
-        raise MissingOption(f"HEUNKIT_TOL out of range: {value}")
-    return value
+    return check_tolerance(raw, "HEUNKIT_TOL")
 
 
 @dataclass
@@ -139,6 +140,9 @@ def parse_args(argv):
                 options[name] = float(raw)
             except ValueError:
                 raise MalformedComplex(f"--{name} expects a number, got {raw!r}")
+            if not math.isfinite(options[name]):
+                raise MalformedComplex(f"--{name} expects a finite number, "
+                                       f"got {raw!r}")
         elif kind == "int":
             try:
                 options[name] = int(raw)
@@ -408,7 +412,7 @@ def _run_connect(cmd):
     o = cmd.options
     params = GeneralHeunParams(o["a"], o["b"], o["c"], o["d"], o["e"],
                                o["f"], o["q"])
-    tol = o.get("tol") or _tolerance()
+    tol = _tolerance(o)
     C = connection_matrix(params, o["from"], o["to"], tol=tol)
     payload = {
         "schema": 1,
@@ -452,7 +456,7 @@ def main(argv=None):
         return 2
     try:
         return run(cmd)
-    except MissingOption as exc:
+    except (MissingOption, InvalidTolerance, UnknownCenter) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except HeunkitError as exc:

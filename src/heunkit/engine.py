@@ -1,21 +1,48 @@
-"""High-accuracy integration of second-order linear ODEs along complex paths.
+"""Second-order linear ODEs continued along complex paths.
 
-The first-order system (w, w') is pushed along polyline segments with the
-8(7) Dormand-Prince pair (scipy's DOP853), real-ified as a 4-vector; the
-segment parametrization z(s) = z0 + s dz keeps the complex geometry in the
-right-hand side. Clearance from singular points scales with the local
-singularity spacing, so tight geometries (points at distance ~1) and wide
-ones are treated uniformly.
+Rational coefficients (``integrate_path``, ``trace_path``,
+``loop_transfer_matrix``, ``connection_matrix``) are continued by Taylor
+re-expansion, after O. V. Motygin, "On evaluation of the Heun functions",
+and ``mpmath.odefun``:
 
-Connection matrices express the Frobenius basis at one singular point in
-the basis at another by integrating both basis solutions to a matching
-point inside the target convergence disk and solving the 2x2 system there.
+* the equation is cleared once to A w'' + B w' + C w = 0 and cached with
+  its finite singular points (``LinearODE.cleared``);
+* at each center z the polynomials are shifted to z and the series of every
+  carried solution comes from the recurrence in ``series``, whose pivot at
+  an ordinary point is A(z) n(n-1);
+* a step goes to the next path vertex, but no further than STEP_FRACTION of
+  the distance to the nearest finite singular point, so the series ratio is
+  at most 1/2, and no further than twice the scale on which the equation's
+  coefficients change a solution (this bounds steps when no singular point
+  is near, as for the harmonic oscillator);
+* terms are added until the last two (more when the recurrence is deeper,
+  so a run of zero coefficients cannot stop it early) are below ``tol``
+  relative to the state, with w' weighted by n/step;
+* all solutions carried along a path share the shifted polynomials and the
+  recurrence weights, so a fundamental pair walks the path in one pass.
+
+Caps on steps per path and terms per step raise StepUnderflow instead of
+looping on inputs that cannot converge. Tolerances must be finite numbers
+in (0, 1); values below 100 machine epsilons are raised to that floor.
+
+Callable coefficients (``integrate_callable``; trigonometric ones have no
+polynomial form) use the 8(7) Dormand-Prince pair (scipy's DOP853) on the
+real-ified 4-vector (w, w'), with the segment parametrization
+z(s) = z0 + s dz keeping the complex geometry in the right-hand side.
+
+Clearance from singular points scales with the local singularity spacing,
+so tight geometries (points at distance ~1) and wide ones are treated
+uniformly. Connection matrices express the Frobenius basis at one singular
+point in the basis at another by carrying both basis solutions to a
+matching point inside the target convergence disk and solving the 2x2
+system there.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +51,34 @@ from scipy.integrate import quad, solve_ivp
 from .errors import (
     DegenerateSystem,
     IllConditioned,
+    InvalidTolerance,
+    NonFiniteInput,
     SingularityTooClose,
     StepUnderflow,
 )
-from .heun import general_heun, heun_radius, heun_value
+from .heun import general_heun, heun_center, heun_radius, heun_value
+from .poly import taylor_shift
+from .series import recurrence_terms, recurrence_weights
 
 CLEARANCE_FACTOR = 1e-3
 DEFAULT_TOL = 1e-10
+MIN_TOL = 100.0 * sys.float_info.epsilon
+STEP_FRACTION = 0.5  # step / distance to the nearest finite singular point
+MAX_STEPS = 10_000  # Taylor steps per path
+MAX_TERMS = 400  # series terms per Taylor step
+
+
+def check_tolerance(tol, name="tol"):
+    """tol as a float, raised to MIN_TOL. Raises InvalidTolerance unless it
+    is a finite number with 0 < tol < 1."""
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        raise InvalidTolerance(f"{name} is not a number: {tol!r}")
+    if not 0.0 < value < 1.0:
+        raise InvalidTolerance(f"{name} must be a finite number in (0, 1), "
+                               f"got {value!r}")
+    return max(value, MIN_TOL)
 
 
 @dataclass(frozen=True)
@@ -43,6 +91,8 @@ class ComplexPath:
         verts = tuple(complex(v) for v in self.vertices)
         if len(verts) < 2:
             raise ValueError("a path needs at least two vertices")
+        if not all(cmath.isfinite(v) for v in verts):
+            raise NonFiniteInput(f"path vertices must be finite: {verts}")
         object.__setattr__(self, "vertices", verts)
 
     @property
@@ -107,10 +157,6 @@ def point_segment_distance(p, a, b):
     return abs(p - (a + t * d))
 
 
-def _singular_points_of(ode):
-    return [loc for loc, _, _ in ode.finite_singular_points()]
-
-
 def _local_spacing(sing, idx):
     others = [s for j, s in enumerate(sing) if j != idx]
     if not others:
@@ -132,10 +178,14 @@ def check_clearance(singular_points, path):
                     f"(clearance {clearance:.3e})")
 
 
-def _integrate_segments(pfun, qfun, init, path, tol):
+def _check_start(init, path):
     z = init.z
     if abs(z - path.vertices[0]) > 1e-9 * max(1.0, abs(z)):
         raise ValueError("initial state is not at the first path vertex")
+
+
+def _integrate_segments(pfun, qfun, init, path, tol):
+    _check_start(init, path)
     y = np.array([init.w.real, init.w.imag, init.dw.real, init.dw.imag])
     for za, zb in path.segments:
         dz = zb - za
@@ -164,51 +214,121 @@ def _integrate_segments(pfun, qfun, init, path, tol):
 def integrate_callable(pfun, qfun, init, path, tol=DEFAULT_TOL,
                        singular_points=()):
     """Integrate w'' + p(z) w' + q(z) w = 0 with callable coefficients."""
+    tol = check_tolerance(tol)
     if singular_points:
         check_clearance(singular_points, path)
     return _integrate_segments(pfun, qfun, init, path, tol)
 
 
+# ---------------------------------------------------------------------------
+# Taylor re-expansion for rational coefficients
+# ---------------------------------------------------------------------------
+
+
+def _coefficient_scale(a, b, c):
+    """Distance over which the terms b_k s^k w' and c_k s^k w grow to the
+    size of a_0 w'': the step bound where no singular point is near."""
+    a0 = abs(a[0])
+    scale = math.inf
+    for k, bk in enumerate(b):
+        if bk != 0:
+            scale = min(scale, (a0 / abs(bk)) ** (1.0 / (k + 1)))
+    for k, ck in enumerate(c):
+        if ck != 0:
+            scale = min(scale, (a0 / abs(ck)) ** (1.0 / (k + 2)))
+    return scale
+
+
+def _taylor_step(a, b, c, dz, cols, tol):
+    """Carry the (w, w') columns from the center of the shifted polynomials
+    a, b, c to center + dz with one series each."""
+    weights = recurrence_weights(a, b, c)
+    window = max(2, len(weights) - 1)
+    r = abs(dz)
+    # each column scaled to max(1, |w|, |w'|) = 1, so one tail test fits all
+    scales = [max(1.0, abs(w), abs(dw)) for w, dw in cols]
+    h = [[w / s, dw / s] for (w, dw), s in zip(cols, scales)]
+    errs = []
+    rn = r
+    for n in recurrence_terms(weights, 0, 0j, h):
+        rn *= r
+        errs.append(rn * max(1.0, n / r) * max([abs(hc[n]) for hc in h]))
+        if n > window and sum(errs[-window:]) <= tol:
+            break
+        if n >= MAX_TERMS:
+            raise StepUnderflow(f"Taylor series did not reach tol {tol:.3e} "
+                                f"in {MAX_TERMS} terms (step {dz:.3e})")
+    out = []
+    for hc, s in zip(h, scales):
+        w = dw = 0j
+        for k in range(len(hc) - 1, 0, -1):
+            w = w * dz + hc[k]
+            dw = dw * dz + k * hc[k]
+        out.append(((w * dz + hc[0]) * s, dw * s))
+    return out
+
+
+def _transport(ode, path, cols, tol, keep=False):
+    """Carry (w, w') columns from the first path vertex to the last.
+
+    Returns the columns at the last vertex, or with keep=True a list of the
+    columns at every vertex. Clearance is the caller's check.
+    """
+    A, B, C, sing = ode.cleared()
+    z = path.vertices[0]
+    cols = [(complex(w), complex(dw)) for w, dw in cols]
+    visited = [cols]
+    steps = 0
+    for zb in path.vertices[1:]:
+        while z != zb:
+            steps += 1
+            if steps > MAX_STEPS:
+                raise StepUnderflow(f"more than {MAX_STEPS} Taylor steps; "
+                                    f"stopped at z = {z}")
+            a, b, c = (taylor_shift(P.coeffs, z) for P in (A, B, C))
+            reach = min(STEP_FRACTION * min((abs(z - s) for s in sing),
+                                            default=math.inf),
+                        2.0 * _coefficient_scale(a, b, c))
+            d = zb - z
+            z_next = zb if abs(d) <= reach else z + d * (reach / abs(d))
+            cols = _taylor_step(a, b, c, z_next - z, cols, tol)
+            z = z_next
+        visited.append(cols)
+    return visited if keep else cols
+
+
 def integrate_path(ode, init, path, tol=DEFAULT_TOL):
-    """Integrate a rational-coefficient LinearODE along a polyline.
+    """Continue a solution of a rational-coefficient LinearODE along a
+    polyline.
 
     The initial state must sit on the first vertex; the result is the state
-    at the last vertex. Raises SingularityTooClose / StepUnderflow.
+    at the last vertex. Raises InvalidTolerance / SingularityTooClose /
+    StepUnderflow.
     """
-    check_clearance(_singular_points_of(ode), path)
-    return _integrate_segments(ode.p, ode.q, init, path, tol)
+    tol = check_tolerance(tol)
+    _check_start(init, path)
+    check_clearance(ode.cleared()[3], path)
+    [(w, dw)] = _transport(ode, path, [(init.w, init.dw)], tol)
+    return SolutionState(path.vertices[-1], w, dw)
 
 
 def trace_path(ode, init, path, tol=DEFAULT_TOL, points_per_segment=16):
-    """Like integrate_path but returns sampled states along the way."""
-    check_clearance(_singular_points_of(ode), path)
-    states = [init]
-    y = np.array([init.w.real, init.w.imag, init.dw.real, init.dw.imag])
+    """Like integrate_path but returns the states at points_per_segment
+    equally spaced points of every segment (after the initial state)."""
+    tol = check_tolerance(tol)
+    _check_start(init, path)
+    check_clearance(ode.cleared()[3], path)
+    verts = [path.vertices[0]]
     for za, zb in path.segments:
-        dz = zb - za
-        if dz == 0:
-            continue
-
-        def rhs(s, v, za=za, dz=dz):
-            zz = za + s * dz
-            w = complex(v[0], v[1])
-            dw = complex(v[2], v[3])
-            ddw = -(ode.p(zz) * dw + ode.q(zz) * w)
-            r0 = dw * dz
-            r1 = ddw * dz
-            return (r0.real, r0.imag, r1.real, r1.imag)
-
-        t_eval = np.linspace(0.0, 1.0, points_per_segment + 1)
-        sol = solve_ivp(rhs, (0.0, 1.0), y, method="DOP853",
-                        rtol=tol, atol=tol, t_eval=t_eval)
-        if not sol.success:
-            raise StepUnderflow(sol.message)
-        for s, col in zip(sol.t[1:], sol.y[:, 1:].T):
-            states.append(SolutionState(za + s * dz,
-                                        complex(col[0], col[1]),
-                                        complex(col[2], col[3])))
-        y = sol.y[:, -1]
-    return states
+        if zb != za:
+            verts += [za + (k / points_per_segment) * (zb - za)
+                      for k in range(1, points_per_segment)] + [zb]
+    if len(verts) < 2:
+        return [init]
+    visited = _transport(ode, ComplexPath(tuple(verts)), [(init.w, init.dw)],
+                         tol, keep=True)
+    return [init] + [SolutionState(z, w, dw)
+                     for z, [(w, dw)] in zip(verts[1:], visited[1:])]
 
 
 def trace_to_csv(states):
@@ -261,23 +381,16 @@ def wronskian_abel_check(ode, pair_start, pair_end, path):
 
 def loop_transfer_matrix(ode, loop, tol=DEFAULT_TOL):
     """Matrix mapping (w, w') at the loop start to their values after one
-    traversal, computed from the two unit initial conditions."""
-    z0 = loop.vertices[0]
-    cols = []
-    for w0, dw0 in ((1.0, 0.0), (0.0, 1.0)):
-        st = integrate_path(ode, SolutionState(z0, w0, dw0), loop, tol)
-        cols.append((st.w, st.dw))
-    return ConnectionMatrix(((cols[0][0], cols[1][0]),
-                             (cols[0][1], cols[1][1])))
+    traversal: the two unit initial conditions carried in one pass."""
+    tol = check_tolerance(tol)
+    check_clearance(ode.cleared()[3], loop)
+    (w1, dw1), (w2, dw2) = _transport(ode, loop, [(1.0, 0.0), (0.0, 1.0)], tol)
+    return ConnectionMatrix(((w1, w2), (dw1, dw2)))
 
 
 # ---------------------------------------------------------------------------
 # Connection matrices between Frobenius bases of the general Heun equation
 # ---------------------------------------------------------------------------
-
-
-def _heun_centers(params):
-    return {0: 0j, 1: 1.0 + 0j, 2: params.f}
 
 
 def _match_point(params, frm, to):
@@ -294,18 +407,14 @@ def _match_point(params, frm, to):
     u = d / abs(d)
     perp = 1j * u
     z_m = (frm + to) / 2.0 + 0.1 * abs(d) * perp
-    r_to = _disk_radius(params, to)
+    r_to = heun_radius(params, to)
     if abs(z_m - to) <= 0.9 * r_to:
         return z_m
     return to - 0.5 * r_to * u + 0.1 * r_to * perp
 
 
-def _disk_radius(params, center):
-    return heun_radius(params, center)
-
-
 def _anchor_point(params, frm, to):
-    r = _disk_radius(params, frm)
+    r = heun_radius(params, frm)
     u = (to - frm) / abs(to - frm)
     return frm + min(0.35 * r, 0.4 * abs(to - frm)) * u + 0.05 * r * (1j * u)
 
@@ -314,20 +423,21 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     """Connection matrix between Frobenius bases at two of the points 0, 1, f.
 
     Both branch series at `frm` are evaluated at an anchor point inside the
-    source disk, integrated along `path` (default: anchor -> offset midpoint
-    -> matching point) and matched against the two branch series at `to`.
-    Returns C with (u1, u2)^T = C (v1, v2)^T near the matching region.
+    source disk, carried together along `path` (default: anchor -> offset
+    midpoint -> matching point) and matched against the two branch series
+    at `to`. Returns C with (u1, u2)^T = C (v1, v2)^T near the matching
+    region. `frm` and `to` are locations or the labels of heun_center.
     Raises LogarithmicCase for resonant exponents and IllConditioned when
     the target basis is numerically degenerate at the matching point.
     """
-    centers = _heun_centers(params)
-    frm_c = centers[_center_index(params, frm)]
-    to_c = centers[_center_index(params, to)]
+    tol = check_tolerance(tol)
+    _, frm_c = heun_center(params, frm)
+    _, to_c = heun_center(params, to)
     ode = general_heun(params)
     same = abs(frm_c - to_c) <= 1e-12 * max(1.0, abs(frm_c))
 
     if same:
-        r = _disk_radius(params, frm_c)
+        r = heun_radius(params, frm_c)
         z_a = frm_c + 0.4 * r * cmath.exp(0.4j)
         z_m = frm_c + 0.4 * r * cmath.exp(-0.4j)
         default_path = ComplexPath((z_a, z_m))
@@ -345,7 +455,7 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
         z_a = path.vertices[0]
         z_m = path.vertices[-1]
 
-    check_clearance(_singular_points_of(ode), path)
+    check_clearance(ode.cleared()[3], path)
 
     # target basis at the matching point
     v = []
@@ -357,31 +467,14 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     if cond > 1e8:
         raise IllConditioned(f"target basis condition number {cond:.3e}")
 
-    rows = []
+    starts = []
     for branch in ("first", "second"):
         val, _ = heun_value(params, frm_c, branch, z_a, tail_tol=1e-13)
-        st = integrate_path(ode, SolutionState(z_a, val.w, val.dw), path, tol)
-        rhs = np.array([st.w, st.dw], dtype=complex)
-        coeff = np.linalg.solve(M, rhs)
-        rows.append((complex(coeff[0]), complex(coeff[1])))
-    C = ConnectionMatrix((rows[0], rows[1]))
+        starts.append((val.w, val.dw))
+    ends = _transport(ode, path, starts, tol)
+    coeff = np.linalg.solve(M, np.array(ends, dtype=complex).T)
+    C = ConnectionMatrix(tuple((complex(coeff[0, j]), complex(coeff[1, j]))
+                               for j in range(2)))
     if abs(C.determinant) < 1e-12:
         raise DegenerateSystem("connection matrix is singular")
     return C
-
-
-def _center_index(params, center):
-    if isinstance(center, str):
-        label = center.strip().lower()
-        if label in ("0", "zero"):
-            return 0
-        if label in ("1", "one"):
-            return 1
-        if label in ("f", "2"):
-            return 2
-        raise ValueError(f"unknown center label {center!r}")
-    z0 = complex(center)
-    for idx, loc in _heun_centers(params).items():
-        if abs(z0 - loc) <= 1e-9 * max(1.0, abs(loc)):
-            return idx
-    raise ValueError(f"center {center} is not one of 0, 1, f")

@@ -68,6 +68,10 @@ class UnknownKind(HeunkitError):
     pass
 
 
+class UnknownCenter(HeunkitError, ValueError):
+    """A center that is none of the Heun singular points 0, 1, f."""
+
+
 class NotReducible(HeunkitError):
     pass
 
@@ -77,6 +81,14 @@ class DegenerateReduction(HeunkitError):
 
 
 # --- path integration engine ---
+
+class InvalidTolerance(HeunkitError):
+    """A tolerance that is not a finite number in (0, 1)."""
+
+
+class NonFiniteInput(HeunkitError):
+    """An inf or nan where a finite number is needed."""
+
 
 class SingularityTooClose(HeunkitError):
     pass

@@ -11,6 +11,7 @@ errors report the character position in the original string.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import GrammarError, MalformedComplex
@@ -64,6 +65,9 @@ def parse_complex(text, position=0):
                 raise MalformedComplex(f"bad complex literal {text!r}", position)
             seen_real = True
             rv = float(term)
+    if not (math.isfinite(rv) and math.isfinite(iv)):
+        raise MalformedComplex(f"complex literal {text!r} is not finite",
+                               position)
     return complex(rv, iv)
 
 

@@ -45,11 +45,13 @@ from .errors import (
     LogarithmicCase,
     NotReducible,
     TruncationFailure,
+    UnknownCenter,
     UnknownKind,
 )
 from .ode import LinearODE
 from .poly import Polynomial, make_rational
-from .series import INTEGER_TOL, LocalSeries, eval_local
+from .series import (INTEGER_TOL, LocalSeries, eval_local,
+                     recurrence_terms, recurrence_weights)
 
 FUCHS_TOL = 1e-12
 COLLISION_TOL = 1e-10
@@ -109,24 +111,41 @@ def general_heun(params):
                      make_rational(L.coeffs, T.coeffs))
 
 
-def _match_center(params, center):
-    centers = {0: 0j, 1: 1.0 + 0j, 2: params.f}
+_CENTER_LABELS = {"0": 0, "zero": 0, "1": 1, "one": 1, "f": 2, "2": 2}
+
+
+def _centers(params):
+    return (0j, 1.0 + 0j, params.f)
+
+
+def heun_center(params, center):
+    """(index, location) of one of the finite singular points 0, 1, f.
+
+    ``center`` is a number within 1e-9 (relative) of the point, or one of
+    the labels "0"/"zero", "1"/"one", "f"/"2". Raises UnknownCenter.
+    """
+    centers = _centers(params)
+    if isinstance(center, str):
+        idx = _CENTER_LABELS.get(center.strip().lower())
+        if idx is None:
+            raise UnknownCenter(f"unknown center label {center!r}")
+        return idx, centers[idx]
     z0 = complex(center)
-    for idx, loc in centers.items():
+    for idx, loc in enumerate(centers):
         if abs(z0 - loc) <= 1e-9 * max(1.0, abs(loc)):
             return idx, loc
-    raise ValueError(f"center {center} is not one of 0, 1, f={params.f}")
+    raise UnknownCenter(f"center {center} is not one of 0, 1, f={params.f}")
 
 
 def heun_radius(params, center):
     """Distance from a finite singular point to its nearest neighbour."""
-    idx, z0 = _match_center(params, center)
-    others = [loc for j, loc in ((0, 0j), (1, 1.0 + 0j), (2, params.f)) if j != idx]
-    return min(abs(z0 - loc) for loc in others)
+    idx, z0 = heun_center(params, center)
+    return min(abs(z0 - loc) for j, loc in enumerate(_centers(params))
+               if j != idx)
 
 
 def heun_second_exponent(params, center):
-    idx, _ = _match_center(params, center)
+    idx, _ = heun_center(params, center)
     return 1.0 - (params.c, params.d, params.e)[idx]
 
 
@@ -138,7 +157,7 @@ def heun_series(params, center, branch="first", n_terms=60):
     the two exponents differ by an integer and the requested branch would
     need a logarithm.
     """
-    idx, z0 = _match_center(params, center)
+    idx, z0 = heun_center(params, center)
     second = heun_second_exponent(params, center)
     if branch == "first":
         rho = 0j
@@ -150,27 +169,16 @@ def heun_series(params, center, branch="first", n_terms=60):
     else:
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
 
-    T = _heun_T(params).shifted(z0)
-    S = _heun_S(params).shifted(z0)
-    L = _heun_L(params).shifted(z0)
-    t = list(T.coeffs) + [0j] * (4 - len(T.coeffs))
-    s = list(S.coeffs) + [0j] * (3 - len(S.coeffs))
-    l = list(L.coeffs) + [0j] * (2 - len(L.coeffs))
-    scale = max(abs(v) for v in (t + s + l)) or 1.0
-
+    # T has a simple root at z0, so the pivot sits at offset 1: the
+    # recurrence of the module docstring, A_k being its pivot
+    t, s, l = (P.shifted(z0).coeffs for P in
+               (_heun_T(params), _heun_S(params), _heun_L(params)))
+    scale = max(abs(v) for v in t + s + l) or 1.0
     h = [1.0 + 0j]
-    prev = 0j
-    for k in range(0, n_terms):
-        kr = k + rho
-        A = t[1] * (kr + 1.0) * kr + s[0] * (kr + 1.0)
-        B = t[2] * kr * (kr - 1.0) + s[1] * kr + l[0]
-        C = t[3] * (kr - 1.0) * (kr - 2.0) + s[2] * (kr - 1.0) + l[1]
-        if abs(A) <= 1e-10 * scale * (k + 1.0) * (k + 2.0):
-            raise LogarithmicCase(
-                f"recurrence pivot vanishes at order {k + 1}; resonant exponents")
-        nxt = -(B * h[k] + C * prev) / A
-        h.append(nxt)
-        prev = h[k]
+    terms = recurrence_terms(recurrence_weights(t, s, l), 1, rho, [h],
+                             pivot_floor=1e-10 * scale)
+    for _ in range(n_terms):
+        next(terms)
     return LocalSeries(z0, rho, tuple(h), heun_radius(params, center))
 
 
@@ -181,7 +189,7 @@ def _is_integer(x):
 def heun_recurrence_residual(params, series):
     """Max residual of re-substituting a series into its recurrence,
     normalized per order by the largest of the three terms."""
-    idx, z0 = _match_center(params, series.center)
+    idx, z0 = heun_center(params, series.center)
     T = _heun_T(params).shifted(z0)
     S = _heun_S(params).shifted(z0)
     L = _heun_L(params).shifted(z0)
@@ -207,7 +215,7 @@ def heun_recurrence_residual(params, series):
 def heun_value(params, center, branch, z, tail_tol=1e-12, n_terms=60):
     """Series evaluation with automatic truncation refinement.
 
-    Doubles the series length until the last-term estimate at z is below
+    Doubles the series length until the two-term tail estimate at z is below
     tail_tol (relative), up to 4096 terms, then raises TruncationFailure.
     """
     n = n_terms

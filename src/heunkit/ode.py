@@ -104,6 +104,33 @@ class LinearODE:
         self.__dict__["_at_infinity"] = out
         return out
 
+    def cleared(self):
+        """(A, B, C, points): the same equation as A w'' + B w' + C w = 0
+        with polynomial A, B, C, and the tuple of its finite singular points.
+
+        A is monic with exactly those points as roots, each with
+        multiplicity max(ord_p, ord_q); B = p A and C = q A. Cached like
+        at_infinity.
+        """
+        cached = self.__dict__.get("_cleared")
+        if cached is not None:
+            return cached
+        points = self.finite_singular_points()
+
+        def times(rf, slot):
+            # rf * A as a polynomial: the factors of A that rf's poles leave
+            rest = [loc for loc, *orders in points
+                    for _ in range(max(orders) - orders[slot])]
+            lead = 1.0 / rf.den.coeffs[-1]
+            return rf.num * Polynomial.from_roots(rest, lead)
+
+        A = Polynomial.from_roots([loc for loc, *orders in points
+                                   for _ in range(max(orders))])
+        out = (A, times(self.p, 0), times(self.q, 1),
+               tuple(loc for loc, _, _ in points))
+        self.__dict__["_cleared"] = out
+        return out
+
     def finite_singular_points(self):
         """Cluster-merged pole locations with (ord_p, ord_q) pole orders."""
         merged = []  # [sum, count, ord_p, ord_q]

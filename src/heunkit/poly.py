@@ -136,7 +136,7 @@ class Polynomial:
 
     def shifted(self, s):
         """Coefficients of p(z + s)."""
-        return Polynomial(_taylor_shift(self.coeffs, s))
+        return Polynomial(taylor_shift(self.coeffs, s))
 
     def reversed_coeffs(self):
         """Polynomial with reversed coefficients: z**deg * p(1/z)."""
@@ -182,7 +182,7 @@ class Polynomial:
         return p
 
 
-def _taylor_shift(coeffs, s):
+def taylor_shift(coeffs, s):
     """Coefficients of p(z + s), built by Horner recursion in (z + s)."""
     s = complex(s)
     out = [complex(coeffs[-1])]

@@ -1,18 +1,24 @@
-"""Frobenius series around regular singular points.
+"""Power series solutions from one coefficient recurrence.
 
-``frobenius_series`` works on any rational-coefficient LinearODE: the
-equation is cleared of denominators into A(s) w'' + B(s) w' + C(s) w = 0
-with s the local variable, normalized so A has a double root at s = 0.
-Writing w = s**rho * sum h_k s**k, the coefficient of s**(n+rho) gives
+An equation is cleared of denominators into A(s) w'' + B(s) w' + C(s) w = 0
+in the local variable s. Writing w = s**rho * sum h_m s**m, the coefficient
+of s**(k+rho-2) gives
 
-    sum_j a_j (n+2-j+rho)(n+1-j+rho) h_{n+2-j}
-  + sum_j b_j (n+1-j+rho) h_{n+1-j}
-  + sum_j c_j h_{n-j} = 0,
+    sum_m P_{k-m}(m + rho) h_m = 0,   P_d(x) = a_d x(x-1) + b_{d-1} x + c_{d-2},
 
-whose h_n coefficient is the indicial polynomial evaluated at rho + n.
-Division by it fails exactly when the exponents differ by the integer n;
-that is the logarithmic case and the builder refuses rather than return
-a wrong series.
+so every new term is -(sum of the earlier ones)/pivot, the pivot being the
+first P_d that does not vanish. ``recurrence_terms`` runs that one loop for
+every series in the package:
+
+* a regular singular point (``frobenius_series``): A has a double root at
+  s = 0, so P_0 = P_1 = 0 and the pivot of h_n is the indicial polynomial
+  P_2(n + rho). Division by it fails exactly when the exponents differ by
+  the integer n; that is the logarithmic case and frobenius_series refuses
+  rather than return a wrong series. ``heun.heun_series`` keeps A = T with
+  its simple root, so its pivot is P_1 and the loop is the Heun three-term
+  recurrence;
+* an ordinary point (path transport in ``engine``): A(0) != 0 and rho = 0,
+  so h_0 = w and h_1 = w' are free and the pivot of h_n is a_0 n(n-1).
 """
 
 from __future__ import annotations
@@ -89,6 +95,52 @@ def _series_radius(ode, z0):
     return best
 
 
+def recurrence_weights(a, b, c):
+    """The P_d of the module docstring as (a_d, b_{d-1} - a_d, c_{d-2}),
+    so that P_d(x) = (a_d x + b_{d-1} - a_d) x + c_{d-2}; a, b, c are the
+    ascending coefficients of the cleared A, B, C."""
+    size = max(len(a), len(b) + 1, len(c) + 2)
+    a = tuple(a) + (0j,) * (size - len(a))
+    b = (0j,) + tuple(b) + (0j,) * (size - 1 - len(b))
+    c = (0j, 0j) + tuple(c) + (0j,) * (size - 2 - len(c))
+    return [(ad, bd - ad, cd) for ad, bd, cd in zip(a, b, c)]
+
+
+def recurrence_terms(weights, lead, rho, cols, pivot_floor=0.0):
+    """Append the next coefficient to every list in ``cols`` and yield its
+    index, once per iteration, forever.
+
+    ``lead`` is the offset d of the pivot: the order of A's root at the
+    center (0 at an ordinary point). All columns share the weights, so
+    carrying a fundamental pair costs little more than one solution.
+    Raises LogarithmicCase when |pivot| <= pivot_floor * max(1, n**2).
+    """
+    pa, pb, pc = weights[lead]
+    higher = [(d - lead, w) for d, w in enumerate(weights) if d > lead]
+    n = len(cols[0])
+    while True:
+        x = n + rho
+        pivot = (pa * x + pb) * x + pc
+        if abs(pivot) <= pivot_floor * max(1.0, n * n):
+            raise LogarithmicCase(
+                f"recurrence pivot vanishes at order {n}; exponents are "
+                "resonant and this branch needs a logarithm")
+        ws = []
+        for back, (wa, wb, wc) in higher:
+            m = n - back
+            if m < 0:
+                break
+            y = m + rho
+            ws.append((m, (wa * y + wb) * y + wc))
+        for h in cols:
+            acc = 0j
+            for m, wgt in ws:
+                acc += wgt * h[m]
+            h.append(-acc / pivot)
+        yield n
+        n += 1
+
+
 def local_exponents(ode, z0):
     """Indicial exponents read from the cleared local polynomials."""
     A, B, C = _local_polynomials(ode, z0)
@@ -122,43 +174,12 @@ def frobenius_series(ode, z0, branch="first", n_terms=60):
     else:
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
 
-    a = list(A.coeffs)
-    b = list(B.coeffs)
-    c = list(C.coeffs)
-    a2 = a[2]
-    b1 = b[1] if len(b) > 1 else 0j
-
-    def indicial(x):
-        return a2 * x * (x - 1.0) + b1 * x + (c[0] if c else 0j)
-
-    scale = max(abs(v) for v in (a + b + c)) or 1.0
+    scale = max(abs(v) for v in A.coeffs + B.coeffs + C.coeffs) or 1.0
     h = [1.0 + 0j]
-    for n in range(1, n_terms + 1):
-        acc = 0j
-        for j, aj in enumerate(a):
-            if j < 3:
-                continue
-            m = n + 2 - j
-            if 0 <= m < n:
-                acc += aj * h[m] * (m + rho) * (m + rho - 1.0)
-        for j, bj in enumerate(b):
-            if j < 2:
-                continue
-            m = n + 1 - j
-            if 0 <= m < n:
-                acc += bj * h[m] * (m + rho)
-        for j, cj in enumerate(c):
-            if j < 1:
-                continue
-            m = n - j
-            if 0 <= m < n:
-                acc += cj * h[m]
-        f = indicial(rho + n)
-        if abs(f) <= 1e-12 * scale * max(1.0, n * n):
-            raise LogarithmicCase(
-                f"recurrence pivot vanishes at order {n}; exponents are "
-                "resonant and this branch needs a logarithm")
-        h.append(-acc / f)
+    terms = recurrence_terms(recurrence_weights(A.coeffs, B.coeffs, C.coeffs),
+                             2, rho, [h], pivot_floor=1e-12 * scale)
+    for _ in range(n_terms):
+        next(terms)
     return LocalSeries(z0, rho, tuple(h), _series_radius(ode, z0))
 
 
@@ -182,9 +203,10 @@ def ratio_radius_estimate(series, window=12):
 def eval_local(series, z):
     """Evaluate a LocalSeries and its derivative at z.
 
-    Returns SeriesValue(w, dw, tail) where tail is the magnitude of the
-    last retained term (a truncation estimate). Raises OutsideRadius when
-    |z - center| >= radius.
+    Returns SeriesValue(w, dw, tail) where tail, the truncation estimate,
+    is the larger magnitude of the last two retained terms: one coefficient
+    that happens to be near zero does not make the sum look converged.
+    Raises OutsideRadius when |z - center| >= radius.
     """
     s = complex(z) - series.center
     if abs(s) >= series.radius:
@@ -207,6 +229,7 @@ def eval_local(series, z):
     head = s ** rho
     w = head * S
     dw = head * (rho * S / s + T)
-    n = len(series.coeffs) - 1
-    tail = abs(series.coeffs[n]) * abs(s) ** n * abs(head)
+    last = max(len(series.coeffs) - 2, 0)
+    tail = max(abs(h) * abs(s) ** k
+               for k, h in enumerate(series.coeffs[last:], last)) * abs(head)
     return SeriesValue(w, dw, tail)

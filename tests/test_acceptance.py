@@ -15,8 +15,8 @@ import pytest
 
 from heunkit.corpus import canonical_corpus
 from heunkit.engine import (ComplexPath, SolutionState, connection_matrix,
-                            integrate_path, loop_transfer_matrix,
-                            wronskian_abel_check)
+                            integrate_callable, integrate_path,
+                            loop_transfer_matrix, wronskian_abel_check)
 from heunkit.errors import FuchsViolation
 from heunkit.heun import GeneralHeunParams, general_heun, heun_series, \
     heun_value
@@ -290,3 +290,70 @@ def test_criterion_8_cli_determinism(tmp_path):
     golden.write_text(first)
     assert golden.read_text() == second
     _report(8, "full scenario suite is byte-identical across repeated runs")
+
+
+def _pair_error(got, want):
+    """Relative distance between two unordered pairs of complex numbers."""
+    scale = max(1.0, *(abs(w) for w in want))
+    straight = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
+    crossed = max(abs(got[0] - want[1]), abs(got[1] - want[0]))
+    return min(straight, crossed) / scale
+
+
+def test_criterion_9_known_answers():
+    from scipy.special import gamma
+
+    t0 = time.perf_counter()
+    # (a) hypergeometric degeneration: first row of C(0 -> 1) is the Gauss
+    # connection row (DLMF 15.10(ii)); the second entry's phase comes from
+    # the (z-1)^(1-d) branch
+    a, b, c, f = 0.31 + 0.1j, 0.77, 1.23 - 0.05j, 2.5
+    params = GeneralHeunParams(a, b, c, a + b + 1 - c, 0.0, f, a * b * f)
+    C = connection_matrix(params, 0, 1, tol=1e-10)
+    want = (gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b)),
+            gamma(c) * gamma(a + b - c) / (gamma(a) * gamma(b))
+            * cmath.exp(-1j * math.pi * (c - a - b)))
+    gauss_err = max(abs(g - w) for g, w in zip(C.entries[0], want)) \
+        / max(1.0, *(abs(w) for w in want))
+    assert gauss_err <= 1e-10, gauss_err
+    # (b) local monodromy: a loop around 0 (around 1) has the eigenvalues
+    # {1, exp(2 pi i (1 - c))} ({1, exp(2 pi i (1 - d))})
+    rng = np.random.default_rng(9)
+    worst_eig = 0.0
+    for _ in range(50):
+        params = _admissible_params(rng, f_range=(1.5, 10.0))
+        ode = general_heun(params)
+        for center, radius, gap in ((0j, 0.5, 1 - params.c),
+                                    (1.0 + 0j, 0.4, 1 - params.d)):
+            for n in (12, 24, 48):
+                loop = ComplexPath.circle(center, radius, n=n)
+                M = loop_transfer_matrix(ode, loop, tol=1e-10)
+                eig = np.linalg.eigvals(M.as_array())
+                err = _pair_error(eig, (1.0, cmath.exp(2j * math.pi * gap)))
+                worst_eig = max(worst_eig, err)
+    assert worst_eig <= 1e-6, worst_eig
+    # (c) Taylor continuation agrees with DOP853 on the same paths
+    rng = np.random.default_rng(10)
+    worst_dop = 0.0
+    for _ in range(10):
+        params = _admissible_params(rng, f_range=(1.5, 10.0))
+        ode = general_heun(params)
+        sing = [0j, 1.0 + 0j, params.f]
+        for path in (ComplexPath.circle(0j, 0.5, n=24),
+                     ComplexPath((0.3 + 0.1j, 0.5 + 0.5j, 1.25 + 0.4j,
+                                  1.2 - 0.3j))):
+            z0 = path.vertices[0]
+            for w0, dw0 in ((1.0, 0.0), (0.0, 1.0)):
+                start = SolutionState(z0, w0, dw0)
+                taylor = integrate_path(ode, start, path, tol=1e-11)
+                dop = integrate_callable(ode.p, ode.q, start, path, tol=1e-11,
+                                         singular_points=sing)
+                scale = max(1.0, abs(dop.w), abs(dop.dw))
+                err = max(abs(taylor.w - dop.w), abs(taylor.dw - dop.dw)) / scale
+                worst_dop = max(worst_dop, err)
+    assert worst_dop <= 1e-8, worst_dop
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0, f"known-answer checks took {elapsed:.2f}s"
+    _report(9, f"Gauss row to {gauss_err:.1e}, loop eigenvalues to "
+               f"{worst_eig:.1e} on 300 loops, Taylor versus DOP853 to "
+               f"{worst_dop:.1e} ({elapsed:.2f}s)")

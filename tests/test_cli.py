@@ -199,3 +199,50 @@ def test_every_scenario_runs_from_single_config(tmp_path: Path):
         assert p.returncode == 0, (sid, p.stderr)
         data = json.loads(p.stdout)
         assert data["all_claims_passed"] is True, sid
+
+
+CONNECT_01 = ["connect", "--a", "0.31", "--b", "0.77", "--c", "1.23",
+              "--d", "0.62", "--e", "0.23", "--f", "2.5", "--q", "0.1",
+              "--from", "0", "--to", "1"]
+
+
+def test_cli_transport_inputs(monkeypatch, capsys):
+    """Every bad transport input ends in a typed error and its exit code:
+    (extra argv, HEUNKIT_TOL, exit status, text on stderr)."""
+    from heunkit.cli import main
+    from heunkit.engine import MIN_TOL
+
+    cases = [
+        (["--tol", "nan"], None, 2, "finite number"),
+        (["--tol", "inf"], None, 2, "finite number"),
+        (["--tol", "-1"], None, 2, "in (0, 1)"),
+        (["--tol", "0"], None, 2, "in (0, 1)"),
+        (["--tol", "1"], None, 2, "in (0, 1)"),
+        (["--q", "1e400"], None, 2, "not finite"),
+        (["--a", "1e400i"], None, 2, "not finite"),
+        ([], "nan", 2, "HEUNKIT_TOL must be"),
+        ([], "0", 2, "HEUNKIT_TOL must be"),
+        ([], "abc", 2, "HEUNKIT_TOL is not a number"),
+        (["--tol", "0"], "1e-9", 2, "--tol must be"),
+        (["--to", "x"], None, 2, "unknown center label"),
+        (["--from", "0.5"], None, 2, "unknown center label"),
+        (["--tol", "1e-30"], None, 0, ""),
+    ]
+    for extra, env, code, message in cases:
+        if env is None:
+            monkeypatch.delenv("HEUNKIT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("HEUNKIT_TOL", env)
+        status = main(CONNECT_01 + extra)
+        out, err = capsys.readouterr()
+        assert status == code, (extra, env, err)
+        assert message in err, (extra, env, err)
+        assert "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["tol"] == MIN_TOL
+
+
+def test_cli_connect_nan_tolerance_exits_quickly():
+    p = run_cli(*CONNECT_01, "--tol", "nan", timeout=60)
+    assert p.returncode == 2
+    assert "usage error" in p.stderr

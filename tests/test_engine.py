@@ -7,7 +7,8 @@ import pytest
 from heunkit.engine import (ComplexPath, SolutionState, connection_matrix,
                             integrate_path, loop_transfer_matrix, trace_path,
                             wronskian_abel_check)
-from heunkit.errors import DegenerateSystem, SingularityTooClose
+from heunkit.errors import (DegenerateSystem, InvalidTolerance, NonFiniteInput,
+                            SingularityTooClose, StepUnderflow, UnknownCenter)
 from heunkit.heun import GeneralHeunParams, general_heun, heun_value
 from heunkit.ode import LinearODE
 
@@ -187,3 +188,73 @@ def test_trace_csv_columns():
     assert lines[0] == "z_re,z_im,w_re,w_im,dw_re,dw_im"
     assert len(lines) == 6
     assert all(len(line.split(",")) == 6 for line in lines[1:])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0, 1.0,
+                                 "tight"])
+def test_tolerance_validation(bad):
+    from heunkit.engine import check_tolerance
+
+    with pytest.raises(InvalidTolerance):
+        check_tolerance(bad)
+    ode = harmonic()
+    with pytest.raises(InvalidTolerance):
+        integrate_path(ode, SolutionState(0.0, 0.0, 1.0),
+                       ComplexPath((0.0, 1.0)), tol=bad)
+    with pytest.raises(InvalidTolerance):
+        loop_transfer_matrix(ode, ComplexPath.circle(0j, 1.0, n=8), tol=bad)
+    with pytest.raises(InvalidTolerance):
+        connection_matrix(heun_test_params(4), 0, 1, tol=bad)
+
+
+def test_tolerance_below_floor_is_raised_to_it():
+    from heunkit.engine import MIN_TOL, check_tolerance
+
+    assert check_tolerance(1e-30) == MIN_TOL
+    assert check_tolerance(1e-9) == 1e-9
+    st = integrate_path(harmonic(), SolutionState(0.0, 0.0, 1.0),
+                        ComplexPath((0.0, 1.0)), tol=1e-30)
+    assert abs(st.w - math.sin(1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("vertex", [float("inf"), complex(0.0, float("nan")),
+                                    complex(float("-inf"), 1.0)])
+def test_path_rejects_non_finite_vertices(vertex):
+    with pytest.raises(NonFiniteInput):
+        ComplexPath((0.0, vertex))
+
+
+def test_taylor_caps_raise_step_underflow(monkeypatch):
+    import heunkit.engine as engine
+
+    ode = harmonic()
+    with pytest.raises(StepUnderflow):  # no series reaches tol on nan data
+        integrate_path(ode, SolutionState(0.0, float("nan"), 1.0),
+                       ComplexPath((0.0, 1.0)))
+    monkeypatch.setattr(engine, "MAX_STEPS", 3)
+    with pytest.raises(StepUnderflow):  # steps are at most 2 long here
+        integrate_path(ode, SolutionState(0.0, 0.0, 1.0),
+                       ComplexPath((0.0, 10.0)))
+
+
+def test_one_pass_matches_single_solutions():
+    params = heun_test_params(9)
+    ode = general_heun(params)
+    loop = ComplexPath.circle(0j, 0.5, n=24)
+    M = loop_transfer_matrix(ode, loop, tol=1e-11).as_array()
+    z0 = loop.vertices[0]
+    for col, (w0, dw0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        st = integrate_path(ode, SolutionState(z0, w0, dw0), loop, tol=1e-11)
+        assert abs(st.w - M[0, col]) <= 1e-10 * max(1.0, abs(st.w))
+        assert abs(st.dw - M[1, col]) <= 1e-10 * max(1.0, abs(st.dw))
+
+
+def test_center_labels_and_unknown_center():
+    params = heun_test_params(10)
+    by_label = connection_matrix(params, "zero", "f", tol=1e-11).as_array()
+    by_value = connection_matrix(params, 0, params.f, tol=1e-11).as_array()
+    assert np.array_equal(by_label, by_value)
+    for bad in ("x", 0.5):
+        with pytest.raises(UnknownCenter):
+            connection_matrix(params, bad, 1)
+    assert issubclass(UnknownCenter, ValueError)

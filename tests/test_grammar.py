@@ -95,3 +95,9 @@ def test_confluent_params_text_roundtrip():
     again = confluent_params_from_text(confluent_params_to_text(cf))
     assert again.kind == cf.kind
     assert again.params == cf.params
+
+
+@pytest.mark.parametrize("bad", ["1e400", "1e400i", "-1e309+2i", "1-1e999i"])
+def test_parse_complex_rejects_non_finite(bad):
+    with pytest.raises(MalformedComplex):
+        parse_complex(bad)

@@ -5,7 +5,7 @@ import pytest
 from heunkit.errors import LogarithmicCase, NotRegular, OutsideRadius
 from heunkit.heun import GeneralHeunParams, general_heun, heun_series
 from heunkit.ode import LinearODE, ode_residual
-from heunkit.series import eval_local, frobenius_series
+from heunkit.series import LocalSeries, eval_local, frobenius_series
 
 
 def termwise_second_derivative(series, z):
@@ -102,3 +102,29 @@ def test_ratio_radius_diagnostic_agrees():
     ser = heun_series(params, 0, "first", 200)
     est = ratio_radius_estimate(ser)
     assert abs(est - ser.radius) <= 0.25 * ser.radius
+
+
+def test_eval_local_tail_uses_last_two_terms():
+    # the last coefficient is 0: a last-term estimate would report 0
+    ser = LocalSeries(0j, 0j, (1.0, 0.5, 0.25, 0.0), 10.0)
+    val = eval_local(ser, 1.0)
+    assert val.tail == 0.25
+    assert val.w == 1.75
+
+
+def test_recurrence_at_an_ordinary_point_is_taylor():
+    # w'' + w = 0 at z = 0: lead 0, rho 0; columns cos and sin
+    from math import factorial
+
+    from heunkit.series import recurrence_terms, recurrence_weights
+
+    cols = [[1.0, 0.0], [0.0, 1.0]]
+    terms = recurrence_terms(recurrence_weights((1.0,), (0.0,), (1.0,)),
+                             0, 0j, cols)
+    for _ in range(10):
+        next(terms)
+    for k in range(12):
+        cos_k = 0.0 if k % 2 else (-1) ** (k // 2) / factorial(k)
+        sin_k = (-1) ** (k // 2) / factorial(k) if k % 2 else 0.0
+        assert abs(cols[0][k] - cos_k) <= 1e-15
+        assert abs(cols[1][k] - sin_k) <= 1e-15
