@@ -14,8 +14,9 @@ connect's --tol overrides both; a tolerance must be a finite number in
 (0, 1), and one below 100 machine epsilons is raised to that floor.
 Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
 option, a malformed or non-finite number, an invalid tolerance, a center
-that is none of 0, 1, f). Output is deterministic: fixed key order, floats
-at 17 significant digits.
+that is none of 0, 1, f, a scenario parameter outside its domain, a
+--q-count below 1, an --n-max below 0 or an --n-terms below 1). Output is
+deterministic: fixed key order, floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -27,14 +28,26 @@ from dataclasses import dataclass, field
 
 from .corpus import canonical_corpus
 from .engine import DEFAULT_TOL, check_tolerance, connection_matrix
-from .errors import GrammarError, HeunkitError, InvalidTolerance, \
-    MalformedComplex, MissingOption, UnknownCenter, UnknownVerb
+from .errors import GrammarError, HeunkitError, InvalidParameter, \
+    InvalidTolerance, MalformedComplex, MissingOption, UnknownCenter, \
+    UnknownVerb
 from .grammar import format_complex, parse_complex, parse_ode
 from .heun import GeneralHeunParams, heun_value
 from .mathieu import characteristic_value
 from .ode import classify_singularities
 from .scenarios import SCENARIOS, run_scenario
 from .serialize import emit_json, render_report_text, to_jsonable
+
+
+def _finite_float(raw, label):
+    """raw as a finite float; MalformedComplex naming label otherwise."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise MalformedComplex(f"{label} expects a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise MalformedComplex(f"{label} expects a finite number, got {raw!r}")
+    return value
 
 
 def _tolerance(options):
@@ -136,13 +149,7 @@ def parse_args(argv):
         if kind == "complex":
             options[name] = parse_complex(raw)
         elif kind == "float":
-            try:
-                options[name] = float(raw)
-            except ValueError:
-                raise MalformedComplex(f"--{name} expects a number, got {raw!r}")
-            if not math.isfinite(options[name]):
-                raise MalformedComplex(f"--{name} expects a finite number, "
-                                       f"got {raw!r}")
+            options[name] = _finite_float(raw, f"--{name}")
         elif kind == "int":
             try:
                 options[name] = int(raw)
@@ -289,7 +296,9 @@ def _mathieu_grid(o):
             raise HeunkitError(f"bad --q-values list {o['q-values']!r}")
     if o.get("q-min") is None or o.get("q-max") is None:
         raise MissingOption("mathieu-table needs --q-values or --q-min/--q-max")
-    count = o.get("q-count") or 5
+    count = o.get("q-count", 5)
+    if count < 1:
+        raise InvalidParameter(f"--q-count must be at least 1, got {count}")
     lo, hi = o["q-min"], o["q-max"]
     if count == 1:
         return [lo]
@@ -298,6 +307,8 @@ def _mathieu_grid(o):
 
 def _run_mathieu_table(cmd):
     o = cmd.options
+    if o["n-max"] < 0:
+        raise InvalidParameter(f"--n-max must be at least 0, got {o['n-max']}")
     grid = _mathieu_grid(o)
     parities = {"both": ("even", "odd"), "even": ("even",),
                 "odd": ("odd",)}.get(o["parity"])
@@ -341,6 +352,8 @@ def _load_config(path):
 
 
 def _coerce_scenario_params(scenario_id, raw):
+    """Parameter strings typed like the scenario's defaults. Numbers must be
+    finite literals; a malformed one raises InvalidParameter."""
     _, defaults = SCENARIOS[scenario_id]
     out = {}
     for key, val in raw.items():
@@ -348,16 +361,20 @@ def _coerce_scenario_params(scenario_id, raw):
             raise HeunkitError(f"scenario {scenario_id!r} has no parameter "
                                f"{key!r}; expects {sorted(defaults)}")
         ref = defaults[key]
-        if isinstance(ref, bool):
-            out[key] = val.lower() in ("1", "true", "yes")
-        elif isinstance(ref, int) and not isinstance(ref, bool):
-            out[key] = int(float(val))
-        elif isinstance(ref, float):
-            out[key] = float(val)
-        elif ref is None:
-            out[key] = None if val.lower() in ("none", "") else parse_complex(val)
-        else:
-            out[key] = val
+        try:
+            if isinstance(ref, bool):
+                out[key] = val.lower() in ("1", "true", "yes")
+            elif isinstance(ref, int):
+                out[key] = int(_finite_float(val, key))
+            elif isinstance(ref, float):
+                out[key] = _finite_float(val, key)
+            elif ref is None:
+                out[key] = None if val.lower() in ("none", "") \
+                    else parse_complex(val)
+            else:
+                out[key] = val
+        except MalformedComplex as exc:
+            raise InvalidParameter(f"scenario {scenario_id!r}: {exc}") from None
     return out
 
 
@@ -456,7 +473,8 @@ def main(argv=None):
         return 2
     try:
         return run(cmd)
-    except (MissingOption, InvalidTolerance, UnknownCenter) as exc:
+    except (MissingOption, InvalidParameter, InvalidTolerance,
+            UnknownCenter) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except HeunkitError as exc:

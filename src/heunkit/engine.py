@@ -30,6 +30,12 @@ polynomial form) use the 8(7) Dormand-Prince pair (scipy's DOP853) on the
 real-ified 4-vector (w, w'), with the segment parametrization
 z(s) = z0 + s dz keeping the complex geometry in the right-hand side.
 
+scipy.integrate is imported on first use, not with the package: importing
+it costs several times more than a typical command does. Three callers
+load it: ``integrate_callable`` (DOP853), ``wronskian_abel_check`` (the
+quadrature of p along the path) and ``mathieu.orthogonality_matrix`` (the
+Gram matrix).
+
 Clearance from singular points scales with the local singularity spacing,
 so tight geometries (points at distance ~1) and wide ones are treated
 uniformly. Connection matrices express the Frobenius basis at one singular
@@ -46,7 +52,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import (
     DegenerateSystem,
@@ -66,6 +71,21 @@ MIN_TOL = 100.0 * sys.float_info.epsilon
 STEP_FRACTION = 0.5  # step / distance to the nearest finite singular point
 MAX_STEPS = 10_000  # Taylor steps per path
 MAX_TERMS = 400  # series terms per Taylor step
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call. A module-level
+    function, so that a tracer can wrap it by name (perfbench/tracer.py)."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call. A module-level
+    function, so that a tracer can wrap it by name (perfbench/tracer.py);
+    mathieu has its own, so the two callers are told apart."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 def check_tolerance(tol, name="tol"):

@@ -132,6 +132,12 @@ class SlowConvergence(HeunkitError):
 
 # --- scenarios ---
 
+class InvalidParameter(HeunkitError, ValueError):
+    """A scenario, Mathieu or series parameter outside its domain (a negative
+    scale or order, an unknown parity or grouping, a non-finite number, a
+    series length below 1)."""
+
+
 class DegenerateShift(HeunkitError):
     pass
 

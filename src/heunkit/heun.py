@@ -42,6 +42,7 @@ from .errors import (
     CollidingSingularities,
     DegenerateReduction,
     FuchsViolation,
+    InvalidParameter,
     LogarithmicCase,
     NotReducible,
     TruncationFailure,
@@ -217,7 +218,10 @@ def heun_value(params, center, branch, z, tail_tol=1e-12, n_terms=60):
 
     Doubles the series length until the two-term tail estimate at z is below
     tail_tol (relative), up to 4096 terms, then raises TruncationFailure.
+    n_terms below 1 raises InvalidParameter (doubling would never end).
     """
+    if n_terms < 1:
+        raise InvalidParameter(f"n_terms must be at least 1, got {n_terms}")
     n = n_terms
     while True:
         series = heun_series(params, center, branch, n)

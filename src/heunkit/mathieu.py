@@ -34,13 +34,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import NonConvergence, NonConverged, OverflowGuard
+from .errors import InvalidParameter, NonConvergence, NonConverged, \
+    OverflowGuard
 
 _EPS = 2.220446049250313e-16
 MAX_TRUNCATION = 2048
 CONVERGENCE_TOL = 1e-13
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call. A module-level
+    function, so that a tracer can wrap it by name (perfbench/tracer.py);
+    engine has its own, so the two callers are told apart."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 def q_from_h2(h2):
@@ -61,11 +69,13 @@ class MathieuParams:
 
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+            raise InvalidParameter(f"parity must be 'even' or 'odd', "
+                                   f"got {self.parity!r}")
         if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"order must be a non-negative integer, got {self.n}")
+            raise InvalidParameter(f"order must be a non-negative integer, "
+                                   f"got {self.n}")
         if self.parity == "odd" and self.n < 1:
-            raise ValueError("odd (sine) functions start at order 1")
+            raise InvalidParameter("odd (sine) functions start at order 1")
         object.__setattr__(self, "q", complex(self.q))
         object.__setattr__(self, "n", int(self.n))
 
@@ -299,19 +309,6 @@ def fourier_coefficients(params, char):
     _check_char(params, char)
     return _coefficients_cached(params.n, params.q, params.parity,
                                 char.truncation, char.value)
-
-
-def _angular_terms(params, char, theta, hyperbolic=False):
-    nus, coeffs = fourier_coefficients(params, char)
-    even = params.parity == "even"
-    vals = []
-    for nu, c in zip(nus, coeffs):
-        if hyperbolic:
-            base = cmath.cosh(nu * theta) if even else cmath.sinh(nu * theta)
-        else:
-            base = cmath.cos(nu * theta) if even else cmath.sin(nu * theta)
-        vals.append((nu, c, base))
-    return vals
 
 
 def angular_mathieu(params, char, theta):

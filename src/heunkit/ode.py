@@ -19,7 +19,6 @@ genuinely have rank 3/2 at infinity, and the classifier must not round).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -263,14 +262,6 @@ def fuchs_exponent_sum(ode):
         total += pt.exponents[0] + pt.exponents[1]
         count += 1
     return total, count
-
-
-def _nearest_pole_distance(ode, z):
-    best = math.inf
-    for rf in (ode.p, ode.q):
-        for loc, _ in rf.poles():
-            best = min(best, abs(z - loc))
-    return best
 
 
 def ode_residual(ode, samples):

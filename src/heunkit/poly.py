@@ -400,6 +400,3 @@ def make_rational(num_coeffs, den_coeffs):
     # normalize so the denominator's leading coefficient is 1
     inv = 1.0 / pd.coeffs[-1]
     return RationalFunction(pn * inv, pd * inv)
-
-
-ZERO_RATIONAL = RationalFunction(Polynomial((0j,)), Polynomial((1.0,)))

@@ -22,7 +22,8 @@ import numpy as np
 
 from .engine import ComplexPath, SolutionState, check_clearance, \
     integrate_callable, integrate_path, loop_transfer_matrix
-from .errors import DegenerateShift, LogarithmicCase, ParameterPole
+from .errors import DegenerateShift, InvalidParameter, LogarithmicCase, \
+    ParameterPole
 from .heun import ConfluentFormParams, build_confluent_form
 from .hypergeometric import gauss_2f1
 from .mathieu import (
@@ -170,7 +171,7 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
     """
     a, k = float(a), float(k)
     if a <= 0 or k < 0:
-        raise ValueError("focal parameter a must be positive and k >= 0")
+        raise InvalidParameter("focal parameter a must be positive and k >= 0")
     report = ScenarioReport("helmholtz-elliptic",
                             {"a": a, "k": k, "n": int(n), "parity": parity,
                              "b": b})
@@ -500,7 +501,7 @@ def nutku_angular(a, k, n=2, parity="even"):
     """
     a, k = float(a), float(k)
     if a <= 0 or k < 0:
-        raise ValueError("a must be positive and k >= 0")
+        raise InvalidParameter("a must be positive and k >= 0")
     report = ScenarioReport("nutku-angular",
                             {"a": a, "k": k, "n": int(n), "parity": parity})
     kappa2 = a * a * k * k / 2.0
@@ -581,9 +582,9 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
     """
     a, k, Lambda = float(a), float(k), float(Lambda)
     if a <= 0 or k <= 0:
-        raise ValueError("a, k must be positive")
+        raise InvalidParameter("a, k must be positive")
     if grouping not in ("consistent", "literal"):
-        raise ValueError("grouping must be 'consistent' or 'literal'")
+        raise InvalidParameter("grouping must be 'consistent' or 'literal'")
     report = ScenarioReport("nutku-radial",
                             {"a": a, "k": k, "Lambda": Lambda, "n": int(n),
                              "parity": parity, "grouping": grouping})
@@ -690,7 +691,7 @@ def eguchi_hanson_radial(k, a, m, lam):
     """
     k, a, m, lam = float(k), float(a), float(m), float(lam)
     if a <= 0:
-        raise ValueError("scale parameter a must be positive")
+        raise InvalidParameter("scale parameter a must be positive")
     report = ScenarioReport("eguchi-hanson-radial",
                             {"k": k, "a": a, "m": m, "lam": lam})
     report.notes.append("the eigenvalue lam does not enter the printed "
@@ -731,7 +732,6 @@ def eguchi_hanson_radial(k, a, m, lam):
             for r_frac in (0.15, 0.3, 0.45):
                 z = r_frac * ser.radius * cmath.exp(0.7j)
                 w, dw, _ = eval_local(ser, z)
-                ddw = -(ode.p(z) * dw + ode.q(z) * w)
                 # independent second derivative from the series itself
                 ddw = _series_second_derivative(ser, z)
                 samples.append((z, w, dw, ddw))
@@ -958,7 +958,7 @@ def boundary_dirac_equation(a, k, x0, phi):
     """
     a, k, x0, phi = float(a), float(k), float(x0), float(phi)
     if a <= 0 or k < 0 or x0 < 0:
-        raise ValueError("need a > 0, k >= 0, x0 >= 0")
+        raise InvalidParameter("need a > 0, k >= 0, x0 >= 0")
     ak = a * k
     report = ScenarioReport("boundary-dirac",
                             {"a": a, "k": k, "x0": x0, "phi": phi})

@@ -246,3 +246,99 @@ def test_cli_connect_nan_tolerance_exits_quickly():
     p = run_cli(*CONNECT_01, "--tol", "nan", timeout=60)
     assert p.returncode == 2
     assert "usage error" in p.stderr
+
+
+def test_cli_parameter_inputs(capsys):
+    """Every bad scenario or table parameter ends in a usage error with a
+    message, never a traceback: (argv, exit status, text on stderr)."""
+    from heunkit.cli import main
+
+    cases = [
+        (["scenario", "--id", "stark", "--set", "E=abc"], 2,
+         "E expects a number"),
+        (["scenario", "--id", "stark", "--set", "E=nan"], 2,
+         "E expects a finite number"),
+        (["scenario", "--id", "stark", "--set", "E=1e400"], 2,
+         "E expects a finite number"),
+        (["scenario", "--id", "nutku-radial", "--set", "a=-1"], 2,
+         "a, k must be positive"),
+        (["scenario", "--id", "nutku-radial", "--set", "n=-1"], 2,
+         "order must be a non-negative integer"),
+        (["scenario", "--id", "nutku-radial", "--set", "grouping=x"], 2,
+         "grouping must be"),
+        (["scenario", "--id", "nutku-angular", "--set", "parity=x"], 2,
+         "parity must be"),
+        (["scenario", "--id", "helmholtz-elliptic", "--set", "b=1x"], 2,
+         "bad complex literal"),
+        (["mathieu-table", "--q-min", "0", "--q-max", "1", "--q-count", "0"],
+         2, "--q-count must be at least 1"),
+        (["mathieu-table", "--q-values", "1", "--n-max", "-1"], 2,
+         "--n-max must be at least 0"),
+        (["mathieu-table", "--q-min", "0", "--q-max", "1", "--q-count", "1",
+          "--n-max", "0", "--parity", "even"], 0, ""),
+        (["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
+          "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--n-terms", "0"],
+         2, "n_terms must be at least 1"),
+        (["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
+          "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--n-terms", "-5"],
+         2, "n_terms must be at least 1"),
+    ]
+    for argv, code, message in cases:
+        status = main(argv)
+        out, err = capsys.readouterr()
+        assert status == code, (argv, err)
+        assert message in err, (argv, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("usage error:"), (argv, err)
+            assert out == ""
+    # a single grid point is q-min itself
+    assert main(["mathieu-table", "--q-min", "0.5", "--q-max", "1",
+                 "--q-count", "1", "--n-max", "0", "--parity", "even"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["0.5"]
+
+
+_NO_SCIPY_CHILD = """
+import contextlib, io, json, os, sys
+import heunkit.cli
+
+cheap = {cheap!r}
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    statuses = [heunkit.cli.main(argv) for argv in cheap]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    status = heunkit.cli.main(["scenario", "--id", "boundary-dirac"])
+print(json.dumps({{
+    "statuses": statuses,
+    "scipy_before": loaded,
+    "dirac_status": status,
+    "claims": [c["passed"] for c in json.loads(buf.getvalue())["claims"]],
+    "scipy_after": "scipy.integrate" in sys.modules,
+}}))
+"""
+
+
+def test_cheap_verbs_do_not_import_scipy():
+    """In a fresh interpreter, the five CLI verbs on their cheap paths load
+    no scipy module; boundary-dirac then loads scipy.integrate on first use
+    and every claim still passes."""
+    cheap = [
+        ["classify", "--corpus", "gauss-hypergeometric"],
+        ["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
+         "--e", "1", "--f", "2", "--q", "0", "--z", "0.3+0.1i"],
+        ["mathieu-table", "--q-values", "0,1,2", "--n-max", "4"],
+        CONNECT_01,
+        ["scenario", "--id", "stark"],
+    ]
+    p = subprocess.run([sys.executable, "-c",
+                        _NO_SCIPY_CHILD.format(cheap=cheap)],
+                       capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    data = json.loads(p.stdout)
+    assert data["statuses"] == [0] * len(cheap)
+    assert data["scipy_before"] == []
+    assert data["dirac_status"] == 0
+    assert data["claims"] and all(data["claims"])
+    assert data["scipy_after"]
