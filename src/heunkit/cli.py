@@ -14,9 +14,10 @@ connect's --tol overrides both; a tolerance must be a finite number in
 (0, 1), and one below 100 machine epsilons is raised to that floor.
 Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
 option, a malformed or non-finite number, an invalid tolerance, a center
-that is none of 0, 1, f, a scenario parameter outside its domain, a
---q-count below 1, an --n-max below 0 or an --n-terms below 1). Output is
-deterministic: fixed key order, floats at 17 significant digits.
+that is none of 0, 1, f, a scenario parameter outside its domain or not
+an integer where one is expected, a --q-count below 1, an --n-max below 0
+or an --n-terms below 1). Output is deterministic: fixed key order, floats
+at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -290,10 +291,8 @@ def _run_heun_eval(cmd):
 
 def _mathieu_grid(o):
     if o.get("q-values"):
-        try:
-            return [float(tok) for tok in o["q-values"].split(",") if tok.strip()]
-        except ValueError:
-            raise HeunkitError(f"bad --q-values list {o['q-values']!r}")
+        return [_finite_float(tok, "--q-values")
+                for tok in o["q-values"].split(",") if tok.strip()]
     if o.get("q-min") is None or o.get("q-max") is None:
         raise MissingOption("mathieu-table needs --q-values or --q-min/--q-max")
     count = o.get("q-count", 5)
@@ -365,7 +364,11 @@ def _coerce_scenario_params(scenario_id, raw):
             if isinstance(ref, bool):
                 out[key] = val.lower() in ("1", "true", "yes")
             elif isinstance(ref, int):
-                out[key] = int(_finite_float(val, key))
+                number = _finite_float(val, key)
+                if number != int(number):
+                    raise MalformedComplex(f"{key} expects an integer, "
+                                           f"got {val!r}")
+                out[key] = int(number)
             elif isinstance(ref, float):
                 out[key] = _finite_float(val, key)
             elif ref is None:
@@ -473,8 +476,8 @@ def main(argv=None):
         return 2
     try:
         return run(cmd)
-    except (MissingOption, InvalidParameter, InvalidTolerance,
-            UnknownCenter) as exc:
+    except (MissingOption, MalformedComplex, InvalidParameter,
+            InvalidTolerance, UnknownCenter) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except HeunkitError as exc:

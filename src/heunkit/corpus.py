@@ -9,8 +9,8 @@ generic parameters, and the two scenario operators with quoted structures.
 
 from __future__ import annotations
 
-from .heun import ConfluentFormParams, GeneralHeunParams, build_confluent_form, \
-    general_heun
+from .heun import SIGNATURES, ConfluentFormParams, GeneralHeunParams, \
+    build_confluent_form, general_heun
 from .ode import LinearODE
 from .scenarios import _boundary_u_ode_printed
 
@@ -77,25 +77,11 @@ def canonical_corpus():
                        "eta": 0.9},
         "triconfluent": {"A0": 0.2, "A1": 0.4, "A2": 0.6},
     }
-    expected = {
-        "symmetric-confluent": {-1.0 + 0j: "regular", 1.0 + 0j: "regular",
-                                "inf": "irregular"},
-        "two-center-coulomb": {-1.0 + 0j: "regular", 1.0 + 0j: "regular",
-                               "inf": "irregular"},
-        "spheroidal": {-1.0 + 0j: "regular", 1.0 + 0j: "regular",
-                       "inf": "irregular"},
-        "algebraic-mathieu": {-1.0 + 0j: "regular", 1.0 + 0j: "regular",
-                              "inf": "irregular"},
-        "double-confluent": {0j: "irregular", "inf": "irregular"},
-        "biconfluent": {0j: "regular", "inf": "irregular"},
-        "anharmonic": {0j: "regular", "inf": "irregular"},
-        "triconfluent": {"inf": "irregular"},
-    }
     for kind in generic:
         entries.append((kind,
                         build_confluent_form(ConfluentFormParams(kind,
                                                                  generic[kind])),
-                        expected[kind]))
+                        SIGNATURES[kind]))
 
     entries.append((
         "instanton-radial-operator",

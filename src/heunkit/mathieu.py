@@ -13,11 +13,11 @@ Conventions (fixed here, used everywhere else):
   argument: even series become sums of cosh, odd series i * sums of sinh,
   and both satisfy y'' = (a - 2 q cosh 2x) y.
 
-Characteristic values come from the symmetric tridiagonal Fourier-mode
-matrices, truncated and doubled until the value is stable; the eigenvalue
-iteration is an implicit-shift QL implemented in-module. For complex q the
-value is refined by Newton iteration on the determinant of the truncated
-matrix, seeded by continuation from the real part of q.
+Characteristic values are eigenvalues of the tridiagonal Fourier-mode
+matrices, truncated and doubled until the value is stable, from numpy's
+eigvalsh (real q) or eigvals (complex q) on the dense matrix. The label
+rule for complex q and the stop rule near a branch point are stated in
+characteristic_value.
 
 Fourier coefficients are generated by backward recurrence from above the
 last significant mode (the coefficient sequence is the minimal solution of
@@ -38,9 +38,13 @@ import numpy as np
 from .errors import InvalidParameter, NonConvergence, NonConverged, \
     OverflowGuard
 
-_EPS = 2.220446049250313e-16
 MAX_TRUNCATION = 2048
 CONVERGENCE_TOL = 1e-13
+STALL_TOL = 1e-10
+LABEL_OFFSET = 1e-2
+SEPARATION = 0.25
+MAX_HYPERBOLIC_ARG = 690.0
+CANCELLATION_LIMIT = 1e7
 
 
 def quad(*args, **kwargs):
@@ -76,7 +80,10 @@ class MathieuParams:
                                    f"got {self.n}")
         if self.parity == "odd" and self.n < 1:
             raise InvalidParameter("odd (sine) functions start at order 1")
-        object.__setattr__(self, "q", complex(self.q))
+        q = complex(self.q)
+        if not cmath.isfinite(q):
+            raise InvalidParameter(f"q must be finite, got {self.q}")
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", int(self.n))
 
 
@@ -85,33 +92,32 @@ class CharacteristicValue:
     params: MathieuParams
     value: complex
     truncation: int
-    converged: bool = True
+
+
+# lowest harmonic of each Fourier family; the family's harmonics step by 2
+_START = {"even-pi": 0, "even-2pi": 1, "odd-2pi": 1, "odd-pi": 2}
 
 
 def _family(n, parity):
-    """Fourier family: harmonics nu_j and the matrix structure tag."""
+    """Fourier family tag of the order-n function of the given parity."""
     if parity == "even":
         return ("even-pi" if n % 2 == 0 else "even-2pi")
     return ("odd-2pi" if n % 2 == 1 else "odd-pi")
 
 
 def _harmonics(family, M):
-    start = {"even-pi": 0, "even-2pi": 1, "odd-2pi": 1, "odd-pi": 2}[family]
-    return [start + 2 * j for j in range(M)]
+    return [_START[family] + 2 * j for j in range(M)]
 
 
 def _eig_index(n, parity):
-    fam = _family(n, parity)
-    nus = {"even-pi": 0, "even-2pi": 1, "odd-2pi": 1, "odd-pi": 2}[fam]
-    return (n - nus) // 2
+    return (n - _START[_family(n, parity)]) // 2
 
 
 def _family_matrix(family, q, M):
     """Symmetric tridiagonal truncation (diag, offdiag) of the Fourier-mode
-    operator for y'' + (a - 2q cos 2t) y = 0."""
-    nus = _harmonics(family, M)
-    d = [complex(nu * nu) for nu in nus]
-    e = [q] * (M - 1)
+    operator for y'' + (a - 2q cos 2t) y = 0, as complex arrays."""
+    d = np.array(_harmonics(family, M), dtype=complex) ** 2
+    e = np.full(M - 1, complex(q))
     if family == "even-pi":
         e[0] = math.sqrt(2.0) * q
     elif family == "even-2pi":
@@ -121,127 +127,89 @@ def _family_matrix(family, q, M):
     return d, e
 
 
-def tridiag_eigenvalues(diag, off):
-    """All eigenvalues of a real symmetric tridiagonal matrix by implicit
-    QL iteration with Wilkinson-style shifts (eigenvalues only)."""
-    d = [float(x) for x in diag]
-    n = len(d)
-    if n == 1:
-        return d
-    e = [float(x) for x in off] + [0.0]
-    for l in range(n):
-        iterations = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd + 1e-300:
-                    break
-                m += 1
-            if m == l:
-                break
-            iterations += 1
-            if iterations > 100:
-                raise NonConvergence("QL iteration stalled")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            denom = g + (r if g >= 0 else -r)
-            g = d[m] - d[l] + e[l] / denom
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return sorted(d)
+def _eigenvalues(family, q, M):
+    """Eigenvalues of the order-M truncation, ascending for real q."""
+    d, e = _family_matrix(family, q, M)
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    return np.linalg.eigvalsh(T.real) if q.imag == 0 else np.linalg.eigvals(T)
 
 
-def _char_at_truncation(n, q, parity, M):
-    fam = _family(n, parity)
-    idx = _eig_index(n, parity)
+def _nearest(vals, target):
+    return complex(vals[np.argmin(np.abs(vals - target))])
+
+
+def _continue_label(family, idx, q, M):
+    """Label idx followed up to complex q (see characteristic_value)."""
+    re = q.real if abs(q.real) >= LABEL_OFFSET else \
+        (LABEL_OFFSET if q.real >= 0 else -LABEL_OFFSET)
+    lam = complex(_eigenvalues(family, complex(re), M)[idx])
+    # the path is split into N equal steps, k of them done; a halved step
+    # doubles again after each accepted step
+    k, N = 0, max(2, int(4 * abs(q.imag)) + 1)
+    N0 = N
+    while k < N:
+        vals = _eigenvalues(family, complex(re, q.imag * (k + 1) / N), M)
+        near, second = np.sort(np.abs(vals - lam))[:2]
+        if near > SEPARATION * second:
+            k, N = 2 * k, 2 * N
+            continue
+        lam = _nearest(vals, lam)
+        k += 1
+        if k % 2 == 0 and N > N0:
+            k, N = k // 2, N // 2
+    return lam if re == q.real else _nearest(_eigenvalues(family, q, M), lam)
+
+
+def _value_at(n, q, parity, M, prev=None):
+    """(value, truncation used) at M, or at index + 8 if M <= index + 4; for
+    complex q and a given prev, the eigenvalue nearest prev."""
+    fam, idx = _family(n, parity), _eig_index(n, parity)
     if M <= idx + 4:
         M = idx + 8
-    d, e = _family_matrix(fam, q, M)
-    if abs(complex(q).imag) == 0.0:
-        vals = tridiag_eigenvalues([x.real for x in d], [complex(x).real for x in e])
-        return complex(vals[idx]), M
-    # complex q: continuation in the imaginary part + determinant Newton
-    q0 = complex(q).real
-    d0, e0 = _family_matrix(fam, q0, M)
-    vals = tridiag_eigenvalues([x.real for x in d0], [complex(x).real for x in e0])
-    lam = complex(vals[idx])
-    steps = max(2, int(4 * abs(complex(q).imag)) + 1)
-    for k in range(1, steps + 1):
-        qk = complex(q0, complex(q).imag * k / steps)
-        dk, ek = _family_matrix(fam, qk, M)
-        lam = _det_newton(dk, ek, lam)
-    return lam, M
-
-
-def _det_newton(d, e, lam0):
-    """Newton refinement of det(T - lam I) = 0 for a (complex) symmetric
-    tridiagonal T, with joint rescaling of the determinant recurrences."""
-    n = len(d)
-    lam = complex(lam0)
-    for _ in range(80):
-        Dm2, Dm1 = 1.0 + 0j, d[0] - lam
-        Pm2, Pm1 = 0j, -1.0 + 0j
-        for k in range(1, n):
-            ek2 = e[k - 1] * e[k - 1]
-            Dk = (d[k] - lam) * Dm1 - ek2 * Dm2
-            Pk = -Dm1 + (d[k] - lam) * Pm1 - ek2 * Pm2
-            Dm2, Dm1, Pm2, Pm1 = Dm1, Dk, Pm1, Pk
-            mag = max(abs(Dm1), abs(Dm2))
-            if mag > 1e150:
-                s = 1.0 / mag
-                Dm2 *= s
-                Dm1 *= s
-                Pm2 *= s
-                Pm1 *= s
-        if Pm1 == 0:
-            raise NonConvergence("determinant derivative vanished")
-        step = Dm1 / Pm1
-        lam -= step
-        if abs(step) <= 1e-13 * max(1.0, abs(lam)):
-            return lam
-    raise NonConvergence("Newton refinement did not converge")
+        if M > MAX_TRUNCATION:  # dense matrices: memory grows as M^2
+            raise InvalidParameter(f"order {n} needs a truncation above "
+                                   f"{MAX_TRUNCATION}")
+    if q.imag == 0:
+        return complex(_eigenvalues(fam, q, M)[idx]), M
+    if prev is None:
+        return _continue_label(fam, idx, q, M), M
+    return _nearest(_eigenvalues(fam, q, M), prev), M
 
 
 def characteristic_value(n, q, parity):
     """Characteristic value of the order-n, given-parity Mathieu function.
 
-    The truncation is doubled until two consecutive sizes agree to 1e-13
-    relative; NonConvergence is raised beyond truncation 2048.
+    The truncation starts at 32 and doubles until two sizes agree to 1e-13
+    relative to max(1, |value|). Near a branch point, where rounding alone
+    moves the value by about 3e-13 per doubling (q = 1.4688i, n = 0), it
+    also stops once the difference stops shrinking and is within 1e-10;
+    that difference then bounds the error. Beyond truncation 2048
+    NonConvergence is raised.
+
+    Labels. Real q: the eigenvalue with the order's index in its family,
+    from the bottom. Complex q, at the first truncation: that eigenvalue at
+    Re q, followed up the vertical segment to q, each step taking the
+    eigenvalue nearest the last and halving while that distance exceeds
+    SEPARATION times the second nearest; each doubled truncation takes the
+    eigenvalue nearest the last. For |Re q| < LABEL_OFFSET the path runs at
+    Re q = LABEL_OFFSET (-LABEL_OFFSET if Re q < 0, so Re q = 0 means the
+    limit from Re q > 0) and the value is the eigenvalue at q nearest its
+    end. Past the branch point 1.4688i of a_0, a_2 (DLMF 28.7) this gives
+    a_0(2i) = 2.16256 - 1.86749i, and a_2(2i) is its conjugate.
     """
     params = MathieuParams(q, n, parity)
     q = params.q
     if q == 0:
         return CharacteristicValue(params, complex(n * n), 32)
-    prev = None
-    M = 32
+    prev, prev_err, M = None, math.inf, 32
     while M <= MAX_TRUNCATION:
-        val, M_used = _char_at_truncation(params.n, q, parity, M)
-        if prev is not None and abs(val - prev) <= CONVERGENCE_TOL * max(1.0, abs(val)):
-            return CharacteristicValue(params, val, M_used)
+        val, M_used = _value_at(params.n, q, parity, M, prev)
+        if prev is not None:
+            err, scale = abs(val - prev), max(1.0, abs(val))
+            if err <= CONVERGENCE_TOL * scale or \
+                    prev_err <= err <= STALL_TOL * scale:
+                return CharacteristicValue(params, val, M_used)
+            prev_err = err
         prev = val
         M *= 2
     raise NonConvergence(
@@ -251,15 +219,7 @@ def characteristic_value(n, q, parity):
 
 def characteristic_value_at(n, q, parity, truncation):
     """Characteristic value at a fixed truncation (stability probes)."""
-    val, _ = _char_at_truncation(int(n), complex(q), parity, int(truncation))
-    return val
-
-
-def _check_char(params, char):
-    if not isinstance(char, CharacteristicValue) or char.params != params:
-        raise NonConverged("characteristic value does not match the parameters")
-    if not char.converged:
-        raise NonConverged("characteristic value is not converged")
+    return _value_at(int(n), complex(q), parity, int(truncation))[0]
 
 
 @lru_cache(maxsize=256)
@@ -297,8 +257,7 @@ def _normalize(fam, coeffs, n):
         norm2 = sum(c * c for c in coeffs)
     scale = 1.0 / cmath.sqrt(norm2)
     coeffs = [c * scale for c in coeffs]
-    jstar = (n - {"even-pi": 0, "even-2pi": 1, "odd-2pi": 1, "odd-pi": 2}[fam]) // 2
-    anchor = coeffs[jstar]
+    anchor = coeffs[(n - _START[fam]) // 2]
     if anchor.real < 0 or (anchor.real == 0 and anchor.imag < 0):
         coeffs = [-c for c in coeffs]
     return coeffs
@@ -306,7 +265,8 @@ def _normalize(fam, coeffs, n):
 
 def fourier_coefficients(params, char):
     """(harmonics, coefficients) of the angular Fourier series."""
-    _check_char(params, char)
+    if not isinstance(char, CharacteristicValue) or char.params != params:
+        raise NonConverged("characteristic value does not match the parameters")
     return _coefficients_cached(params.n, params.q, params.parity,
                                 char.truncation, char.value)
 
@@ -326,25 +286,19 @@ def angular_mathieu_derivatives(params, char, theta):
     even = params.parity == "even"
     S = S1 = S2 = 0j
     for nu, c in zip(nus, coeffs):
+        cosv = cmath.cos(nu * theta)
+        sinv = cmath.sin(nu * theta)
         if even:
-            cosv = cmath.cos(nu * theta)
-            sinv = cmath.sin(nu * theta)
             S += c * cosv
             S1 += -c * nu * sinv
             S2 += -c * nu * nu * cosv
         else:
-            cosv = cmath.cos(nu * theta)
-            sinv = cmath.sin(nu * theta)
             S += c * sinv
             S1 += c * nu * cosv
             S2 += -c * nu * nu * sinv
     if params.q.imag == 0 and abs(complex(theta).imag) == 0:
         return S.real, S1.real, S2.real
     return S, S1, S2
-
-
-MAX_HYPERBOLIC_ARG = 690.0
-CANCELLATION_LIMIT = 1e7
 
 
 def modified_mathieu(params, char, x):
@@ -393,14 +347,10 @@ def modified_mathieu_derivatives(params, char, x):
 
 def basis_functions(q, n_max):
     """All (params, char) pairs with order <= n_max, both parities."""
-    out = []
-    for n in range(0, n_max + 1):
-        out.append((MathieuParams(q, n, "even"),
-                    characteristic_value(n, q, "even")))
-    for n in range(1, n_max + 1):
-        out.append((MathieuParams(q, n, "odd"),
-                    characteristic_value(n, q, "odd")))
-    return out
+    orders = [(n, "even") for n in range(n_max + 1)] + \
+        [(n, "odd") for n in range(1, n_max + 1)]
+    return [(MathieuParams(q, n, parity), characteristic_value(n, q, parity))
+            for n, parity in orders]
 
 
 def orthogonality_matrix(q, n_max):

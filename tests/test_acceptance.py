@@ -161,7 +161,9 @@ def test_criterion_5_mathieu_suite():
         assert abs(characteristic_value(n, 0.0, "even").value - n * n) <= 1e-12
         if n >= 1:
             assert abs(characteristic_value(n, 0.0, "odd").value - n * n) <= 1e-12
-    # (b) in-module QL versus dense oracle at truncation 200
+    # (b) the doubling loop versus one dense solve at truncation 200 (the
+    # same LAPACK eigvalsh; tests/test_mathieu.py holds the independent
+    # scipy.special and mpmath oracles)
     for q in (0.5, 1.0, 2.0, 5.0):
         for n in range(0, 9):
             for parity in ("even", "odd"):

@@ -270,6 +270,22 @@ def test_cli_parameter_inputs(capsys):
          "parity must be"),
         (["scenario", "--id", "helmholtz-elliptic", "--set", "b=1x"], 2,
          "bad complex literal"),
+        (["scenario", "--id", "nutku-angular", "--set", "n=2.5"], 2,
+         "n expects an integer"),
+        (["scenario", "--id", "helmholtz-elliptic", "--set", "n=1e-3"], 2,
+         "n expects an integer"),
+        (["scenario", "--id", "nutku-radial", "--set", "n=inf"], 2,
+         "n expects a finite number"),
+        (["scenario", "--id", "nutku-radial", "--set", "n=2.0"], 0, ""),
+        (["mathieu-table", "--q-values", "inf"], 2,
+         "--q-values expects a finite number"),
+        (["mathieu-table", "--q-values", "1,nan"], 2,
+         "--q-values expects a finite number"),
+        (["mathieu-table", "--q-values", "1e400"], 2,
+         "--q-values expects a finite number"),
+        (["mathieu-table", "--q-values", "abc"], 2,
+         "--q-values expects a number"),
+        (["mathieu-table", "--q-values", "0.5, 2", "--n-max", "1"], 0, ""),
         (["mathieu-table", "--q-min", "0", "--q-max", "1", "--q-count", "0"],
          2, "--q-count must be at least 1"),
         (["mathieu-table", "--q-values", "1", "--n-max", "-1"], 2,
@@ -297,6 +313,17 @@ def test_cli_parameter_inputs(capsys):
                  "--q-count", "1", "--n-max", "0", "--parity", "even"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert [row.split(",")[2] for row in rows] == ["0.5"]
+
+
+def test_cli_nutku_radial_on_imaginary_axis(capsys):
+    """k=1, Lambda=3 puts the Mathieu parameter at -1.2e-15 + 2.236i, past
+    the a_0/a_2 branch point; every claim passes."""
+    from heunkit.cli import main
+
+    assert main(["scenario", "--id", "nutku-radial", "--set", "k=1",
+                 "--set", "Lambda=3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["claims"] and all(c["passed"] for c in report["claims"])
 
 
 _NO_SCIPY_CHILD = """

@@ -1,19 +1,20 @@
 import cmath
 import math
+import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heunkit.errors import NonConverged, OverflowGuard
+from heunkit.errors import InvalidParameter, NonConverged, OverflowGuard
 from heunkit.mathieu import (MathieuParams,
                              angular_mathieu, angular_mathieu_derivatives,
                              basis_functions, characteristic_value,
                              characteristic_value_at,
                              modified_mathieu, modified_mathieu_derivatives,
-                             orthogonality_matrix, q_from_h2,
-                             tridiag_eigenvalues, trig_form_b,
-                             _family, _family_matrix)
+                             orthogonality_matrix, q_from_h2, trig_form_b,
+                             _family, _family_matrix, _harmonics)
 
 
 def dense_oracle(n, q, parity, size=200):
@@ -242,16 +243,88 @@ def test_negative_q_supported():
     assert abs(ch.value - ref.value) <= 1e-10
 
 
-def test_ql_matches_numpy_on_random_matrices():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        n = int(rng.integers(2, 50))
-        d = rng.normal(size=n)
-        e = rng.normal(size=n - 1)
-        ours = np.array(tridiag_eigenvalues(d, e))
-        ref = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        assert np.max(np.abs(ours - np.sort(ref))) <= 1e-12 * max(
-            1.0, np.max(np.abs(ref)))
+def test_real_q_matches_scipy_special():
+    """scipy.special.mathieu_a/mathieu_b do not solve the truncated matrix
+    with LAPACK, so they check the eigen-solver from outside."""
+    from scipy.special import mathieu_a, mathieu_b
+
+    for q in (0.5, 1.0, 2.0, 5.0, 10.0, 19.7):
+        for n in range(0, 9):
+            for parity, ref in (("even", mathieu_a), ("odd", mathieu_b)):
+                if parity == "odd" and n == 0:
+                    continue
+                want = ref(n, q)
+                ours = characteristic_value(n, q, parity).value
+                assert abs(ours - want) <= 1e-12 * max(1.0, abs(want)), \
+                    (n, q, parity, ours, want)
+
+
+@lru_cache(maxsize=None)
+def mpmath_even_pi(q, size=30):
+    """Eigenvalues (a_0, a_2, ...) of the size-30 even-pi family matrix from
+    mpmath at 30 digits: an oracle that shares no arithmetic with numpy's
+    LAPACK. The matrix at conj(q) is the conjugate one."""
+    import mpmath
+
+    if q.imag < 0:
+        return tuple(v.conjugate() for v in mpmath_even_pi(q.conjugate()))
+    with mpmath.workdps(30):
+        q = mpmath.mpc(q.real, q.imag)
+        T = mpmath.matrix(size, size)
+        for i, nu in enumerate(_harmonics("even-pi", size)):
+            T[i, i] = nu * nu
+            if i + 1 < size:
+                T[i, i + 1] = T[i + 1, i] = q
+        T[0, 1] = T[1, 0] = mpmath.sqrt(2) * q
+        return tuple(complex(v) for v in
+                     mpmath.eig(T, left=False, right=False))
+
+
+def test_complex_q_against_mpmath_dense():
+    """Complex q on and off the imaginary axis, including both sides of the
+    a_0/a_2 branch point q = 1.4688i: each value is an eigenvalue of the
+    30-digit matrix, and no two orders share one. The other families are
+    checked at complex q by the residual of their equation."""
+    for q in (1 + 1j, 0.3 + 2j, 5 + 3j, 1.5j, 2j, -2j, 1.4688j):
+        oracle = np.array(mpmath_even_pi(q))
+        values = []
+        for n in (0, 2, 4, 6):
+            ours = characteristic_value(n, q, "even").value
+            err = np.min(np.abs(oracle - ours)) / max(1.0, abs(ours))
+            assert err <= 1e-10, (q, n, ours, err)
+            values.append(ours)
+        for i, a in enumerate(values):
+            for b in values[i + 1:]:
+                assert abs(a - b) > 1e-3, (q, values)
+
+
+def test_complex_q_label_rule():
+    """Past the branch point a_0 and a_2 are a complex pair; the label rule
+    (the limit from Re q > 0) puts a_0(2i) below the real axis."""
+    a0 = characteristic_value(0, 2j, "even").value
+    a2 = characteristic_value(2, 2j, "even").value
+    assert abs(a0 - (2.16256 - 1.86749j)) <= 1e-5
+    assert abs(a2 - a0.conjugate()) <= 1e-12
+    assert a0.imag < 0 < a2.imag
+    assert characteristic_value(0, -2j, "even").value.imag > 0
+    side = characteristic_value(0, 0.01 + 2j, "even").value
+    assert abs(side - a0) <= 0.05
+    # near the branch point the stop rule ends the doubling early (climbing
+    # to truncation 2048 would take seconds per value)
+    t0 = time.perf_counter()
+    for q in (1.5j, 2j, 1.4688j):
+        for n in (0, 2):
+            assert characteristic_value(n, q, "even").truncation <= 256
+    assert time.perf_counter() - t0 < 6.0
+
+
+def test_out_of_range_inputs_rejected():
+    for q in (math.nan, math.inf, complex(1, math.nan), complex(-math.inf, 0)):
+        with pytest.raises(InvalidParameter):
+            characteristic_value(0, q, "even")
+    # an order whose first truncation would exceed the largest one
+    with pytest.raises(InvalidParameter):
+        characteristic_value(5000, 1.0, "even")
 
 
 def test_stale_characteristic_value_rejected():
