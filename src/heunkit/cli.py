@@ -14,10 +14,11 @@ connect's --tol overrides both; a tolerance must be a finite number in
 (0, 1), and one below 100 machine epsilons is raised to that floor.
 Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
 option, a malformed or non-finite number, an invalid tolerance, a center
-that is none of 0, 1, f, a scenario parameter outside its domain or not
-an integer where one is expected, a --q-count below 1, an --n-max below 0
-or an --n-terms below 1). Output is deterministic: fixed key order, floats
-at 17 significant digits.
+that is none of 0, 1, f, an unknown scenario, scenario parameter, corpus
+entry or parity, a --set without key=value, a scenario parameter outside
+its domain or not an integer where one is expected, a --q-count below 1,
+an --n-max below 0 or an --n-terms below 1). Output is deterministic:
+fixed key order, floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .heun import GeneralHeunParams, heun_value
 from .mathieu import characteristic_value
 from .ode import classify_singularities
 from .scenarios import SCENARIOS, run_scenario
-from .serialize import emit_json, render_report_text, to_jsonable
+from .serialize import emit_json, point_line, render_report_text, \
+    to_jsonable
 
 
 def _finite_float(raw, label):
@@ -179,20 +181,6 @@ def _write(cmd, text):
         sys.stdout.write(text)
 
 
-def _points_table(points):
-    rows = []
-    for p in points:
-        row = {
-            "location": "inf" if p.at_infinity else to_jsonable(p.location),
-            "kind": p.kind.value,
-            "rank": str(p.rank),
-            "exponents": None if p.exponents is None
-            else [to_jsonable(e) for e in p.exponents],
-        }
-        rows.append(row)
-    return rows
-
-
 def _points_csv(points):
     lines = ["location,kind,rank,exponent1,exponent2"]
     for p in points:
@@ -234,8 +222,8 @@ def _run_classify(cmd):
     else:
         matches = {name: o for name, o, _ in canonical_corpus()}
         if opts["corpus"] not in matches:
-            raise HeunkitError(f"unknown corpus entry {opts['corpus']!r}; "
-                               "known: " + ", ".join(sorted(matches)))
+            raise InvalidParameter(f"unknown corpus entry {opts['corpus']!r}; "
+                                   "known: " + ", ".join(sorted(matches)))
         ode = matches[opts["corpus"]]
         label = opts["corpus"]
     points = classify_singularities(ode)
@@ -244,15 +232,14 @@ def _run_classify(cmd):
         _write(cmd, _points_csv(points))
     elif fmt == "text":
         lines = [f"classification of {label}:"]
-        for p in points:
-            loc = "inf" if p.at_infinity else f"{p.location:.6g}"
-            exp = "" if p.exponents is None else \
-                "  exponents " + ", ".join(f"{e:.6g}" for e in p.exponents)
-            lines.append(f"  {loc}: {p.kind.value} (rank {p.rank}){exp}")
+        lines.extend(f"  {point_line(p)}" for p in points)
         _write(cmd, "\n".join(lines) + "\n")
     else:
+        # every row has "exponents", null where the point has none
+        rows = [{**to_jsonable(p), "exponents": to_jsonable(p.exponents)}
+                for p in points]
         _write(cmd, emit_json({"schema": 1, "source": label,
-                               "points": _points_table(points)}) + "\n")
+                               "points": rows}) + "\n")
     return 0
 
 
@@ -312,7 +299,8 @@ def _run_mathieu_table(cmd):
     parities = {"both": ("even", "odd"), "even": ("even",),
                 "odd": ("odd",)}.get(o["parity"])
     if parities is None:
-        raise HeunkitError(f"parity must be even, odd or both, got {o['parity']!r}")
+        raise InvalidParameter(f"parity must be even, odd or both, got "
+                               f"{o['parity']!r}")
     rows = []
     for q in grid:
         for parity in parities:
@@ -357,8 +345,9 @@ def _coerce_scenario_params(scenario_id, raw):
     out = {}
     for key, val in raw.items():
         if key not in defaults:
-            raise HeunkitError(f"scenario {scenario_id!r} has no parameter "
-                               f"{key!r}; expects {sorted(defaults)}")
+            raise InvalidParameter(f"scenario {scenario_id!r} has no "
+                                   f"parameter {key!r}; expects "
+                                   f"{sorted(defaults)}")
         ref = defaults[key]
         try:
             if isinstance(ref, bool):
@@ -391,15 +380,15 @@ def _run_scenario(cmd):
         raw.update(cfg)
     for item in o.get("set") or []:
         if "=" not in item:
-            raise HeunkitError(f"--set expects key=value, got {item!r}")
+            raise MissingOption(f"--set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
         raw[key.strip()] = val.strip()
     if not scenario_id:
         raise MissingOption("scenario needs --id or a config with a "
                             "'scenario' key")
     if scenario_id not in SCENARIOS:
-        raise HeunkitError(f"unknown scenario {scenario_id!r}; known: "
-                           + ", ".join(sorted(SCENARIOS)))
+        raise InvalidParameter(f"unknown scenario {scenario_id!r}; known: "
+                               + ", ".join(sorted(SCENARIOS)))
     overrides = _coerce_scenario_params(scenario_id, raw)
     report = run_scenario(scenario_id, overrides)
     if o.get("grid-out"):

@@ -12,14 +12,7 @@ from __future__ import annotations
 from .heun import SIGNATURES, ConfluentFormParams, GeneralHeunParams, \
     build_confluent_form, general_heun
 from .ode import LinearODE
-from .scenarios import _boundary_u_ode_printed
-
-
-def _eguchi_hanson_operator(k=1.0, a=1.0, m=1.0):
-    ka2 = k * k * a * a
-    return LinearODE.from_coefficients(
-        [-1.0, 2.0], [0.0, -1.0, 1.0],
-        [m * m, ka2, -3.0 * ka2, 2.0 * ka2], [0.0, 0.0, 4.0, -8.0, 4.0])
+from .scenarios import _boundary_u_ode_printed, _eguchi_hanson_ode
 
 
 def canonical_corpus():
@@ -85,7 +78,7 @@ def canonical_corpus():
 
     entries.append((
         "instanton-radial-operator",
-        _eguchi_hanson_operator(),
+        _eguchi_hanson_ode(1.0, 1.0, 1.0),
         {0j: "regular", 1.0 + 0j: "regular", "inf": "irregular"}))
 
     entries.append((

@@ -119,14 +119,6 @@ class ComplexPath:
     def segments(self):
         return list(zip(self.vertices[:-1], self.vertices[1:]))
 
-    @property
-    def length(self):
-        return sum(abs(b - a) for a, b in self.segments)
-
-    @staticmethod
-    def line(a, b):
-        return ComplexPath((a, b))
-
     @staticmethod
     def circle(center, radius, n=24, start_angle=0.0):
         """Closed n-gon approximating a circle, traversed counterclockwise."""

@@ -402,9 +402,6 @@ class AnharmonicReduction:
 
     sigma: complex
 
-    def to_t(self, r):
-        return self.sigma * r * r
-
     def to_r(self, t):
         return (t / self.sigma) ** 0.5
 

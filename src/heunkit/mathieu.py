@@ -180,7 +180,8 @@ def characteristic_value(n, q, parity):
     """Characteristic value of the order-n, given-parity Mathieu function.
 
     The truncation starts at 32 and doubles until two sizes agree to 1e-13
-    relative to max(1, |value|). Near a branch point, where rounding alone
+    relative to max(1, |value|); a size at or below index + 4 is raised to
+    index + 8, and the next size doubles the one solved. Near a branch point, where rounding alone
     moves the value by about 3e-13 per doubling (q = 1.4688i, n = 0), it
     also stops once the difference stops shrinking and is within 1e-10;
     that difference then bounds the error. Beyond truncation 2048
@@ -202,19 +203,21 @@ def characteristic_value(n, q, parity):
     if q == 0:
         return CharacteristicValue(params, complex(n * n), 32)
     prev, prev_err, M = None, math.inf, 32
-    while M <= MAX_TRUNCATION:
-        val, M_used = _value_at(params.n, q, parity, M, prev)
+    while True:
+        val, M = _value_at(params.n, q, parity, M, prev)
         if prev is not None:
             err, scale = abs(val - prev), max(1.0, abs(val))
             if err <= CONVERGENCE_TOL * scale or \
                     prev_err <= err <= STALL_TOL * scale:
-                return CharacteristicValue(params, val, M_used)
+                return CharacteristicValue(params, val, M)
             prev_err = err
         prev = val
-        M *= 2
-    raise NonConvergence(
-        f"characteristic value (n={n}, parity={parity}, q={q}) did not "
-        f"converge by truncation {MAX_TRUNCATION}")
+        if M >= MAX_TRUNCATION:
+            raise NonConvergence(
+                f"characteristic value (n={n}, parity={parity}, q={q}) did "
+                f"not converge by truncation {MAX_TRUNCATION}")
+        # double the size just solved: below index + 4 it was raised
+        M = min(2 * M, MAX_TRUNCATION)
 
 
 def characteristic_value_at(n, q, parity, truncation):

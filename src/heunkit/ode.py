@@ -19,18 +19,13 @@ genuinely have rank 3/2 at infinity, and the classifier must not round).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .errors import NotRegular, PoleAtSample
-from .poly import (
-    TAU_POLE,
-    CLUSTER_REL,
-    Polynomial,
-    RationalFunction,
-    make_rational,
-)
+from .poly import TAU_POLE, Polynomial, RationalFunction, cluster_points, \
+    make_rational
 
 
 class PointKind(enum.Enum):
@@ -54,9 +49,6 @@ class SingularPoint:
     @property
     def at_infinity(self):
         return self.location is None
-
-    def location_label(self):
-        return "inf" if self.location is None else self.location
 
     def __repr__(self):
         loc = "inf" if self.location is None else f"{self.location:.6g}"
@@ -131,35 +123,13 @@ class LinearODE:
         return out
 
     def finite_singular_points(self):
-        """Cluster-merged pole locations with (ord_p, ord_q) pole orders."""
-        merged = []  # [sum, count, ord_p, ord_q]
-        for rf, slot in ((self.p, 2), (self.q, 3)):
-            for loc, mult in rf.poles():
-                placed = False
-                for m in merged:
-                    center = m[0] / m[1]
-                    if abs(loc - center) <= CLUSTER_REL * max(1.0, abs(center), abs(loc)):
-                        m[0] += loc
-                        m[1] += 1
-                        m[slot] = mult
-                        placed = True
-                        break
-                if not placed:
-                    rec = [loc, 1, 0, 0]
-                    rec[slot] = mult
-                    merged.append(rec)
-        out = [(m[0] / m[1], m[2], m[3]) for m in merged]
+        """The poles of p and q merged by ``cluster_points``, as
+        (location, ord_p, ord_q) with the orders read by ``pole_order_at``."""
+        locs = [loc for rf in (self.p, self.q) for loc, _ in rf.poles()]
+        out = [(loc, self.p.pole_order_at(loc)[0], self.q.pole_order_at(loc)[0])
+               for loc, _ in cluster_points(locs)]
         out.sort(key=lambda r: (r[0].real, r[0].imag))
         return out
-
-
-def _classify_orders(ord_p, ord_q):
-    if ord_p == 0 and ord_q == 0:
-        return PointKind.ORDINARY, Fraction(0)
-    if ord_p <= 1 and ord_q <= 2:
-        return PointKind.REGULAR, Fraction(0)
-    rank = max(Fraction(ord_p - 1), Fraction(ord_q - 2, 2), Fraction(0))
-    return PointKind.IRREGULAR, rank
 
 
 def _indicial_roots(p_res, q_res2):
@@ -177,13 +147,21 @@ def _indicial_roots(p_res, q_res2):
     return r1, r2
 
 
-def _classify_finite(ode, z0, ord_p, ord_q):
-    kind, rank = _classify_orders(ord_p, ord_q)
+def _classify_at(ode, z0):
+    """The SingularPoint at the finite point z0, from the pole orders of p
+    and q there; exponents from the residues when the point is regular."""
+    ord_p, _ = ode.p.pole_order_at(z0)
+    ord_q, _ = ode.q.pole_order_at(z0)
     exponents = None
-    if kind is PointKind.REGULAR:
-        p_res = ode.p.limit_coefficient(z0, 1)
-        q_res2 = ode.q.limit_coefficient(z0, 2)
-        exponents = _indicial_roots(p_res, q_res2)
+    if ord_p == 0 and ord_q == 0:
+        kind, rank = PointKind.ORDINARY, Fraction(0)
+    elif ord_p <= 1 and ord_q <= 2:
+        kind, rank = PointKind.REGULAR, Fraction(0)
+        exponents = _indicial_roots(ode.p.limit_coefficient(z0, 1),
+                                    ode.q.limit_coefficient(z0, 2))
+    else:
+        kind = PointKind.IRREGULAR
+        rank = max(Fraction(ord_p - 1), Fraction(ord_q - 2, 2), Fraction(0))
     return SingularPoint(z0, kind, rank, exponents)
 
 
@@ -193,19 +171,8 @@ def classify_singularities(ode):
     Finite poles of p or q each appear exactly once; infinity carries its
     own classification, including the ordinary case.
     """
-    points = [
-        _classify_finite(ode, z0, op, oq)
-        for z0, op, oq in ode.finite_singular_points()
-    ]
-    inf_ode = ode.at_infinity()
-    op, _ = inf_ode.p.pole_order_at(0j)
-    oq, _ = inf_ode.q.pole_order_at(0j)
-    kind, rank = _classify_orders(op, oq)
-    exponents = None
-    if kind is PointKind.REGULAR:
-        exponents = _indicial_roots(inf_ode.p.limit_coefficient(0j, 1),
-                                    inf_ode.q.limit_coefficient(0j, 2))
-    points.append(SingularPoint(None, kind, rank, exponents))
+    points = [_classify_at(ode, z0) for z0, _, _ in ode.finite_singular_points()]
+    points.append(replace(_classify_at(ode.at_infinity(), 0j), location=None))
     return points
 
 
@@ -234,16 +201,12 @@ def indicial_exponents(ode, z0):
     Roots are ordered by descending real part (then descending imaginary
     part). Raises NotRegular at ordinary or irregular points.
     """
-    if z0 is None:
-        inf_ode = ode.at_infinity()
-        return indicial_exponents(inf_ode, 0j)
-    op, loc = ode.p.pole_order_at(z0)
-    oq, loc_q = ode.q.pole_order_at(z0)
-    kind, _ = _classify_orders(op, oq)
-    if kind is not PointKind.REGULAR:
-        raise NotRegular(f"point {z0} is {kind.value}, not regular singular")
-    return _indicial_roots(ode.p.limit_coefficient(z0, 1),
-                           ode.q.limit_coefficient(z0, 2))
+    pt = _classify_at(ode, z0) if z0 is not None else \
+        _classify_at(ode.at_infinity(), 0j)
+    if pt.kind is not PointKind.REGULAR:
+        where = "inf" if z0 is None else z0
+        raise NotRegular(f"point {where} is {pt.kind.value}, not regular singular")
+    return pt.exponents
 
 
 def fuchs_exponent_sum(ode):

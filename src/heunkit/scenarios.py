@@ -347,15 +347,10 @@ def stark_separation(E, F, m, beta1):
            for p in report.classifications["xi_squared_variable"]}
     post_rank = pts["inf"].rank
     report.data["post_substitution_rank_infinity"] = str(post_rank)
-    kind_match = _signatures_match(
-        {0j: "regular", "inf": "irregular"},
-        singularity_signature(report.classifications["xi_squared_variable"]))
-    report.claim("squared-variable equation keeps the regular-0 / "
-                 "irregular-infinity signature of the quartic-oscillator "
-                 "(biconfluent) class", "0: regular; inf: irregular",
-                 _format_signature(singularity_signature(
-                     report.classifications["xi_squared_variable"])),
-                 kind_match)
+    report.claim_signature(
+        "squared-variable equation keeps the regular-0 / irregular-infinity "
+        "signature of the quartic-oscillator (biconfluent) class",
+        "xi_squared_variable", {0j: "regular", "inf": "irregular"})
     report.data["biconfluent_rank_match"] = (post_rank == 2)
     report.notes.append(
         f"post-substitution rank at infinity is {post_rank} versus 2 for the "
@@ -464,13 +459,10 @@ def h2plus_separation(lam, kappa, mu, m):
                      _operator_distance(xi, eta) <= 1e-12)
 
     if abs(lam) <= 1e-14 and abs(m) <= 1e-14:
-        sig = singularity_signature(classify_singularities(eta))
-        ok = _signatures_match(
-            {-1.0 + 0j: "regular", 1.0 + 0j: "regular", "inf": "regular"}, sig)
-        report.claim("lam = m = 0: angular equation degenerates to the "
-                     "Legendre pattern (infinity becomes regular)",
-                     "-1: regular; 1: regular; inf: regular",
-                     _format_signature(sig), ok)
+        report.claim_signature(
+            "lam = m = 0: angular equation degenerates to the Legendre "
+            "pattern (infinity becomes regular)", "eta",
+            {-1.0 + 0j: "regular", 1.0 + 0j: "regular", "inf": "regular"})
     return report
 
 
@@ -673,6 +665,17 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
 # ---------------------------------------------------------------------------
 
 
+def _eguchi_hanson_ode(k, a, m):
+    """The monic radial operator of eguchi_hanson_radial in u."""
+    ka2 = k * k * a * a
+    # p = (2u - 1)/(u(u-1)); q = [k^2 a^2 (2u-1) u (u-1) + m^2] / (4 u^2 (u-1)^2)
+    # with (2u-1) u (u-1) = 2u^3 - 3u^2 + u
+    q_num = [m * m, ka2, -3.0 * ka2, 2.0 * ka2]
+    q_den = [0.0, 0.0, 4.0, -8.0, 4.0]  # 4u^2(u-1)^2
+    return LinearODE.from_coefficients([-1.0, 2.0], [0.0, -1.0, 1.0],
+                                       q_num, q_den)
+
+
 def eguchi_hanson_radial(k, a, m, lam):
     """Radial operator of the scalar wave equation on the extended
     gravitational-instanton background, in the shifted squared-radius
@@ -697,13 +700,7 @@ def eguchi_hanson_radial(k, a, m, lam):
     report.notes.append("the eigenvalue lam does not enter the printed "
                         "u-variable operator; it is recorded as an input "
                         "only")
-    ka2 = k * k * a * a
-    # p = (2u - 1)/(u(u-1)); q = [k^2 a^2 (2u-1) u (u-1) + m^2] / (4 u^2 (u-1)^2)
-    # with (2u-1) u (u-1) = 2u^3 - 3u^2 + u
-    q_num = [m * m, ka2, -3.0 * ka2, 2.0 * ka2]
-    q_den = [0.0, 0.0, 4.0, -8.0, 4.0]  # 4u^2(u-1)^2
-    ode = LinearODE.from_coefficients([-1.0, 2.0], [0.0, -1.0, 1.0],
-                                      q_num, q_den)
+    ode = _eguchi_hanson_ode(k, a, m)
     report.add_ode("radial", ode)
     report.claim_signature(
         "radial operator: regular at 0 and 1, irregular at infinity",

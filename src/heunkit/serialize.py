@@ -107,6 +107,14 @@ def to_jsonable(obj):
     raise TypeError(f"cannot convert {type(obj).__name__}")
 
 
+def point_line(p):
+    """One SingularPoint as text: location, kind, rank and any exponents."""
+    loc = "inf" if p.at_infinity else f"{p.location:.6g}"
+    exp = "" if p.exponents is None else \
+        "  exponents " + ", ".join(f"{e:.6g}" for e in p.exponents)
+    return f"{loc}: {p.kind.value} (rank {p.rank}){exp}"
+
+
 def render_report_text(report):
     """Human-readable rendering of a ScenarioReport."""
     lines = [f"scenario: {report.scenario}"]
@@ -114,12 +122,7 @@ def render_report_text(report):
         lines.append(f"  input {k} = {v}")
     for label, pts in report.classifications.items():
         lines.append(f"  classification[{label}]:")
-        for p in pts:
-            loc = "inf" if p.at_infinity else f"{p.location:.6g}"
-            exp = ""
-            if p.exponents is not None:
-                exp = "  exponents " + ", ".join(f"{e:.6g}" for e in p.exponents)
-            lines.append(f"    {loc}: {p.kind.value} (rank {p.rank}){exp}")
+        lines.extend(f"    {point_line(p)}" for p in pts)
     for k, v in report.residuals.items():
         lines.append(f"  residual {k} = {v:.6e}")
     for c in report.claims:

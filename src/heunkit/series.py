@@ -10,13 +10,15 @@ so every new term is -(sum of the earlier ones)/pivot, the pivot being the
 first P_d that does not vanish. ``recurrence_terms`` runs that one loop for
 every series in the package:
 
-* a regular singular point (``frobenius_series``): A has a double root at
-  s = 0, so P_0 = P_1 = 0 and the pivot of h_n is the indicial polynomial
-  P_2(n + rho). Division by it fails exactly when the exponents differ by
-  the integer n; that is the logarithmic case and frobenius_series refuses
-  rather than return a wrong series. ``heun.heun_series`` keeps A = T with
-  its simple root, so its pivot is P_1 and the loop is the Heun three-term
-  recurrence;
+* a regular singular point (``frobenius_series``): A, B, C are the
+  equation's cached ``LinearODE.cleared`` polynomials shifted to the point,
+  where A has a root of multiplicity lead = max(ord_p, ord_q), 1 or 2.
+  P_d vanishes for d < lead, so the pivot of h_n is the indicial
+  polynomial P_lead(n + rho), whose roots are the exponents. Division by
+  it fails exactly when the exponents differ by the integer n; that is the
+  logarithmic case and frobenius_series refuses rather than return a wrong
+  series. ``heun.heun_series`` uses the same loop on A = T, whose simple
+  root gives lead 1: the Heun three-term recurrence;
 * an ordinary point (path transport in ``engine``): A(0) != 0 and rho = 0,
   so h_0 = w and h_1 = w' are free and the pivot of h_n is a_0 n(n-1).
 """
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 from .errors import LogarithmicCase, NotRegular, OutsideRadius
 from .ode import _indicial_roots
-from .poly import Polynomial
+from .poly import CLUSTER_REL, taylor_shift
 
 INTEGER_TOL = 1e-9
 
@@ -49,50 +51,6 @@ class SeriesValue(NamedTuple):
     w: complex
     dw: complex
     tail: float
-
-
-def _local_polynomials(ode, z0):
-    """Clear denominators at z0: returns (A, B, C) with A = s^2 * (unit part).
-
-    Raises NotRegular when the pole orders exceed the regular bounds.
-    """
-    p = ode.p.shifted(z0)
-    q = ode.q.shifted(z0)
-
-    def split_zero_root(poly, limit):
-        mult = 0
-        while mult < limit:
-            scale = max(poly.scale(), 1e-300)
-            if abs(poly(0j)) > 1e-12 * scale:
-                break
-            poly = poly.deflate(0j)
-            mult += 1
-        return mult, poly
-
-    alpha, dp_unit = split_zero_root(p.den, 4)
-    beta, dq_unit = split_zero_root(q.den, 5)
-    if alpha > 1 or beta > 2:
-        raise NotRegular(f"point {z0} is irregular (pole orders {alpha}, {beta})")
-    if alpha == 0 and beta == 0:
-        raise NotRegular(f"point {z0} is ordinary, not regular singular")
-
-    def s_pow(k):
-        return Polynomial((0j,) * k + (1.0 + 0j,))
-
-    A = s_pow(2) * dp_unit * dq_unit
-    B = s_pow(2 - alpha) * p.num * dq_unit
-    C = s_pow(2 - beta) * q.num * dp_unit
-    return A, B, C
-
-
-def _series_radius(ode, z0):
-    """Distance from z0 to the nearest other finite singular point."""
-    best = math.inf
-    for loc, _, _ in ode.finite_singular_points():
-        d = abs(loc - z0)
-        if d > 1e-9 * max(1.0, abs(z0)):
-            best = min(best, d)
-    return best
 
 
 def recurrence_weights(a, b, c):
@@ -142,24 +100,44 @@ def recurrence_terms(weights, lead, rho, cols, pivot_floor=0.0):
 
 
 def local_exponents(ode, z0):
-    """Indicial exponents read from the cleared local polynomials."""
-    A, B, C = _local_polynomials(ode, z0)
-    a2 = A.coeffs[2] if A.degree >= 2 else 0j
-    b1 = B.coeffs[1] if B.degree >= 1 else 0j
-    c0 = C.coeffs[0]
-    # indicial polynomial a2*r*(r-1) + b1*r + c0
-    return _indicial_roots(b1 / a2, c0 / a2), (A, B, C)
+    """Indicial exponents at the regular singular point that z0 matches, and
+    the recurrence they belong to as (center, lead, weights, scale).
+
+    z0 matches a finite singular point within the classifier's tolerance
+    CLUSTER_REL; the cached ``LinearODE.cleared`` A, B, C are shifted to
+    that point, lead is its multiplicity in A (1 or 2), and the exponents
+    are the roots of the pivot weight P_lead, larger real part first.
+    Raises NotRegular at an ordinary or an irregular point.
+    """
+    z0 = complex(z0)
+    A, B, C, points = ode.cleared()
+    center = next((loc for loc in points if abs(loc - z0)
+                   <= CLUSTER_REL * max(1.0, abs(loc), abs(z0))), None)
+    if center is None:
+        raise NotRegular(f"point {z0} is ordinary, not regular singular")
+    ord_p, _ = ode.p.pole_order_at(center)
+    ord_q, _ = ode.q.pole_order_at(center)
+    if ord_p > 1 or ord_q > 2:
+        raise NotRegular(f"point {z0} is irregular (pole orders {ord_p}, {ord_q})")
+    a, b, c = (taylor_shift(P.coeffs, center) for P in (A, B, C))
+    weights = recurrence_weights(a, b, c)
+    lead = max(ord_p, ord_q)
+    pa, pb, pc = weights[lead]
+    # P_lead(x) = pa x^2 + pb x + pc = pa (x(x-1) + (1 + pb/pa) x + pc/pa)
+    exponents = _indicial_roots(1.0 + pb / pa, pc / pa)
+    return exponents, (center, lead, weights, max(map(abs, a + b + c)))
 
 
 def frobenius_series(ode, z0, branch="first", n_terms=60):
     """Frobenius solution at a regular singular point of any rational ODE.
 
+    The series is centered on the finite singular point that z0 matches
+    (see local_exponents) and converges out to the nearest other one.
     branch="first" takes the exponent with the larger real part (the
     solution that always exists); "second" takes the other one and raises
     LogarithmicCase when the exponents differ by an integer.
     """
-    z0 = complex(z0)
-    (r1, r2), (A, B, C) = local_exponents(ode, z0)
+    (r1, r2), (center, lead, weights, scale) = local_exponents(ode, z0)
     diff = r1 - r2
     integral = abs(diff.imag) <= INTEGER_TOL and \
         abs(diff.real - round(diff.real)) <= INTEGER_TOL
@@ -174,13 +152,13 @@ def frobenius_series(ode, z0, branch="first", n_terms=60):
     else:
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
 
-    scale = max(abs(v) for v in A.coeffs + B.coeffs + C.coeffs) or 1.0
     h = [1.0 + 0j]
-    terms = recurrence_terms(recurrence_weights(A.coeffs, B.coeffs, C.coeffs),
-                             2, rho, [h], pivot_floor=1e-12 * scale)
+    terms = recurrence_terms(weights, lead, rho, [h], pivot_floor=1e-12 * scale)
     for _ in range(n_terms):
         next(terms)
-    return LocalSeries(z0, rho, tuple(h), _series_radius(ode, z0))
+    radius = min((abs(loc - center) for loc in ode.cleared()[3]
+                  if loc != center), default=math.inf)
+    return LocalSeries(center, rho, tuple(h), radius)
 
 
 def ratio_radius_estimate(series, window=12):

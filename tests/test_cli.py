@@ -298,6 +298,15 @@ def test_cli_parameter_inputs(capsys):
         (["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
           "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--n-terms", "-5"],
          2, "n_terms must be at least 1"),
+        (["mathieu-table", "--q-values", "1", "--parity", "x"], 2,
+         "parity must be even, odd or both"),
+        (["scenario", "--id", "nosuch"], 2, "unknown scenario 'nosuch'"),
+        (["scenario", "--id", "stark", "--set", "E"], 2,
+         "--set expects key=value"),
+        (["scenario", "--id", "stark", "--set", "Z=1"], 2,
+         "has no parameter 'Z'"),
+        (["classify", "--corpus", "nosuch"], 2,
+         "unknown corpus entry 'nosuch'"),
     ]
     for argv, code, message in cases:
         status = main(argv)

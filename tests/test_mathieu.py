@@ -259,6 +259,17 @@ def test_real_q_matches_scipy_special():
                     (n, q, parity, ours, want)
 
 
+def test_high_order_compares_two_truncations():
+    """For n = 130 (index 65) the first size, 32, is raised to 73; the next
+    one must double 73, not solve the 73 x 73 matrix again."""
+    from scipy.special import mathieu_a
+
+    ch = characteristic_value(130, 1.0, "even")
+    assert ch.truncation > 73
+    want = mathieu_a(130, 1.0)
+    assert abs(ch.value - want) <= 1e-12 * abs(want)
+
+
 @lru_cache(maxsize=None)
 def mpmath_even_pi(q, size=30):
     """Eigenvalues (a_0, a_2, ...) of the size-30 even-pi family matrix from

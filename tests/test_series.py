@@ -45,6 +45,8 @@ def test_generic_series_on_confluent_hypergeometric():
     ode = LinearODE.from_polynomials([0, 1], [c, -1], [-a])
     ser = frobenius_series(ode, 0j, "first", 40)
     assert ser.radius == float("inf")
+    # a z0 within CLUSTER_REL of the singular point expands about the point
+    assert frobenius_series(ode, 1e-12, "first", 40) == ser
     coeff = 1.0 + 0j
     for k, h in enumerate(ser.coeffs):
         assert abs(h - coeff) < 1e-12
@@ -128,3 +130,50 @@ def test_recurrence_at_an_ordinary_point_is_taylor():
         sin_k = (-1) ** (k // 2) / factorial(k) if k % 2 else 0.0
         assert abs(cols[0][k] - cos_k) <= 1e-15
         assert abs(cols[1][k] - sin_k) <= 1e-15
+
+
+def test_helicoid_point_against_mpmath_recurrence():
+    """The corpus equation helicoid-boundary-algebraic at u = -1, where A has
+    a simple root: both branches against the same recurrence run at 50 digits
+    from the printed A, B, C (ak = 1, x0 = 0.3), shifted exactly to -1."""
+    mp = pytest.importorskip("mpmath").mp
+    from math import comb
+
+    from heunkit.corpus import canonical_corpus
+
+    ode = {name: o for name, o, _ in canonical_corpus()}[
+        "helicoid-boundary-algebraic"]
+    n_terms = 40
+    with mp.workdps(50):
+        x0 = mp.mpf(0.3)
+        g = mp.mpf(1) / 2
+        em, ep, ch = mp.exp(-2 * x0), mp.exp(2 * x0), mp.cosh(2 * x0)
+        polys = ([0, 0, 0, 4, 4],
+                 [0, 0, mp.mpc(4, 2), mp.mpc(4, -2)],
+                 [g * ep, g * (ch + ep), g * (em + ch), g * em])
+        # coefficients of P(s - 1)
+        a, b, c = ([sum(P[j] * comb(j, k) * (-1) ** (j - k)
+                        for j in range(k, len(P))) for k in range(len(P))]
+                   for P in polys)
+
+        def weight(d, x):
+            ad = a[d] if d < len(a) else 0
+            bd = b[d - 1] if 1 <= d <= len(b) else 0
+            cd = c[d - 2] if 2 <= d < len(c) + 2 else 0
+            return ad * x * (x - 1) + bd * x + cd
+
+        lead = 1
+        assert a[0] == 0 and b[0] != 0
+        roots = sorted((mp.mpf(0), 1 - b[0] / a[1]), key=lambda r: -mp.re(r))
+        for branch, rho in zip(("first", "second"), roots):
+            h = [mp.mpf(1)]
+            for n in range(1, n_terms + 1):
+                acc = sum(weight(n + lead - m, m + rho) * h[m]
+                          for m in range(n))
+                h.append(-acc / weight(lead, n + rho))
+            ser = frobenius_series(ode, -1.0, branch, n_terms)
+            assert abs(ser.exponent - complex(rho)) <= 1e-14
+            assert ser.center == -1.0
+            biggest = max(abs(x) for x in h)
+            err = max(abs(x - complex(y)) for x, y in zip(ser.coeffs, h))
+            assert err <= 1e-13 * float(biggest), (branch, err / biggest)
