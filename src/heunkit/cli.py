@@ -8,17 +8,19 @@ Verbs:
   scenario      run a physics scenario and emit its report
   connect       numerical connection matrix between two Frobenius bases
 
-Global options: --format json|csv|text, --output PATH. The environment
-variable HEUNKIT_TOL overrides the default integration tolerance 1e-10, and
-connect's --tol overrides both; a tolerance must be a finite number in
-(0, 1), and one below 100 machine epsilons is raised to that floor.
+Global options: --format (the formats a verb renders, default first, are
+in its VERBS entry), --output PATH. The environment variable HEUNKIT_TOL
+overrides the default integration tolerance 1e-10, and connect's --tol
+overrides both; a tolerance must be a finite number in (0, 1), and one
+below 100 machine epsilons is raised to that floor.
 Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
-option, a malformed or non-finite number, an invalid tolerance, a center
-that is none of 0, 1, f, an unknown scenario, scenario parameter, corpus
-entry or parity, a --set without key=value, a scenario parameter outside
-its domain or not an integer where one is expected, a --q-count below 1,
-an --n-max below 0 or an --n-terms below 1). Output is deterministic:
-fixed key order, floats at 17 significant digits.
+option, a --format the verb does not render, a heun-eval --branch other
+than first or second, a malformed or non-finite number, an invalid
+tolerance, a center that is none of 0, 1, f, an unknown scenario, scenario
+parameter, corpus entry or parity, a --set without key=value, a scenario
+parameter outside its domain or not an integer where one is expected, a
+--q-count below 1, an --n-max below 0 or an --n-terms below 1). Output is
+deterministic: fixed key order, floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -73,16 +75,22 @@ class Command:
 
 
 # verb -> option name -> (kind, required, default); kind in
-# {"complex", "float", "int", "str", "flag-many"}
+# {"complex", "float", "int", "str", "flag-many"} or the tuple of accepted
+# values that _formats builds for --format, the default first
 _HEUN_FLAGS = {name: ("complex", True, None) for name in
                ("a", "b", "c", "d", "e", "f", "q")}
+
+
+def _formats(*names):
+    return (names, False, names[0])
+
 
 VERBS = {
     "classify": {
         "ode": ("str", False, None),
         "text": ("str", False, None),
         "corpus": ("str", False, None),
-        "format": ("str", False, "json"),
+        "format": _formats("json", "csv", "text"),
         "output": ("str", False, None),
     },
     "heun-eval": {
@@ -91,7 +99,7 @@ VERBS = {
         "center": ("complex", False, 0j),
         "branch": ("str", False, "first"),
         "n-terms": ("int", False, 60),
-        "format": ("str", False, "json"),
+        "format": _formats("json", "csv", "text"),
         "output": ("str", False, None),
     },
     "mathieu-table": {
@@ -101,7 +109,7 @@ VERBS = {
         "q-count": ("int", False, None),
         "n-max": ("int", False, 5),
         "parity": ("str", False, "both"),
-        "format": ("str", False, "csv"),
+        "format": _formats("csv", "json"),
         "output": ("str", False, None),
     },
     "scenario": {
@@ -109,7 +117,7 @@ VERBS = {
         "config": ("str", False, None),
         "set": ("flag-many", False, None),
         "grid-out": ("str", False, None),
-        "format": ("str", False, "json"),
+        "format": _formats("json", "text"),
         "output": ("str", False, None),
     },
     "connect": {
@@ -117,7 +125,7 @@ VERBS = {
         "from": ("str", True, None),
         "to": ("str", True, None),
         "tol": ("float", False, None),
-        "format": ("str", False, "json"),
+        "format": _formats("json", "text"),
         "output": ("str", False, None),
     },
 }
@@ -125,7 +133,7 @@ VERBS = {
 
 def parse_args(argv):
     """Validate argv into a Command; raises UnknownVerb / MissingOption /
-    MalformedComplex with the offending flag named."""
+    MalformedComplex / InvalidParameter with the offending flag named."""
     if not argv:
         raise UnknownVerb("no verb given; expected one of: "
                           + ", ".join(sorted(VERBS)))
@@ -160,6 +168,11 @@ def parse_args(argv):
                 raise MalformedComplex(f"--{name} expects an integer, got {raw!r}")
         elif kind == "flag-many":
             options.setdefault(name, []).append(raw)
+        elif isinstance(kind, tuple):
+            if raw not in kind:
+                raise InvalidParameter(f"--{name} for verb {verb} accepts "
+                                       f"{', '.join(kind)}; got {raw!r}")
+            options[name] = raw
         else:
             options[name] = raw
     for name, (kind, required, default) in optspec.items():
@@ -227,7 +240,7 @@ def _run_classify(cmd):
         ode = matches[opts["corpus"]]
         label = opts["corpus"]
     points = classify_singularities(ode)
-    fmt = opts.get("format", "json")
+    fmt = opts["format"]
     if fmt == "csv":
         _write(cmd, _points_csv(points))
     elif fmt == "text":
@@ -261,7 +274,7 @@ def _run_heun_eval(cmd):
         "tail": float(val.tail),
         "terms": len(series.coeffs),
     }
-    fmt = o.get("format", "json")
+    fmt = o["format"]
     if fmt == "text":
         _write(cmd, (f"w  = {format_complex(val.w)}\n"
                      f"w' = {format_complex(val.dw)}\n"
@@ -308,7 +321,7 @@ def _run_mathieu_table(cmd):
             for n in range(start, o["n-max"] + 1):
                 ch = characteristic_value(n, q, parity)
                 rows.append((n, parity, q, ch.value, ch.truncation))
-    fmt = o.get("format", "csv")
+    fmt = o["format"]
     if fmt == "json":
         payload = {"schema": 1, "rows": [
             {"n": n, "parity": parity, "q": to_jsonable(complex(q)),
@@ -402,7 +415,7 @@ def _run_scenario(cmd):
                 fh.write("\n".join(lines) + "\n")
         else:
             sys.stderr.write(f"note: scenario {scenario_id} emits no grid\n")
-    fmt = o.get("format", "json")
+    fmt = o["format"]
     if fmt == "text":
         _write(cmd, render_report_text(report))
     else:
@@ -432,7 +445,7 @@ def _run_connect(cmd):
         "determinant": to_jsonable(C.determinant),
         "condition_number": float(C.condition_number),
     }
-    fmt = o.get("format", "json")
+    fmt = o["format"]
     if fmt == "text":
         (r1, r2) = C.entries
         _write(cmd, (f"C11 = {format_complex(r1[0])}\nC12 = {format_complex(r1[1])}\n"
@@ -459,13 +472,8 @@ def run(cmd):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cmd = parse_args(argv)
-    except (UnknownVerb, MissingOption, MalformedComplex) as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
-    try:
-        return run(cmd)
-    except (MissingOption, MalformedComplex, InvalidParameter,
+        return run(parse_args(argv))
+    except (UnknownVerb, MissingOption, MalformedComplex, InvalidParameter,
             InvalidTolerance, UnknownCenter) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .ode import LinearODE
 from .poly import Polynomial, make_rational
-from .series import (INTEGER_TOL, LocalSeries, eval_local,
+from .series import (LocalSeries, eval_local, is_integer,
                      recurrence_terms, recurrence_weights)
 
 FUCHS_TOL = 1e-12
@@ -163,12 +163,12 @@ def heun_series(params, center, branch="first", n_terms=60):
     if branch == "first":
         rho = 0j
     elif branch == "second":
-        if _is_integer(second):
+        if is_integer(second):
             raise LogarithmicCase(
                 f"exponents 0 and {second} differ by an integer at center {z0}")
         rho = second
     else:
-        raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
+        raise InvalidParameter(f"branch must be 'first' or 'second', got {branch!r}")
 
     # T has a simple root at z0, so the pivot sits at offset 1: the
     # recurrence of the module docstring, A_k being its pivot
@@ -181,10 +181,6 @@ def heun_series(params, center, branch="first", n_terms=60):
     for _ in range(n_terms):
         next(terms)
     return LocalSeries(z0, rho, tuple(h), heun_radius(params, center))
-
-
-def _is_integer(x):
-    return abs(x.imag) <= INTEGER_TOL and abs(x.real - round(x.real)) <= INTEGER_TOL
 
 
 def heun_recurrence_residual(params, series):

@@ -26,6 +26,19 @@ def _is_nonpositive_integer(c):
             abs(c.real - round(c.real)) <= 1e-12)
 
 
+def _sum_series(ratio, z):
+    """1 + sum of t_k = t_{k-1} ratio(k-1) z, stopped once a term and the
+    next are both below TAIL_REL relative to the sum."""
+    total = term = 1.0 + 0j
+    for k in range(MAX_TERMS):
+        term *= ratio(k) * z
+        total += term
+        bound = TAIL_REL * max(1.0, abs(total))
+        if abs(term) <= bound and abs(term * ratio(k + 1) * z) <= bound:
+            return total
+    raise SlowConvergence(f"series did not meet the tail bound at z = {z}")
+
+
 def gauss_2f1(a, b, c, z):
     """Sum of the Gauss series  sum_k (a)_k (b)_k / ((c)_k k!) z^k, |z| < 1.
 
@@ -39,17 +52,7 @@ def gauss_2f1(a, b, c, z):
         raise ValueError(f"|z| = {abs(z):.4g} outside the series domain")
     if abs(z) > SERIES_DOMAIN_GUARD:
         raise SlowConvergence(f"|z| = {abs(z):.4g} too close to 1 for the series")
-    total = 1.0 + 0j
-    term = 1.0 + 0j
-    for k in range(MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= TAIL_REL * max(1.0, abs(total)):
-            # one more term to confirm the tail really decays
-            nxt = term * (a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z
-            if abs(nxt) <= TAIL_REL * max(1.0, abs(total)):
-                return total
-    raise SlowConvergence(f"series did not meet the tail bound at z = {z}")
+    return _sum_series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), z)
 
 
 def gauss_2f1_derivative(a, b, c, z, order=1):
@@ -66,16 +69,7 @@ def confluent_1f1(a, c, z):
     a, c, z = complex(a), complex(c), complex(z)
     if _is_nonpositive_integer(c):
         raise PoleParameter(f"c = {c} is a non-positive integer")
-    total = 1.0 + 0j
-    term = 1.0 + 0j
-    for k in range(MAX_TERMS):
-        term *= (a + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= TAIL_REL * max(1.0, abs(total)):
-            nxt = term * (a + k + 1) / ((c + k + 1) * (k + 2.0)) * z
-            if abs(nxt) <= TAIL_REL * max(1.0, abs(total)):
-                return total
-    raise SlowConvergence(f"series did not meet the tail bound at z = {z}")
+    return _sum_series(lambda k: (a + k) / ((c + k) * (k + 1.0)), z)
 
 
 def contiguous_residual(a, b, c, z):

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotRegular, PoleAtSample
-from .poly import TAU_POLE, Polynomial, RationalFunction, cluster_points, \
-    make_rational
+from .poly import CLUSTER_REL, TAU_POLE, Polynomial, RationalFunction, \
+    _transitive_groups, make_rational
 
 
 class PointKind(enum.Enum):
@@ -123,11 +123,14 @@ class LinearODE:
         return out
 
     def finite_singular_points(self):
-        """The poles of p and q merged by ``cluster_points``, as
-        (location, ord_p, ord_q) with the orders read by ``pole_order_at``."""
+        """The poles of p and q, those within CLUSTER_REL of each other
+        merged at their mean, as (location, ord_p, ord_q) with the orders
+        read by ``pole_order_at``."""
         locs = [loc for rf in (self.p, self.q) for loc, _ in rf.poles()]
+        groups = _transitive_groups(
+            locs, lambda a, b: CLUSTER_REL * max(1.0, abs(a), abs(b)))
         out = [(loc, self.p.pole_order_at(loc)[0], self.q.pole_order_at(loc)[0])
-               for loc, _ in cluster_points(locs)]
+               for loc in (sum(g) / len(g) for g in groups)]
         out.sort(key=lambda r: (r[0].real, r[0].imag))
         return out
 
@@ -227,21 +230,28 @@ def fuchs_exponent_sum(ode):
     return total, count
 
 
-def ode_residual(ode, samples):
-    """Max normalized residual of (z, w, w', w'') samples against the ODE.
+def normalized_residual(ode, samples):
+    """Max normalized residual of (z, w, w', w'') samples against any
+    equation with callable coefficients ``ode.p`` and ``ode.q``.
 
     Per sample: |w'' + p w' + q w| / max(1, |w''|, |p w'|, |q w|).
-    Raises PoleAtSample when a sample sits within TAU_POLE of a pole.
     """
     worst = 0.0
     for z, w, dw, ddw in samples:
+        pw = ode.p(z) * dw
+        qw = ode.q(z) * w
+        res = abs(ddw + pw + qw)
+        worst = max(worst, res / max(1.0, abs(ddw), abs(pw), abs(qw)))
+    return worst
+
+
+def ode_residual(ode, samples):
+    """``normalized_residual`` of a LinearODE; raises PoleAtSample when a
+    sample sits within TAU_POLE of a pole of p or q."""
+    samples = list(samples)
+    for z, *_ in samples:
         for rf in (ode.p, ode.q):
             for loc, _ in rf.poles():
                 if abs(z - loc) <= TAU_POLE * max(1.0, abs(loc)):
                     raise PoleAtSample(f"sample {z} lies on a pole at {loc}")
-        pw = ode.p(z) * dw
-        qw = ode.q(z) * w
-        res = abs(ddw + pw + qw)
-        scale = max(1.0, abs(ddw), abs(pw), abs(qw))
-        worst = max(worst, res / scale)
-    return worst
+    return normalized_residual(ode, samples)

@@ -196,29 +196,6 @@ def taylor_shift(coeffs, s):
     return out
 
 
-def cluster_points(points, rel_tol=CLUSTER_REL):
-    """Group nearby complex points into (center, multiplicity) clusters.
-
-    Points within rel_tol * max(1, |point|) of a cluster center are merged;
-    the center is the running mean, which suppresses the scatter of
-    numerically computed multiple roots (the scattered copies of an m-fold
-    root sum symmetrically, so their mean is far more accurate).
-    """
-    clusters = []  # list of [sum, count]
-    for p in sorted(points, key=lambda w: (w.real, w.imag)):
-        placed = False
-        for c in clusters:
-            center = c[0] / c[1]
-            if abs(p - center) <= rel_tol * max(1.0, abs(center), abs(p)):
-                c[0] += p
-                c[1] += 1
-                placed = True
-                break
-        if not placed:
-            clusters.append([p, 1])
-    return [(c[0] / c[1], c[1]) for c in clusters]
-
-
 def _transitive_groups(points, radius_of):
     """Union points into groups, linking any pair within radius_of(a, b)."""
     groups = []

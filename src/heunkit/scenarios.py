@@ -37,7 +37,7 @@ from .mathieu import (
     trig_form_b,
 )
 from .ode import LinearODE, classify_singularities, indicial_exponents, \
-    ode_residual, singularity_signature
+    normalized_residual, ode_residual, singularity_signature
 from .series import frobenius_series, eval_local
 
 
@@ -71,17 +71,15 @@ class TrigODE:
     notes: str = ""
 
     def residual(self, samples):
-        worst = 0.0
-        for t, w, dw, ddw in samples:
-            pw = self.p(t) * dw
-            qw = self.q(t) * w
-            res = abs(ddw + pw + qw)
-            worst = max(worst, res / max(1.0, abs(ddw), abs(pw), abs(qw)))
-        return worst
+        return normalized_residual(self, samples)
 
 
 @dataclass
 class ScenarioReport:
+    """A scenario's equations, classifications, residuals and claims. A
+    gate on a measured value is stated once, through ``claim_at_most``: the
+    literal it prints is the one it compares with."""
+
     scenario: str
     inputs: dict
     odes: list = field(default_factory=list)            # (label, LinearODE | TrigODE)
@@ -98,6 +96,12 @@ class ScenarioReport:
 
     def claim(self, description, expected, observed, passed):
         self.claims.append(Claim(description, str(expected), str(observed), bool(passed)))
+
+    def claim_at_most(self, description, value, bound, what=""):
+        """Claim value <= float(bound); ``bound`` is the literal printed in
+        the expected text "[what] <= bound"."""
+        self.claim(description, f"{what} <= {bound}".lstrip(),
+                   f"{value:.3e}", value <= float(bound))
 
     def claim_signature(self, description, label, expected_sig):
         observed = singularity_signature(self.classifications[label])
@@ -221,18 +225,11 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
                             "characteristic value; solution checks skipped")
         return report
 
-    samples_ang = []
-    for t in _linspace(0.0, 2.0 * math.pi, 50):
-        S, S1, S2 = angular_mathieu_derivatives(params, char, t)
-        samples_ang.append((t, S, S1, S2))
-    res_ang = ang.residual(samples_ang)
+    res_ang = ang.residual((t, *angular_mathieu_derivatives(params, char, t))
+                           for t in _linspace(0.0, 2.0 * math.pi, 50))
     report.residuals["angular"] = res_ang
-
-    samples_rad = []
-    for mu in _linspace(0.0, 2.0, 41):
-        M, M1, M2 = modified_mathieu_derivatives(params, char, mu)
-        samples_rad.append((mu, M, M1, M2))
-    res_rad = rad.residual(samples_rad)
+    res_rad = rad.residual((mu, *modified_mathieu_derivatives(params, char, mu))
+                           for mu in _linspace(0.0, 2.0, 41))
     report.residuals["radial"] = res_rad
 
     report.claim("angular and radial factors are Mathieu and modified "
@@ -257,8 +254,8 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
     report.residuals["product_2d"] = worst2d
     report.data["grid"] = {"columns": ["mu", "theta", "psi", "residual"],
                            "rows": rows}
-    report.claim("product solution satisfies the 2-D equation on the grid",
-                 "residual <= 1e-6", f"{worst2d:.3e}", worst2d <= 1e-6)
+    report.claim_at_most("product solution satisfies the 2-D equation on "
+                         "the grid", worst2d, "1e-6", "residual")
 
     sum1d = res_ang + res_rad
     report.claim("2-D residual bounded by the separated residuals",
@@ -373,8 +370,8 @@ def stark_separation(E, F, m, beta1):
             samples.append((s, ws, dws, ddws))
         res = ode_residual(sq, samples)
         report.residuals["substitution_roundtrip"] = res
-        report.claim("quadratic substitution maps solutions onto solutions",
-                     "residual <= 1e-8", f"{res:.3e}", res <= 1e-8)
+        report.claim_at_most("quadratic substitution maps solutions onto "
+                             "solutions", res, "1e-8", "residual")
     else:
         rank = report.data["xi_rank_infinity"]
         report.claim("zero field: infinity rank drops to the Coulomb value",
@@ -438,25 +435,23 @@ def h2plus_separation(lam, kappa, mu, m):
              "m": m}))
         mapped_eta = build_confluent_form(ConfluentFormParams(
             "spheroidal", {"p": lam, "lam": lam * lam + mu, "m": m}))
-        report.claim("xi equation coincides with the two-center-Coulomb "
-                     "confluent form (p, beta, lam, m) = "
-                     "(lam, kappa/(2 lam), lam^2 + mu, m)",
-                     "pointwise operator identity <= 1e-10",
-                     f"{_operator_distance(xi, mapped_xi):.3e}",
-                     _operator_distance(xi, mapped_xi) <= 1e-10)
-        report.claim("eta equation coincides with the spheroidal form",
-                     "pointwise operator identity <= 1e-10",
-                     f"{_operator_distance(eta, mapped_eta):.3e}",
-                     _operator_distance(eta, mapped_eta) <= 1e-10)
+        report.claim_at_most("xi equation coincides with the "
+                             "two-center-Coulomb confluent form "
+                             "(p, beta, lam, m) = "
+                             "(lam, kappa/(2 lam), lam^2 + mu, m)",
+                             _operator_distance(xi, mapped_xi), "1e-10",
+                             "pointwise operator identity")
+        report.claim_at_most("eta equation coincides with the spheroidal "
+                             "form", _operator_distance(eta, mapped_eta),
+                             "1e-10", "pointwise operator identity")
     else:
         report.notes.append("lam = 0: confluent-family identification "
                             "degenerates (p = 0); skipped")
 
     if abs(kappa) <= 1e-14:
-        report.claim("kappa = 0: the two separated equations coincide",
-                     "operator identity <= 1e-12",
-                     f"{_operator_distance(xi, eta):.3e}",
-                     _operator_distance(xi, eta) <= 1e-12)
+        report.claim_at_most("kappa = 0: the two separated equations "
+                             "coincide", _operator_distance(xi, eta),
+                             "1e-12", "operator identity")
 
     if abs(lam) <= 1e-14 and abs(m) <= 1e-14:
         report.claim_signature(
@@ -510,30 +505,26 @@ def nutku_angular(a, k, n=2, parity="even"):
                   notes="S'' - (kappa2 cos 2T - nsep) S = 0")
     report.add_ode("angular", ang)
 
-    samples = []
-    for t in _linspace(0.0, 2.0 * math.pi, 50):
-        S, S1, S2 = angular_mathieu_derivatives(params, char, t)
-        samples.append((t, S, S1, S2))
-    res = ang.residual(samples)
+    res = ang.residual((t, *angular_mathieu_derivatives(params, char, t))
+                       for t in _linspace(0.0, 2.0 * math.pi, 50))
     report.residuals["angular"] = res
-    report.claim("order-n Mathieu function solves the angular equation",
-                 "residual <= 1e-8", f"{res:.3e}", res <= 1e-8)
+    report.claim_at_most("order-n Mathieu function solves the angular "
+                         "equation", res, "1e-8", "residual")
 
     worst_per = 0.0
     for t in _linspace(0.0, 2.0 * math.pi, 17):
         worst_per = max(worst_per, abs(angular_mathieu(params, char, t + 2.0 * math.pi)
                                        - angular_mathieu(params, char, t)))
     report.residuals["periodicity"] = worst_per
-    report.claim("angular solutions are 2pi-periodic (separation constant "
-                 "quantized)", "<= 1e-12", f"{worst_per:.3e}",
-                 worst_per <= 1e-12)
+    report.claim_at_most("angular solutions are 2pi-periodic (separation "
+                         "constant quantized)", worst_per, "1e-12")
 
     n_max = max(int(n), 3)
     G = orthogonality_matrix(q, n_max)
     off = float(np.max(np.abs(G - np.diag(np.diag(G)))))
     report.residuals["orthogonality_offdiagonal"] = off
-    report.claim("distinct orders are orthogonal over a full period",
-                 "<= 1e-9", f"{off:.3e}", off <= 1e-9)
+    report.claim_at_most("distinct orders are orthogonal over a full "
+                         "period", off, "1e-9")
     report.data["gram_diagonal"] = [float(x) for x in np.diag(G)]
 
     if k == 0.0:
@@ -599,8 +590,8 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
         lhs = A * math.cosh(2 * x) + B * math.sinh(2 * x)
         rhs = C * cmath.cosh(2.0 * (x + bshift))
         worst_id = max(worst_id, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    report.claim("hyperbolic shift identity A cosh + B sinh = C cosh(2(x+b))",
-                 "<= 1e-12", f"{worst_id:.3e}", worst_id <= 1e-12)
+    report.claim_at_most("hyperbolic shift identity A cosh + B sinh = "
+                         "C cosh(2(x+b))", worst_id, "1e-12")
 
     params = MathieuParams(A6, int(n), parity)
     char = characteristic_value(int(n), A6, parity)
@@ -617,15 +608,13 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
         notes="R'' - [A cosh 2x + B sinh 2x - nrad] R = 0")
     report.add_ode("radial", rad)
 
-    samples = []
-    for x in _linspace(0.0, 2.0, 41):
-        M, M1, M2 = modified_mathieu_derivatives(params, char, x + bshift)
-        samples.append((x, M, M1, M2))
-    res = rad.residual(samples)
+    res = rad.residual(
+        (x, *modified_mathieu_derivatives(params, char, x + bshift))
+        for x in _linspace(0.0, 2.0, 41))
     report.residuals["radial"] = res
-    report.claim("shifted modified Mathieu candidate solves the radial "
-                 "equation with the derived (A6, b)",
-                 "residual <= 1e-6", f"{res:.3e}", res <= 1e-6)
+    report.claim_at_most("shifted modified Mathieu candidate solves the "
+                         "radial equation with the derived (A6, b)", res,
+                         "1e-6", "residual")
 
     if Lambda == 0.0:
         ok = abs(bshift) <= 1e-14 and abs(A6 + q_ang) <= 1e-12 * max(1.0, q_ang)
@@ -725,18 +714,15 @@ def eguchi_hanson_radial(k, a, m, lam):
                      ", ".join(f"{x.imag:+.12g}i" for x in e0), ok)
         for branch in ("first", "second"):
             ser = frobenius_series(ode, 0j, branch, 80)
-            samples = []
-            for r_frac in (0.15, 0.3, 0.45):
-                z = r_frac * ser.radius * cmath.exp(0.7j)
-                w, dw, _ = eval_local(ser, z)
-                # independent second derivative from the series itself
-                ddw = _series_second_derivative(ser, z)
-                samples.append((z, w, dw, ddw))
-            res = ode_residual(ode, samples)
+            zs = [r * ser.radius * cmath.exp(0.7j) for r in (0.15, 0.3, 0.45)]
+            # independent second derivative from the series itself
+            res = ode_residual(ode, ((z, *eval_local(ser, z)[:2],
+                                      _series_second_derivative(ser, z))
+                                     for z in zs))
             report.residuals[f"series_{branch}"] = res
-            report.claim(f"Frobenius solution ({branch} branch) at u = 0 "
-                         "satisfies the equation", "residual <= 1e-8",
-                         f"{res:.3e}", res <= 1e-8)
+            report.claim_at_most(f"Frobenius solution ({branch} branch) at "
+                                 "u = 0 satisfies the equation", res,
+                                 "1e-8", "residual")
     else:
         e0 = report.data["exponents_at_0"]
         ok = max(abs(x) for x in e0) <= 1e-9
@@ -851,21 +837,15 @@ def eguchi_hanson_angular(lam, m, n):
             t, m, n, (1.0 + n + m) / 2.0,
             (0.5 + m + root / 2.0, 0.5 + m - root / 2.0, c2))
 
-    worst = {1: 0.0, 2: 0.0}
-    for t in _linspace(0.45, math.pi - 0.45, 31):
-        for idx, fn in ((1, branch1), (2, branch2)):
-            T0, T1, T2 = fn(t)
-            res = abs(T2 + ang.p(t) * T1 + ang.q(t) * T0)
-            scale = max(1.0, abs(T2), abs(ang.p(t) * T1), abs(ang.q(t) * T0))
-            worst[idx] = max(worst[idx], res / scale)
-    report.residuals["branch1"] = worst[1]
-    report.residuals["branch2"] = worst[2]
-    report.claim("printed hypergeometric candidate (first branch) solves "
-                 "the angular equation", "residual <= 1e-8",
-                 f"{worst[1]:.3e}", worst[1] <= 1e-8)
-    report.claim("printed hypergeometric candidate (second branch) solves "
-                 "the angular equation", "residual <= 1e-8",
-                 f"{worst[2]:.3e}", worst[2] <= 1e-8)
+    ts = _linspace(0.45, math.pi - 0.45, 31)
+    res1 = ang.residual((t, *branch1(t)) for t in ts)
+    res2 = ang.residual((t, *branch2(t)) for t in ts)
+    report.residuals["branch1"] = res1
+    report.residuals["branch2"] = res2
+    for name, res in (("first", res1), ("second", res2)):
+        report.claim_at_most(f"printed hypergeometric candidate ({name} "
+                             "branch) solves the angular equation", res,
+                             "1e-8", "residual")
 
     t0 = math.pi / 2.0
     v1 = branch1(t0)
@@ -880,11 +860,9 @@ def eguchi_hanson_angular(lam, m, n):
         report.notes.append("m + n = 0 makes the two printed branches "
                             "coincide; Wronskian check skipped")
     if abs(m) <= 1e-12 and abs(n) <= 1e-12:
-        report.claim("m = n = 0 reduces to the Legendre problem in cos t "
-                     "with eigenvalue lam/4",
-                     "candidate residual <= 1e-8",
-                     f"{max(worst[1], worst[2]):.3e}",
-                     max(worst[1], worst[2]) <= 1e-8)
+        report.claim_at_most("m = n = 0 reduces to the Legendre problem in "
+                             "cos t with eigenvalue lam/4", max(res1, res2),
+                             "1e-8", "candidate residual")
     return report
 
 
@@ -985,12 +963,11 @@ def boundary_dirac_equation(a, k, x0, phi):
 
     # zero-coupling limit: f = sin T solves f'' + tan T f' = 0
     trig0 = _boundary_trig_ode(0.0, x0)
-    samples = [(t, cmath.sin(t), cmath.cos(t), -cmath.sin(t))
-               for t in _linspace(0.2, 1.2, 9)]
-    res0 = trig0.residual(samples)
+    res0 = trig0.residual((t, cmath.sin(t), cmath.cos(t), -cmath.sin(t))
+                          for t in _linspace(0.2, 1.2, 9))
     report.residuals["zero_coupling_elementary"] = res0
-    report.claim("zero-coupling limit has the elementary solution f = sin T",
-                 "residual <= 1e-10", f"{res0:.3e}", res0 <= 1e-10)
+    report.claim_at_most("zero-coupling limit has the elementary solution "
+                         "f = sin T", res0, "1e-10", "residual")
 
     # transport T -> u and back
     t0, t1 = 0.15, 1.25
@@ -1023,11 +1000,11 @@ def boundary_dirac_equation(a, k, x0, phi):
         worst_rt = max(worst_rt, rt_err)
     report.residuals["transport"] = worst_fwd
     report.residuals["transport_roundtrip"] = worst_rt
-    report.claim("u = exp(2iT) maps solutions of the angular form onto "
-                 "solutions of the algebraic form", "<= 1e-6",
-                 f"{worst_fwd:.3e}", worst_fwd <= 1e-6)
-    report.claim("transport round trip restores the initial data",
-                 "<= 1e-8", f"{worst_rt:.3e}", worst_rt <= 1e-8)
+    report.claim_at_most("u = exp(2iT) maps solutions of the angular form "
+                         "onto solutions of the algebraic form", worst_fwd,
+                         "1e-6")
+    report.claim_at_most("transport round trip restores the initial data",
+                         worst_rt, "1e-8")
 
     # monodromy of the algebraic equation around u = 0
     loop = ComplexPath.circle(0j, 0.82, n=28, start_angle=2.0 * t0)

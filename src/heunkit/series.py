@@ -29,11 +29,17 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import LogarithmicCase, NotRegular, OutsideRadius
+from .errors import InvalidParameter, LogarithmicCase, NotRegular, \
+    OutsideRadius
 from .ode import _indicial_roots
 from .poly import CLUSTER_REL, taylor_shift
 
 INTEGER_TOL = 1e-9
+
+
+def is_integer(x):
+    """Whether the complex x is within INTEGER_TOL of an integer."""
+    return abs(x.imag) <= INTEGER_TOL and abs(x.real - round(x.real)) <= INTEGER_TOL
 
 
 @dataclass(frozen=True)
@@ -138,11 +144,8 @@ def frobenius_series(ode, z0, branch="first", n_terms=60):
     LogarithmicCase when the exponents differ by an integer.
     """
     (r1, r2), (center, lead, weights, scale) = local_exponents(ode, z0)
-    diff = r1 - r2
-    integral = abs(diff.imag) <= INTEGER_TOL and \
-        abs(diff.real - round(diff.real)) <= INTEGER_TOL
     if branch == "second":
-        if integral:
+        if is_integer(r1 - r2):
             raise LogarithmicCase(
                 f"exponents {r1}, {r2} differ by an integer; the second "
                 "solution carries a logarithm")
@@ -150,7 +153,7 @@ def frobenius_series(ode, z0, branch="first", n_terms=60):
     elif branch == "first":
         rho = r1
     else:
-        raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
+        raise InvalidParameter(f"branch must be 'first' or 'second', got {branch!r}")
 
     h = [1.0 + 0j]
     terms = recurrence_terms(weights, lead, rho, [h], pivot_floor=1e-12 * scale)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from heunkit.errors import DegenerateShift, ParameterPole
-from heunkit.scenarios import (SCENARIOS, boundary_dirac_equation,
+from heunkit.ode import LinearODE, ode_residual
+from heunkit.scenarios import (SCENARIOS, ScenarioReport, TrigODE,
+                               boundary_dirac_equation,
                                eguchi_hanson_angular, eguchi_hanson_radial,
                                h2plus_separation, helmholtz_elliptic,
                                nutku_angular, nutku_radial, run_scenario,
@@ -216,3 +218,30 @@ def test_registry_rejects_unknowns():
         run_scenario("black-hole")
     with pytest.raises(KeyError):
         run_scenario("stark", {"bogus": 1.0})
+
+
+def test_claim_at_most_prints_the_bound_it_checks():
+    rep = ScenarioReport("unit", {})
+    rep.claim_at_most("under", 3e-9, "1e-8", "residual")
+    rep.claim_at_most("at the bound", 1e-8, "1e-8")
+    rep.claim_at_most("over", 2e-8, "1e-8")
+    rep.claim_at_most("not a number", float("nan"), "1e-8")
+    assert [(c.expected, c.observed, c.passed) for c in rep.claims] == [
+        ("residual <= 1e-8", "3.000e-09", True),
+        ("<= 1e-8", "1.000e-08", True),
+        ("<= 1e-8", "2.000e-08", False),
+        ("<= 1e-8", "nan", False),
+    ]
+
+
+def test_trig_and_rational_residuals_agree():
+    """One normalized residual serves both equation types: z w'' + w' = 0,
+    given once as a LinearODE and once with callable coefficients."""
+    rational = LinearODE.from_polynomials([0.0, 1.0], [1.0], [0.0])
+    trig = TrigODE("log", lambda z: 1.0 / z, lambda z: 0j)
+    # w = log z + 1e-3 z (off-solution, so the residual is not zero)
+    samples = [(z, np.log(z) + 1e-3 * z, 1.0 / z + 1e-3, -1.0 / z ** 2)
+               for z in (0.5 + 0.2j, 1.3 - 0.4j, 2.0 + 1.0j)]
+    res = ode_residual(rational, samples)
+    assert 1e-4 < res < 1e-2
+    assert trig.residual(iter(samples)) == res
