@@ -15,12 +15,13 @@ overrides both; a tolerance must be a finite number in (0, 1), and one
 below 100 machine epsilons is raised to that floor.
 Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
 option, a --format the verb does not render, a heun-eval --branch other
-than first or second, a malformed or non-finite number, an invalid
-tolerance, a center that is none of 0, 1, f, an unknown scenario, scenario
-parameter, corpus entry or parity, a --set without key=value, a scenario
-parameter outside its domain or not an integer where one is expected, a
---q-count below 1, an --n-max below 0 or an --n-terms below 1). Output is
-deterministic: fixed key order, floats at 17 significant digits.
+than first or second, malformed equation, parameter-line or config text,
+a malformed or non-finite number, an invalid tolerance, a center that is
+none of 0, 1, f, an unknown scenario, scenario parameter, corpus entry or
+parity, a --set without key=value, a scenario parameter outside its
+domain or not an integer where one is expected, a --q-count below 1, an
+--n-max below 0 or an --n-terms below 1). Output is deterministic: fixed
+key order, floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -473,7 +474,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return run(parse_args(argv))
-    except (UnknownVerb, MissingOption, MalformedComplex, InvalidParameter,
+    except (UnknownVerb, MissingOption, GrammarError, InvalidParameter,
             InvalidTolerance, UnknownCenter) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

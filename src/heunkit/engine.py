@@ -31,10 +31,10 @@ real-ified 4-vector (w, w'), with the segment parametrization
 z(s) = z0 + s dz keeping the complex geometry in the right-hand side.
 
 scipy.integrate is imported on first use, not with the package: importing
-it costs several times more than a typical command does. Three callers
-load it: ``integrate_callable`` (DOP853), ``wronskian_abel_check`` (the
-quadrature of p along the path) and ``mathieu.orthogonality_matrix`` (the
-Gram matrix).
+it costs several times more than a typical command does. Two callers
+load it: ``integrate_callable`` (DOP853) and ``wronskian_abel_check`` (the
+quadrature of p along the path). ``mathieu.orthogonality_matrix`` (the
+Gram matrix) uses an exact trapezoid rule and does not.
 
 Clearance from singular points scales with the local singularity spacing,
 so tight geometries (points at distance ~1) and wide ones are treated
@@ -82,8 +82,7 @@ def solve_ivp(*args, **kwargs):
 
 def quad(*args, **kwargs):
     """scipy.integrate.quad, imported on the first call. A module-level
-    function, so that a tracer can wrap it by name (perfbench/tracer.py);
-    mathieu has its own, so the two callers are told apart."""
+    function, so that a tracer can wrap it by name (perfbench/tracer.py)."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 

@@ -112,10 +112,6 @@ class NonConvergence(HeunkitError):
     pass
 
 
-class NonConverged(HeunkitError):
-    pass
-
-
 class OverflowGuard(HeunkitError):
     pass
 

@@ -23,7 +23,8 @@ Fourier coefficients are generated by backward recurrence from above the
 last significant mode (the coefficient sequence is the minimal solution of
 the three-term relation, so downward recursion is componentwise accurate;
 this matters for the modified functions, where noise in coefficient k is
-amplified by cosh(k x)).
+amplified by cosh(k x)). The Gram matrix sums these series without scipy;
+only engine's integrate_callable and wronskian_abel_check still load it.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter, NonConvergence, NonConverged, \
-    OverflowGuard
+from .errors import InvalidParameter, NonConvergence, OverflowGuard
 
 MAX_TRUNCATION = 2048
 CONVERGENCE_TOL = 1e-13
@@ -48,9 +48,8 @@ CANCELLATION_LIMIT = 1e7
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call. A module-level
-    function, so that a tracer can wrap it by name (perfbench/tracer.py);
-    engine has its own, so the two callers are told apart."""
+    """scipy.integrate.quad, imported on the first call. Nothing here calls
+    it; it stays only because perfbench/tracer.py wraps it by name."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 
@@ -269,7 +268,8 @@ def _normalize(fam, coeffs, n):
 def fourier_coefficients(params, char):
     """(harmonics, coefficients) of the angular Fourier series."""
     if not isinstance(char, CharacteristicValue) or char.params != params:
-        raise NonConverged("characteristic value does not match the parameters")
+        raise InvalidParameter("characteristic value does not match the "
+                               "parameters")
     return _coefficients_cached(params.n, params.q, params.parity,
                                 char.truncation, char.value)
 
@@ -357,25 +357,25 @@ def basis_functions(q, n_max):
 
 
 def orthogonality_matrix(q, n_max):
-    """Gram matrix of all angular functions with orders <= n_max (both
-    parities) under adaptive quadrature of S_i S_j over [0, 2pi].
+    """Gram matrix of the angular functions with orders <= n_max (both
+    parities): the integrals of S_i S_j over [0, 2pi] by the trapezoid rule.
 
-    Under the period normalization the diagonal is pi and off-diagonal
-    entries vanish.
+    V holds each Fourier series (the one angular_mathieu sums) at N
+    equispaced nodes and G = (2pi/N) V V^T, with the plain transpose (the
+    square, not |S|^2, for complex q). S_i S_j is a trigonometric
+    polynomial of degree <= 2 nu_max, the largest retained harmonic, and
+    the N-point rule is exact below degree N (Trefethen and Weideman, SIAM
+    Review 56 (2014)), so N = 2 nu_max + 2 is exact up to rounding. Real
+    for real q; the diagonal is pi, off-diagonal entries vanish. No scipy:
+    only engine's integrate_callable and wronskian_abel_check load it.
     """
     funcs = basis_functions(q, n_max)
-    size = len(funcs)
-    G = np.zeros((size, size))
-    for i in range(size):
-        pi_, ci = funcs[i]
-        for j in range(i, size):
-            pj, cj = funcs[j]
-
-            def integrand(t):
-                return (angular_mathieu(pi_, ci, t) *
-                        angular_mathieu(pj, cj, t))
-
-            val = quad(integrand, 0.0, 2.0 * math.pi, limit=200,
-                       epsabs=1e-12, epsrel=1e-12)[0]
-            G[i, j] = G[j, i] = val
-    return G
+    series = [fourier_coefficients(p, c) for p, c in funcs]
+    nu_max = max(nus[-1] for nus, _ in series)
+    N = 2 * nu_max + 2
+    part = np.real if complex(q).imag == 0 else np.asarray
+    # reduce nu k mod N first, so each angle is rounded once, not nu-fold
+    V = np.array([(np.cos if p.parity == "even" else np.sin)(
+        2.0 * math.pi / N * (np.outer(np.arange(N), nus) % N)) @ part(c)
+        for (p, _), (nus, c) in zip(funcs, series)])
+    return 2.0 * math.pi / N * (V @ V.T)

@@ -325,6 +325,10 @@ def test_cli_parameter_inputs(capsys):
          "--format for verb scenario accepts json, text"),
         (["mathieu-table", "--q-values", "1", "--format", "text"], 2,
          "--format for verb mathieu-table accepts csv, json"),
+        (["classify", "--text", "x"], 2,
+         "expected line to start with 'ode'"),
+        (["classify", "--text", "ode p_num=[1] p_den=[1] q_num=[1]"], 2,
+         "missing field 'q_den'"),
     ]
     for argv, code, message in cases:
         status = main(argv)
@@ -375,9 +379,10 @@ print(json.dumps({{
 
 
 def test_cheap_verbs_do_not_import_scipy():
-    """In a fresh interpreter, the five CLI verbs on their cheap paths load
-    no scipy module; boundary-dirac then loads scipy.integrate on first use
-    and every claim still passes."""
+    """In a fresh interpreter, the five CLI verbs on their cheap paths and
+    the nutku-angular scenario (its Gram matrix included) load no scipy
+    module; boundary-dirac then loads scipy.integrate on first use and
+    every claim still passes."""
     cheap = [
         ["classify", "--corpus", "gauss-hypergeometric"],
         ["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
@@ -385,6 +390,7 @@ def test_cheap_verbs_do_not_import_scipy():
         ["mathieu-table", "--q-values", "0,1,2", "--n-max", "4"],
         CONNECT_01,
         ["scenario", "--id", "stark"],
+        ["scenario", "--id", "nutku-angular"],
     ]
     p = subprocess.run([sys.executable, "-c",
                         _NO_SCIPY_CHILD.format(cheap=cheap)],

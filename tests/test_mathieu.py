@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heunkit.errors import InvalidParameter, NonConverged, OverflowGuard
+from heunkit.errors import InvalidParameter, OverflowGuard
 from heunkit.mathieu import (MathieuParams,
                              angular_mathieu, angular_mathieu_derivatives,
                              basis_functions, characteristic_value,
                              characteristic_value_at,
                              modified_mathieu, modified_mathieu_derivatives,
-                             orthogonality_matrix, q_from_h2, trig_form_b,
+                             fourier_coefficients, orthogonality_matrix,
+                             q_from_h2, trig_form_b,
                              _family, _family_matrix, _harmonics)
 
 
@@ -199,6 +200,51 @@ def test_orthogonality_large_q():
     assert off <= 1e-9
 
 
+def quad_gram(q, n_max):
+    """Gram matrix by adaptive quadrature of S_i S_j over [0, 2pi], each
+    value summed by angular_mathieu; values are memoized per (function, t),
+    since quad samples the same nodes for every pair."""
+    funcs = basis_functions(q, n_max)
+
+    @lru_cache(maxsize=None)
+    def S(i, t):
+        return angular_mathieu(*funcs[i], t)
+
+    G = np.zeros((len(funcs), len(funcs)))
+    for i in range(len(funcs)):
+        for j in range(i, len(funcs)):
+            G[i, j] = G[j, i] = quad(lambda t: S(i, t) * S(j, t), 0.0,
+                                     2 * math.pi, limit=200, epsabs=1e-12,
+                                     epsrel=1e-12)[0]
+    return G
+
+
+@pytest.mark.parametrize("q, n_max", [(0.0, 4), (1.0, 3), (2.0, 6),
+                                      (10.0, 10)])
+def test_orthogonality_matches_adaptive_quadrature(q, n_max):
+    G = orthogonality_matrix(q, n_max)
+    assert G.dtype == np.float64
+    assert np.max(np.abs(G - quad_gram(q, n_max))) <= 1e-13
+    # the rule on 2 nu_max + 2 nodes is exact: the trapezoid rule on twice
+    # as many nodes, summed by angular_mathieu, gives the same matrix
+    funcs = basis_functions(q, n_max)
+    nu_max = max(fourier_coefficients(p, c)[0][-1] for p, c in funcs)
+    N = 2 * (2 * nu_max + 2)
+    V = np.array([[angular_mathieu(p, c, 2 * math.pi * k / N)
+                   for k in range(N)] for p, c in funcs])
+    assert np.max(np.abs(2 * math.pi / N * V @ V.T - G)) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [1.0 + 0.5j, 5.0 + 3.0j])
+def test_orthogonality_complex_q_bilinear(q):
+    """For complex q the Gram matrix is complex and uses the square, not
+    |S|^2: the diagonal is pi and distinct orders are orthogonal."""
+    G = orthogonality_matrix(q, 3)
+    assert G.dtype == np.complex128
+    assert np.max(np.abs(np.diag(G) - math.pi)) <= 1e-9
+    assert np.max(np.abs(G - np.diag(np.diag(G)))) <= 1e-9
+
+
 def test_mixed_parity_blocks_vanish():
     q = 2.0
     funcs = basis_functions(q, 3)
@@ -341,7 +387,7 @@ def test_out_of_range_inputs_rejected():
 def test_stale_characteristic_value_rejected():
     ch = characteristic_value(2, 1.0, "even")
     other = MathieuParams(2.0, 2, "even")
-    with pytest.raises(NonConverged):
+    with pytest.raises(InvalidParameter):
         angular_mathieu(other, ch, 0.3)
 
 
