@@ -26,15 +26,10 @@ looping on inputs that cannot converge. Tolerances must be finite numbers
 in (0, 1); values below 100 machine epsilons are raised to that floor.
 
 Callable coefficients (``integrate_callable``; trigonometric ones have no
-polynomial form) use the 8(7) Dormand-Prince pair (scipy's DOP853) on the
-real-ified 4-vector (w, w'), with the segment parametrization
-z(s) = z0 + s dz keeping the complex geometry in the right-hand side.
-
-scipy.integrate is imported on first use, not with the package: importing
-it costs several times more than a typical command does. Two callers
-load it: ``integrate_callable`` (DOP853) and ``wronskian_abel_check`` (the
-quadrature of p along the path). ``mathieu.orthogonality_matrix`` (the
-Gram matrix) uses an exact trapezoid rule and does not.
+polynomial form) take the same steps, with Taylor coefficients from a
+discrete Fourier transform of samples on a circle about each center, as
+``mpmath.odefun`` feeds its stepper. ``wronskian_abel_check`` integrates p
+in closed form from its partial fractions. No run-time path loads scipy.
 
 Clearance from singular points scales with the local singularity spacing,
 so tight geometries (points at distance ~1) and wide ones are treated
@@ -62,7 +57,7 @@ from .errors import (
     StepUnderflow,
 )
 from .heun import general_heun, heun_center, heun_radius, heun_value
-from .poly import taylor_shift
+from .poly import TAU_POLE, taylor_shift
 from .series import recurrence_terms, recurrence_weights
 
 CLEARANCE_FACTOR = 1e-3
@@ -71,18 +66,24 @@ MIN_TOL = 100.0 * sys.float_info.epsilon
 STEP_FRACTION = 0.5  # step / distance to the nearest finite singular point
 MAX_STEPS = 10_000  # Taylor steps per path
 MAX_TERMS = 400  # series terms per Taylor step
+SAMPLES = 64  # samples per callable coefficient and center
+SAMPLE_RADIUS = 0.6  # sample radius / distance to the nearest listed point
+SAMPLE_RADIUS_CAP = 1.0  # sample radius when no listed point is nearer
+MAX_SAMPLED_TERMS = 24  # Taylor coefficients kept per callable coefficient
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call. A module-level
-    function, so that a tracer can wrap it by name (perfbench/tracer.py)."""
+    """scipy.integrate.solve_ivp, imported on the first call. Nothing in
+    heunkit calls it: it is kept only because perfbench/tracer.py wraps it
+    by name, until ROADMAP item 1 lets the tracer skip missing names."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call. A module-level
-    function, so that a tracer can wrap it by name (perfbench/tracer.py)."""
+    """scipy.integrate.quad, imported on the first call. Nothing in heunkit
+    calls it: it is kept only because perfbench/tracer.py wraps it by name,
+    until ROADMAP item 1 lets the tracer skip missing names."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 
@@ -195,44 +196,8 @@ def _check_start(init, path):
         raise ValueError("initial state is not at the first path vertex")
 
 
-def _integrate_segments(pfun, qfun, init, path, tol):
-    _check_start(init, path)
-    y = np.array([init.w.real, init.w.imag, init.dw.real, init.dw.imag])
-    for za, zb in path.segments:
-        dz = zb - za
-        if dz == 0:
-            continue
-
-        def rhs(s, v, za=za, dz=dz):
-            zz = za + s * dz
-            w = complex(v[0], v[1])
-            dw = complex(v[2], v[3])
-            ddw = -(pfun(zz) * dw + qfun(zz) * w)
-            r0 = dw * dz
-            r1 = ddw * dz
-            return (r0.real, r0.imag, r1.real, r1.imag)
-
-        sol = solve_ivp(rhs, (0.0, 1.0), y, method="DOP853",
-                        rtol=tol, atol=tol, dense_output=False)
-        if not sol.success:
-            raise StepUnderflow(f"integrator failed on segment {za} -> {zb}: "
-                                f"{sol.message}")
-        y = sol.y[:, -1]
-    zf = path.vertices[-1]
-    return SolutionState(zf, complex(y[0], y[1]), complex(y[2], y[3]))
-
-
-def integrate_callable(pfun, qfun, init, path, tol=DEFAULT_TOL,
-                       singular_points=()):
-    """Integrate w'' + p(z) w' + q(z) w = 0 with callable coefficients."""
-    tol = check_tolerance(tol)
-    if singular_points:
-        check_clearance(singular_points, path)
-    return _integrate_segments(pfun, qfun, init, path, tol)
-
-
 # ---------------------------------------------------------------------------
-# Taylor re-expansion for rational coefficients
+# Taylor re-expansion
 # ---------------------------------------------------------------------------
 
 
@@ -279,33 +244,99 @@ def _taylor_step(a, b, c, dz, cols, tol):
     return out
 
 
-def _transport(ode, path, cols, tol, keep=False):
+def _distance(z, points):
+    return min((abs(z - s) for s in points), default=math.inf)
+
+
+def _transport(expand, path, cols, tol, keep=False):
     """Carry (w, w') columns from the first path vertex to the last.
 
-    Returns the columns at the last vertex, or with keep=True a list of the
-    columns at every vertex. Clearance is the caller's check.
+    expand(z) gives the ascending coefficients a, b, c of A w'' + B w' +
+    C w = 0 about z, the largest step there and the tries that took, which
+    count toward MAX_STEPS. Returns the columns at the last vertex, or with
+    keep=True a list of the columns at every vertex. Clearance is the
+    caller's check.
     """
-    A, B, C, sing = ode.cleared()
     z = path.vertices[0]
     cols = [(complex(w), complex(dw)) for w, dw in cols]
     visited = [cols]
     steps = 0
     for zb in path.vertices[1:]:
         while z != zb:
-            steps += 1
+            a, b, c, reach, tries = expand(z)
+            steps += tries
             if steps > MAX_STEPS:
                 raise StepUnderflow(f"more than {MAX_STEPS} Taylor steps; "
                                     f"stopped at z = {z}")
-            a, b, c = (taylor_shift(P.coeffs, z) for P in (A, B, C))
-            reach = min(STEP_FRACTION * min((abs(z - s) for s in sing),
-                                            default=math.inf),
-                        2.0 * _coefficient_scale(a, b, c))
+            reach = min(reach, 2.0 * _coefficient_scale(a, b, c))
             d = zb - z
             z_next = zb if abs(d) <= reach else z + d * (reach / abs(d))
             cols = _taylor_step(a, b, c, z_next - z, cols, tol)
             z = z_next
         visited.append(cols)
     return visited if keep else cols
+
+
+def _cleared_expansion(ode):
+    """expand(z) for _transport: the cached cleared A, B, C shifted to z,
+    and STEP_FRACTION of the distance to the nearest finite singular point."""
+    A, B, C, sing = ode.cleared()
+
+    def expand(z):
+        a, b, c = (taylor_shift(P.coeffs, z) for P in (A, B, C))
+        return a, b, c, STEP_FRACTION * _distance(z, sing), 1
+
+    return expand
+
+
+def _sampled_expansion(pfun, qfun, points, tol):
+    """expand(z) for _transport from SAMPLES values of p and q on the
+    circle |t - z| = rho, with rho = SAMPLE_RADIUS times the distance to
+    the nearest listed singular point, at most SAMPLE_RADIUS_CAP.
+
+    Bin k of the discrete Fourier transform is a Taylor coefficient times
+    rho**k, up to aliasing of order (rho / R)**SAMPLES for a convergence
+    radius R; a singular point inside the circle puts its negative powers
+    into the top bins. On the step disk |t - z| <= rho/2 bin k weighs
+    2**-min(k, SAMPLES - k). The head kept is the shortest, of at most
+    MAX_SAMPLED_TERMS, whose weighted tail is at most tol * max(1, |bin 0|);
+    when p or q has none, rho is halved and the try counts as a step.
+    """
+    k = np.arange(SAMPLES)
+    roots = np.exp(2j * math.pi * k / SAMPLES)
+    weight = 0.5 ** np.minimum(k, SAMPLES - k)
+
+    def head(f, nodes, rho):
+        bins = np.fft.fft([f(t) for t in nodes]) / SAMPLES
+        tail = np.cumsum((np.abs(bins) * weight)[::-1])[::-1]
+        fits = np.flatnonzero(tail[:MAX_SAMPLED_TERMS + 1]
+                              <= tol * max(1.0, abs(bins[0])))
+        return (bins[:fits[0]] / rho ** k[:fits[0]]).tolist() \
+            if fits.size else None
+
+    def expand(z):
+        rho = min(SAMPLE_RADIUS * _distance(z, points), SAMPLE_RADIUS_CAP)
+        for tries in range(1, MAX_STEPS + 1):
+            if z + 0.5 * rho == z:
+                break
+            nodes = (z + rho * roots).tolist()
+            b = head(pfun, nodes, rho)
+            c = None if b is None else head(qfun, nodes, rho)
+            if c is not None:
+                return [1.0 + 0j], b, c, 0.5 * rho, tries
+            rho *= 0.5
+        raise StepUnderflow(f"no sample radius about z = {z} gives "
+                            f"coefficients to tol {tol:.3e}")
+
+    return expand
+
+
+def _carry(expand, points, init, path, tol):
+    """One solution from init at the first path vertex to the last."""
+    _check_start(init, path)
+    check_clearance(points, path)
+    [(w, dw)] = _transport(expand, path, [(init.w, init.dw)], tol)
+    return SolutionState(path.vertices[-1], w, dw)
 
 
 def integrate_path(ode, init, path, tol=DEFAULT_TOL):
@@ -317,10 +348,22 @@ def integrate_path(ode, init, path, tol=DEFAULT_TOL):
     StepUnderflow.
     """
     tol = check_tolerance(tol)
-    _check_start(init, path)
-    check_clearance(ode.cleared()[3], path)
-    [(w, dw)] = _transport(ode, path, [(init.w, init.dw)], tol)
-    return SolutionState(path.vertices[-1], w, dw)
+    return _carry(_cleared_expansion(ode), ode.cleared()[3], init, path, tol)
+
+
+def integrate_callable(pfun, qfun, init, path, tol=DEFAULT_TOL,
+                       singular_points=()):
+    """integrate_path for w'' + p(z) w' + q(z) w = 0 with callable p, q.
+
+    p and q must accept complex arguments and be holomorphic near the
+    path, apart from the listed singular points: their Taylor coefficients
+    come from samples on a circle about each center (_sampled_expansion).
+    Raises StepUnderflow when no sample radius meets tol.
+    """
+    tol = check_tolerance(tol)
+    points = tuple(complex(s) for s in singular_points)
+    return _carry(_sampled_expansion(pfun, qfun, points, tol), points, init,
+                  path, tol)
 
 
 def trace_path(ode, init, path, tol=DEFAULT_TOL, points_per_segment=16):
@@ -336,8 +379,8 @@ def trace_path(ode, init, path, tol=DEFAULT_TOL, points_per_segment=16):
                       for k in range(1, points_per_segment)] + [zb]
     if len(verts) < 2:
         return [init]
-    visited = _transport(ode, ComplexPath(tuple(verts)), [(init.w, init.dw)],
-                         tol, keep=True)
+    visited = _transport(_cleared_expansion(ode), ComplexPath(tuple(verts)),
+                         [(init.w, init.dw)], tol, keep=True)
     return [init] + [SolutionState(z, w, dw)
                      for z, [(w, dw)] in zip(verts[1:], visited[1:])]
 
@@ -353,21 +396,33 @@ def trace_to_csv(states):
     return "\n".join(lines) + "\n"
 
 
-def complex_quad(f, a, b, epsabs=1e-13, epsrel=1e-13):
-    re = quad(lambda t: f(t).real, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)[0]
-    im = quad(lambda t: f(t).imag, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)[0]
-    return complex(re, im)
-
-
 def integrate_p_along(ode, path):
-    """Adaptive quadrature of p(z) dz along a polyline."""
-    total = 0j
-    for za, zb in path.segments:
-        dz = zb - za
-        if dz == 0:
-            continue
-        total += complex_quad(lambda s: ode.p(za + s * dz) * dz, 0.0, 1.0)
-    return total
+    """The integral of p(z) dz along a polyline, in closed form.
+
+    It uses the partial fractions of ode.p itself, not the cleared equation,
+    so the Abel check stays independent of the transport it checks. The
+    polynomial part and the poles of order >= 2 have single-valued
+    antiderivatives; each simple-pole residue r at s adds
+    r Log((zb - s) / (za - s)) per segment, which is exact because a
+    straight segment that misses s turns arg(z - s) by less than pi.
+    Raises SingularityTooClose when a segment passes within TAU_POLE
+    (relative) of a pole of p.
+    """
+    quotient, principal = ode.p.partial_fractions()
+    z0, z1 = path.vertices[0], path.vertices[-1]
+    total = sum(c / (k + 1) * (z1 ** (k + 1) - z0 ** (k + 1))
+                for k, c in enumerate(quotient))
+    for s, (res, *higher) in principal:
+        for za, zb in path.segments:
+            d = point_segment_distance(s, za, zb)
+            if d <= TAU_POLE * max(1.0, abs(s)):
+                raise SingularityTooClose(
+                    f"segment {za} -> {zb} passes within {d:.3e} of the "
+                    f"pole {s} of p")
+            total += res * cmath.log((zb - s) / (za - s))
+        total += sum(c / (1 - j) * ((z1 - s) ** (1 - j) - (z0 - s) ** (1 - j))
+                     for j, c in enumerate(higher, 2))
+    return complex(total)
 
 
 def wronskian(state1, state2):
@@ -395,7 +450,8 @@ def loop_transfer_matrix(ode, loop, tol=DEFAULT_TOL):
     traversal: the two unit initial conditions carried in one pass."""
     tol = check_tolerance(tol)
     check_clearance(ode.cleared()[3], loop)
-    (w1, dw1), (w2, dw2) = _transport(ode, loop, [(1.0, 0.0), (0.0, 1.0)], tol)
+    (w1, dw1), (w2, dw2) = _transport(_cleared_expansion(ode), loop,
+                                      [(1.0, 0.0), (0.0, 1.0)], tol)
     return ConnectionMatrix(((w1, w2), (dw1, dw2)))
 
 
@@ -482,7 +538,7 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     for branch in ("first", "second"):
         val, _ = heun_value(params, frm_c, branch, z_a, tail_tol=1e-13)
         starts.append((val.w, val.dw))
-    ends = _transport(ode, path, starts, tol)
+    ends = _transport(_cleared_expansion(ode), path, starts, tol)
     coeff = np.linalg.solve(M, np.array(ends, dtype=complex).T)
     C = ConnectionMatrix(tuple((complex(coeff[0, j]), complex(coeff[1, j]))
                                for j in range(2)))

@@ -104,12 +104,15 @@ def _heun_L(params):
 
 
 def general_heun(params):
-    """The LinearODE for the general Heun equation with these parameters."""
-    T = _heun_T(params)
-    S = _heun_S(params)
-    L = _heun_L(params)
-    return LinearODE(make_rational(S.coeffs, T.coeffs),
-                     make_rational(L.coeffs, T.coeffs))
+    """The LinearODE for the general Heun equation with these parameters,
+    built once and cached on them, like LinearODE.cleared."""
+    cached = params.__dict__.get("_ode")
+    if cached is None:
+        T = _heun_T(params)
+        cached = LinearODE(make_rational(_heun_S(params).coeffs, T.coeffs),
+                           make_rational(_heun_L(params).coeffs, T.coeffs))
+        params.__dict__["_ode"] = cached
+    return cached
 
 
 _CENTER_LABELS = {"0": 0, "zero": 0, "1": 1, "one": 1, "f": 2, "2": 2}

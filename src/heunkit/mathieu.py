@@ -23,8 +23,8 @@ Fourier coefficients are generated by backward recurrence from above the
 last significant mode (the coefficient sequence is the minimal solution of
 the three-term relation, so downward recursion is componentwise accurate;
 this matters for the modified functions, where noise in coefficient k is
-amplified by cosh(k x)). The Gram matrix sums these series without scipy;
-only engine's integrate_callable and wronskian_abel_check still load it.
+amplified by cosh(k x)). The Gram matrix sums these series; no run-time
+path in heunkit loads scipy.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ CANCELLATION_LIMIT = 1e7
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call. Nothing here calls
-    it; it stays only because perfbench/tracer.py wraps it by name."""
+    """scipy.integrate.quad, imported on the first call. Nothing in heunkit
+    calls it: it is kept only because perfbench/tracer.py wraps it by name,
+    until ROADMAP item 1 lets the tracer skip missing names."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 
@@ -366,8 +367,7 @@ def orthogonality_matrix(q, n_max):
     polynomial of degree <= 2 nu_max, the largest retained harmonic, and
     the N-point rule is exact below degree N (Trefethen and Weideman, SIAM
     Review 56 (2014)), so N = 2 nu_max + 2 is exact up to rounding. Real
-    for real q; the diagonal is pi, off-diagonal entries vanish. No scipy:
-    only engine's integrate_callable and wronskian_abel_check load it.
+    for real q; the diagonal is pi, off-diagonal entries vanish. No scipy.
     """
     funcs = basis_functions(q, n_max)
     series = [fourier_coefficients(p, c) for p, c in funcs]

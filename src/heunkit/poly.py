@@ -284,6 +284,25 @@ class RationalFunction:
             return self.num(z0) / den(z0)
         return 0j
 
+    def partial_fractions(self):
+        """(quotient, principal) with r(z) = quotient(z) + the sum over the
+        poles s of sum_j c_j (z - s)**-j: the polynomial part of num / den
+        as ascending coefficients, and (s, [c_1, ..., c_m]) for each pole of
+        order m, read from the Taylor series of (z - s)**m r(z) at s."""
+        quotient = np.polydiv(self.num.coeffs[::-1], self.den.coeffs[::-1])[0]
+        principal = []
+        for s, m in self.poles():
+            rest = self.den
+            for _ in range(m):
+                rest = rest.deflate(s)
+            n, d = (taylor_shift(P.coeffs, s) + [0j] * m for P in (self.num, rest))
+            g = []
+            for k in range(m):
+                g.append((n[k] - sum(d[i] * g[k - i] for i in range(1, k + 1)))
+                         / d[0])
+            principal.append((s, g[::-1]))
+        return quotient[::-1].tolist(), principal
+
     def shifted(self, s):
         return RationalFunction(self.num.shifted(s), self.den.shifted(s))
 

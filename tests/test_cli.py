@@ -358,50 +358,67 @@ def test_cli_nutku_radial_on_imaginary_axis(capsys):
 
 
 _NO_SCIPY_CHILD = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # from here on, importing scipy raises
+import numpy as np
 import heunkit.cli
+from heunkit import engine, heun
+from heunkit.scenarios import SCENARIOS
 
-cheap = {cheap!r}
-with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-    statuses = [heunkit.cli.main(argv) for argv in cheap]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-buf = io.StringIO()
-with contextlib.redirect_stdout(buf):
-    status = heunkit.cli.main(["scenario", "--id", "boundary-dirac"])
+argvs = {argvs!r} + [["scenario", "--id", sid] for sid in sorted(SCENARIOS)]
+statuses, claims = [], []
+for argv in argvs:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        statuses.append(heunkit.cli.main(argv))
+    if argv[0] == "scenario":
+        claims += [c["passed"] for c in json.loads(buf.getvalue())["claims"]]
+# one op of the transport benchmark: three connection matrices, a loop, Abel
+p = heun.GeneralHeunParams(0.31, 0.77, 1.23, 0.62, 0.23, 2.5, 0.1)
+C01, C1f, C0f = (engine.connection_matrix(p, frm, to, tol=1e-11)
+                 for frm, to in ((0, 1), (1, "f"), (0, "f")))
+ode = heun.general_heun(p)
+loop = engine.ComplexPath.circle(0j, 0.5, n=24)
+(m11, m12), (m21, m22) = engine.loop_transfer_matrix(ode, loop).entries
+S, z0 = engine.SolutionState, loop.vertices[0]
+abel = engine.wronskian_abel_check(ode, (S(z0, 1, 0), S(z0, 0, 1)),
+                                   (S(z0, m11, m21), S(z0, m12, m22)), loop)
 print(json.dumps({{
+    "verbs": sorted({{argv[0] for argv in argvs}}),
     "statuses": statuses,
-    "scipy_before": loaded,
-    "dirac_status": status,
-    "claims": [c["passed"] for c in json.loads(buf.getvalue())["claims"]],
-    "scipy_after": "scipy.integrate" in sys.modules,
+    "claims": claims,
+    "composition": float(np.max(np.abs((C01 @ C1f).as_array()
+                                       - C0f.as_array()))),
+    "abel": abel,
 }}))
 """
 
 
 def test_cheap_verbs_do_not_import_scipy():
-    """In a fresh interpreter, the five CLI verbs on their cheap paths and
-    the nutku-angular scenario (its Gram matrix included) load no scipy
-    module; boundary-dirac then loads scipy.integrate on first use and
-    every claim still passes."""
-    cheap = [
+    """In a fresh interpreter where importing scipy fails, every CLI verb,
+    every scenario (all claims passing) and one transport op (connection
+    matrices, a loop and the Abel check) run: no run-time path loads
+    scipy."""
+    from heunkit.cli import VERBS
+
+    argvs = [
         ["classify", "--corpus", "gauss-hypergeometric"],
+        ["classify", "--text", "heun a=1 b=1 c=1 d=1 e=1 f=2 q=0"],
         ["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
          "--e", "1", "--f", "2", "--q", "0", "--z", "0.3+0.1i"],
         ["mathieu-table", "--q-values", "0,1,2", "--n-max", "4"],
         CONNECT_01,
-        ["scenario", "--id", "stark"],
-        ["scenario", "--id", "nutku-angular"],
     ]
     p = subprocess.run([sys.executable, "-c",
-                        _NO_SCIPY_CHILD.format(cheap=cheap)],
+                        _NO_SCIPY_CHILD.format(argvs=argvs)],
                        capture_output=True, text=True, timeout=300)
     assert p.returncode == 0, p.stderr
     data = json.loads(p.stdout)
-    assert data["statuses"] == [0] * len(cheap)
-    assert data["scipy_before"] == []
-    assert data["dirac_status"] == 0
+    assert data["verbs"] == sorted(VERBS)
+    assert data["statuses"] == [0] * (len(argvs) + 8)
     assert data["claims"] and all(data["claims"])
-    assert data["scipy_after"]
+    assert data["composition"] <= 1e-8
+    assert data["abel"] <= 1e-8
 
 
 # every option value of the property test comes from this pool: malformed,

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from heunkit.engine import (ComplexPath, SolutionState, connection_matrix,
+                            integrate_callable, integrate_p_along,
                             integrate_path, loop_transfer_matrix, trace_path,
                             wronskian_abel_check)
 from heunkit.errors import (DegenerateSystem, InvalidTolerance, NonFiniteInput,
                             SingularityTooClose, StepUnderflow, UnknownCenter)
 from heunkit.heun import GeneralHeunParams, general_heun, heun_value
 from heunkit.ode import LinearODE
+from heunkit.poly import Polynomial
+from scipy_reference import dop853, quad_p_along
 
 
 def harmonic():
@@ -103,6 +106,107 @@ def test_abel_degenerate_pair():
     s2 = SolutionState(0.0, 2.0, 1.0)  # proportional
     with pytest.raises(DegenerateSystem):
         wronskian_abel_check(ode, (s1, s2), (s1, s2), ComplexPath((0.0, 1.0)))
+
+
+def _p_only(num, den):
+    """w'' + p w' = 0 with p = num / den, Polynomials or coefficient lists."""
+    num, den = (x.coeffs if isinstance(x, Polynomial) else x for x in (num, den))
+    return LinearODE.from_coefficients(num, den, [0], [1])
+
+
+_S = 1.0 + 1.0j  # p's pole in the branch-cut case
+_ABEL_CASES = {
+    "heun-24-gon": (general_heun(heun_test_params(3)),
+                    ComplexPath.circle(0j, 0.5, n=24)),
+    # p = 1/z^2 + 1/(z - 1)
+    "double-pole": (_p_only([-1, 1, 1], [0, 0, -1, 1]),
+                    ComplexPath((0.5 + 0.5j, -0.4 + 0.6j, -0.5 - 0.5j,
+                                 0.3 - 0.6j))),
+    # p = z + 1/(z - 2)
+    "polynomial-part": (_p_only([1, -2, 1], [-2, 1]),
+                        ComplexPath((0.0, 1.0 + 1.0j, 3.0 + 1.0j, 3.0 - 1.0j))),
+    # p = (0.3 - 0.2i)/(z - s) + 2/(z + 1) on a path that crosses the ray
+    # left of s, where Log(z - s) jumps, five times
+    "branch-cut": (_p_only(Polynomial((1, 1)) * (0.3 - 0.2j)
+                           + Polynomial((-_S, 1)) * 2.0,
+                           Polynomial((-_S, 1)) * Polynomial((1, 1))),
+                   ComplexPath(tuple(_S + 0.8 * cmath.exp(1j * math.pi * t)
+                                     for t in (0.5, 1.2, 0.9, 1.3, 0.8,
+                                               1.6, 2.4)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ABEL_CASES))
+def test_abel_closed_form_matches_quadrature(case):
+    ode, path = _ABEL_CASES[case]
+    got = integrate_p_along(ode, path)
+    want = quad_p_along(ode, path)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+def test_abel_rejects_segment_through_pole():
+    ode = general_heun(heun_test_params(2))
+    pair = (SolutionState(0.5, 1.0, 0.0), SolutionState(0.5, 0.0, 1.0))
+    with pytest.raises(SingularityTooClose):  # passes through z = 1
+        wronskian_abel_check(ode, pair, pair, ComplexPath((0.5, 1.5)))
+
+
+def test_callable_matches_dop853_on_boundary_equation():
+    """The T-equation of boundary-dirac, f'' + tan T f' + q(T) f = 0, on
+    the scenario's path, against scipy's DOP853."""
+    from heunkit.scenarios import _boundary_trig_ode
+
+    trig = _boundary_trig_ode(1.0, 0.3)
+    path = ComplexPath(tuple(np.linspace(0.15, 1.25, 41)))
+    for w0, dw0 in ((1.0, 0.0), (0.0, 1.0)):
+        start = SolutionState(0.15, w0, dw0)
+        got = integrate_callable(trig.p, trig.q, start, path, tol=1e-11,
+                                 singular_points=trig.poles)
+        want = dop853(trig.p, trig.q, start, path, tol=1e-13)
+        scale = max(1.0, abs(want.w), abs(want.dw))
+        assert max(abs(got.w - want.w), abs(got.dw - want.dw)) <= 1e-10 * scale
+
+
+def test_callable_unlisted_pole():
+    """f = sin T solves f'' + tan T f' = 0. With the poles of tan not
+    listed, a path ending near pi/2 is within 1e-10 or raises
+    StepUnderflow; one ending on the pole or crossing it raises."""
+    def solve(end):
+        return integrate_callable(lambda t: cmath.tan(t), lambda t: 0.0,
+                                  SolutionState(0.0, 0.0, 1.0),
+                                  ComplexPath((0.0, end)), tol=1e-11)
+
+    for end in (math.pi / 2 - 1e-3, math.pi / 2 - 1e-6):
+        try:
+            st = solve(end)
+        except StepUnderflow:
+            continue
+        assert abs(st.w - math.sin(end)) <= 1e-10
+        assert abs(st.dw - math.cos(end)) <= 1e-10
+    for end in (math.pi / 2, 2.0):
+        with pytest.raises(StepUnderflow):
+            solve(end)
+
+
+def test_callable_radius_halvings_count_as_steps(monkeypatch):
+    """w'' + w'/(t - s) = 0 with s = 0.05i not listed: the one step from 0
+    to 0.01 needs the sample radius halved from 1 to 1/32, six tries."""
+    import heunkit.engine as engine
+
+    s = 0.05j
+
+    def solve():
+        return integrate_callable(lambda t: 1.0 / (t - s), lambda t: 0.0,
+                                  SolutionState(0.0, 0.0, 1.0),
+                                  ComplexPath((0.0, 0.01)), tol=1e-11)
+
+    monkeypatch.setattr(engine, "MAX_STEPS", 6)
+    st = solve()
+    assert abs(st.w + s * cmath.log((0.01 - s) / -s)) <= 1e-12
+    assert abs(st.dw + s / (0.01 - s)) <= 1e-12
+    monkeypatch.setattr(engine, "MAX_STEPS", 5)
+    with pytest.raises(StepUnderflow):
+        solve()
 
 
 def test_connection_identity():

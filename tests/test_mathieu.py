@@ -103,7 +103,8 @@ def test_normalization_is_pi():
 def test_angular_residual_via_integration_oracle():
     """Compare a Mathieu function against direct numerical integration of
     its defining equation from matched initial data."""
-    from heunkit.engine import ComplexPath, SolutionState, integrate_callable
+    from heunkit.engine import ComplexPath, SolutionState
+    from scipy_reference import dop853
 
     q = 1.0
     n = 2
@@ -111,7 +112,7 @@ def test_angular_residual_via_integration_oracle():
     p = MathieuParams(q, n, "even")
     S0, S1, _ = angular_mathieu_derivatives(p, ch, 0.0)
     state = SolutionState(0.0, S0, S1)
-    state = integrate_callable(
+    state = dop853(
         lambda t: 0.0,
         lambda t: ch.value.real - 2 * q * math.cos(2 * t.real if
                                                    isinstance(t, complex)
