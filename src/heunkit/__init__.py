@@ -4,9 +4,10 @@ Layers:
 
 * poly / ode      exact rational-coefficient ODEs, singularity
                   classification, indicial analysis, residual checks
-* series / heun   Frobenius series (generic and Heun-specific recurrences),
-                  the general four-regular-point equation and its confluent
-                  family, reductions between family members
+* series / heun   Frobenius series from one recurrence (the Heun series is
+                  the generic one with Heun's labels), the general
+                  four-regular-point equation and its confluent family,
+                  reductions between family members
 * engine          complex-path integration, Wronskian integrity checks,
                   numerical connection matrices
 * mathieu         characteristic values and angular/modified Mathieu

@@ -56,9 +56,9 @@ from .errors import (
     SingularityTooClose,
     StepUnderflow,
 )
-from .heun import general_heun, heun_center, heun_radius, heun_value
+from .heun import general_heun, heun_center, heun_value
 from .poly import TAU_POLE, taylor_shift
-from .series import recurrence_terms, recurrence_weights
+from .series import convergence_radius, recurrence_terms, recurrence_weights
 
 CLEARANCE_FACTOR = 1e-3
 DEFAULT_TOL = 1e-10
@@ -460,39 +460,40 @@ def loop_transfer_matrix(ode, loop, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _match_point(params, frm, to):
-    """Matching point inside the target disk.
+def _default_path(ode, frm, to):
+    """Anchor point in the source disk -> offset midpoint -> matching point
+    in the target disk.
 
-    Preferred location: midpoint of the segment between the centers, offset
-    perpendicular by 10% of the center distance. When that point is not
-    comfortably inside the target convergence disk (it is not whenever the
-    target radius is set by a third singular point, e.g. 0 -> f with f > 2),
-    fall back to a point halfway into the target disk with a small
-    perpendicular offset on the same side.
+    The midpoint of the segment between the centers, offset perpendicular
+    by 10% of the center distance, is also the matching point when it is
+    comfortably inside the target convergence disk. It is not whenever the
+    target radius is set by a third singular point (e.g. 0 -> f with
+    f > 2); the matching point is then halfway into the target disk with a
+    small perpendicular offset on the same side. From a point to itself
+    the path is a chord of its disk.
     """
+    r_frm = convergence_radius(ode, frm)
+    if frm == to:
+        return ComplexPath((frm + 0.4 * r_frm * cmath.exp(0.4j),
+                            frm + 0.4 * r_frm * cmath.exp(-0.4j)))
+    r_to = convergence_radius(ode, to)
     d = to - frm
     u = d / abs(d)
     perp = 1j * u
-    z_m = (frm + to) / 2.0 + 0.1 * abs(d) * perp
-    r_to = heun_radius(params, to)
-    if abs(z_m - to) <= 0.9 * r_to:
-        return z_m
-    return to - 0.5 * r_to * u + 0.1 * r_to * perp
-
-
-def _anchor_point(params, frm, to):
-    r = heun_radius(params, frm)
-    u = (to - frm) / abs(to - frm)
-    return frm + min(0.35 * r, 0.4 * abs(to - frm)) * u + 0.05 * r * (1j * u)
+    z_a = frm + min(0.35 * r_frm, 0.4 * abs(d)) * u + 0.05 * r_frm * perp
+    mid = (frm + to) / 2.0 + 0.1 * abs(d) * perp
+    if abs(mid - to) <= 0.9 * r_to:
+        return ComplexPath((z_a, mid))
+    return ComplexPath((z_a, mid, to - 0.5 * r_to * u + 0.1 * r_to * perp))
 
 
 def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     """Connection matrix between Frobenius bases at two of the points 0, 1, f.
 
     Both branch series at `frm` are evaluated at an anchor point inside the
-    source disk, carried together along `path` (default: anchor -> offset
-    midpoint -> matching point) and matched against the two branch series
-    at `to`. Returns C with (u1, u2)^T = C (v1, v2)^T near the matching
+    source disk, carried together along `path` (default: _default_path)
+    and matched against the two branch series at `to` at the path's last
+    vertex. Returns C with (u1, u2)^T = C (v1, v2)^T near the matching
     region. `frm` and `to` are locations or the labels of heun_center.
     Raises LogarithmicCase for resonant exponents and IllConditioned when
     the target basis is numerically degenerate at the matching point.
@@ -501,27 +502,11 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     _, frm_c = heun_center(params, frm)
     _, to_c = heun_center(params, to)
     ode = general_heun(params)
-    same = abs(frm_c - to_c) <= 1e-12 * max(1.0, abs(frm_c))
-
-    if same:
-        r = heun_radius(params, frm_c)
-        z_a = frm_c + 0.4 * r * cmath.exp(0.4j)
-        z_m = frm_c + 0.4 * r * cmath.exp(-0.4j)
-        default_path = ComplexPath((z_a, z_m))
-    else:
-        z_a = _anchor_point(params, frm_c, to_c)
-        z_m = _match_point(params, frm_c, to_c)
-        mid = (frm_c + to_c) / 2.0 + 0.1 * abs(to_c - frm_c) * 1j * \
-            (to_c - frm_c) / abs(to_c - frm_c)
-        default_path = ComplexPath((z_a, mid, z_m)) if abs(mid - z_m) > 1e-12 \
-            else ComplexPath((z_a, z_m))
     if path is None:
-        path = default_path
-    else:
-        path = path if isinstance(path, ComplexPath) else ComplexPath(tuple(path))
-        z_a = path.vertices[0]
-        z_m = path.vertices[-1]
-
+        path = _default_path(ode, frm_c, to_c)
+    elif not isinstance(path, ComplexPath):
+        path = ComplexPath(tuple(path))
+    z_a, z_m = path.vertices[0], path.vertices[-1]
     check_clearance(ode.cleared()[3], path)
 
     # target basis at the matching point

@@ -27,6 +27,13 @@ e = 0, q = a*b*f collapses the third singular point and the recurrence
 then reproduces the Gauss hypergeometric coefficients term by term
 (regression-tested, and the basis for the classifier cross-checks).
 
+general_heun caches T, S, L with the exact points 0, 1, f as the
+equation's cleared form, so heun_series is series.frobenius_series with
+Heun's labels (center 0/1/f, exponent 0 or 1-c/1-d/1-e): the generic
+recurrence at a simple root of T is this one. heun_recurrence_residual
+re-substitutes a series into the recurrence as written here, apart from
+that code.
+
 Confluent family members are transcribed literally from their usual
 printed shapes (see build_confluent_form); reductions between members
 (double-confluent -> trigonometric Mathieu operator, anharmonic oscillator
@@ -43,7 +50,6 @@ from .errors import (
     DegenerateReduction,
     FuchsViolation,
     InvalidParameter,
-    LogarithmicCase,
     NotReducible,
     TruncationFailure,
     UnknownCenter,
@@ -51,8 +57,7 @@ from .errors import (
 )
 from .ode import LinearODE
 from .poly import Polynomial, make_rational
-from .series import (LocalSeries, eval_local, is_integer,
-                     recurrence_terms, recurrence_weights)
+from .series import eval_local, frobenius_series
 
 FUCHS_TOL = 1e-12
 COLLISION_TOL = 1e-10
@@ -105,12 +110,21 @@ def _heun_L(params):
 
 def general_heun(params):
     """The LinearODE for the general Heun equation with these parameters,
-    built once and cached on them, like LinearODE.cleared."""
+    built once and cached on them, like LinearODE.cleared.
+
+    When 0, 1 and f are all singular, the cached cleared form is the
+    T, S, L the equation was built from, with the exact points: root-finding
+    T would centre series and shifts a few ulps off 1 and f. At a
+    degeneration (e = 0, q = a*b*f leaves f ordinary) the computed form
+    stays.
+    """
     cached = params.__dict__.get("_ode")
     if cached is None:
-        T = _heun_T(params)
-        cached = LinearODE(make_rational(_heun_S(params).coeffs, T.coeffs),
-                           make_rational(_heun_L(params).coeffs, T.coeffs))
+        T, S, L = _heun_T(params), _heun_S(params), _heun_L(params)
+        cached = LinearODE(make_rational(S.coeffs, T.coeffs),
+                           make_rational(L.coeffs, T.coeffs))
+        if len(cached.finite_singular_points()) == 3:
+            cached.__dict__["_cleared"] = (T, S, L, _centers(params))
         params.__dict__["_ode"] = cached
     return cached
 
@@ -141,49 +155,20 @@ def heun_center(params, center):
     raise UnknownCenter(f"center {center} is not one of 0, 1, f={params.f}")
 
 
-def heun_radius(params, center):
-    """Distance from a finite singular point to its nearest neighbour."""
-    idx, z0 = heun_center(params, center)
-    return min(abs(z0 - loc) for j, loc in enumerate(_centers(params))
-               if j != idx)
-
-
-def heun_second_exponent(params, center):
-    idx, _ = heun_center(params, center)
-    return 1.0 - (params.c, params.d, params.e)[idx]
-
-
 def heun_series(params, center, branch="first", n_terms=60):
     """Frobenius series at one of the finite singular points 0, 1, f.
 
+    The generic series of ``series.frobenius_series`` with Heun's labels:
     branch="first" is the exponent-0 solution; "second" uses the exponent
     1-c / 1-d / 1-e at centers 0 / 1 / f. LogarithmicCase is raised when
     the two exponents differ by an integer and the requested branch would
-    need a logarithm.
+    need a logarithm; NotRegular when the center is ordinary (f at the
+    degeneration e = 0, q = a*b*f).
     """
     idx, z0 = heun_center(params, center)
-    second = heun_second_exponent(params, center)
-    if branch == "first":
-        rho = 0j
-    elif branch == "second":
-        if is_integer(second):
-            raise LogarithmicCase(
-                f"exponents 0 and {second} differ by an integer at center {z0}")
-        rho = second
-    else:
-        raise InvalidParameter(f"branch must be 'first' or 'second', got {branch!r}")
-
-    # T has a simple root at z0, so the pivot sits at offset 1: the
-    # recurrence of the module docstring, A_k being its pivot
-    t, s, l = (P.shifted(z0).coeffs for P in
-               (_heun_T(params), _heun_S(params), _heun_L(params)))
-    scale = max(abs(v) for v in t + s + l) or 1.0
-    h = [1.0 + 0j]
-    terms = recurrence_terms(recurrence_weights(t, s, l), 1, rho, [h],
-                             pivot_floor=1e-10 * scale)
-    for _ in range(n_terms):
-        next(terms)
-    return LocalSeries(z0, rho, tuple(h), heun_radius(params, center))
+    second = 1.0 - (params.c, params.d, params.e)[idx]
+    return frobenius_series(general_heun(params), z0, branch, n_terms,
+                            exponents=(0j, second))
 
 
 def heun_recurrence_residual(params, series):

@@ -17,8 +17,10 @@ every series in the package:
   polynomial P_lead(n + rho), whose roots are the exponents. Division by
   it fails exactly when the exponents differ by the integer n; that is the
   logarithmic case and frobenius_series refuses rather than return a wrong
-  series. ``heun.heun_series`` uses the same loop on A = T, whose simple
-  root gives lead 1: the Heun three-term recurrence;
+  series. ``heun.heun_series`` is this series on the general Heun
+  equation, whose cleared form is the exact T = z(z-1)(z-f) with lead 1 at
+  each simple root (``heun.general_heun``), with the exponents passed in
+  exactly: the Heun three-term recurrence;
 * an ordinary point (path transport in ``engine``): A(0) != 0 and rho = 0,
   so h_0 = w and h_1 = w' are free and the pivot of h_n is a_0 n(n-1).
 """
@@ -35,6 +37,7 @@ from .ode import _indicial_roots
 from .poly import CLUSTER_REL, taylor_shift
 
 INTEGER_TOL = 1e-9
+PIVOT_FLOOR = 1e-10  # LogarithmicCase below this pivot, relative to A, B, C
 
 
 def is_integer(x):
@@ -117,8 +120,7 @@ def local_exponents(ode, z0):
     """
     z0 = complex(z0)
     A, B, C, points = ode.cleared()
-    center = next((loc for loc in points if abs(loc - z0)
-                   <= CLUSTER_REL * max(1.0, abs(loc), abs(z0))), None)
+    center = _matching_point(points, z0)
     if center is None:
         raise NotRegular(f"point {z0} is ordinary, not regular singular")
     ord_p, _ = ode.p.pole_order_at(center)
@@ -134,16 +136,34 @@ def local_exponents(ode, z0):
     return exponents, (center, lead, weights, max(map(abs, a + b + c)))
 
 
-def frobenius_series(ode, z0, branch="first", n_terms=60):
+def convergence_radius(ode, z0):
+    """Distance from the finite singular point that z0 matches (z0 itself
+    at an ordinary point) to the nearest other one: the radius of every
+    series about it."""
+    points = ode.cleared()[3]
+    z0 = _matching_point(points, complex(z0), complex(z0))
+    return min((abs(loc - z0) for loc in points if loc != z0),
+               default=math.inf)
+
+
+def _matching_point(points, z0, default=None):
+    """The point within the classifier's tolerance CLUSTER_REL of z0."""
+    return next((loc for loc in points if abs(loc - z0)
+                 <= CLUSTER_REL * max(1.0, abs(loc), abs(z0))), default)
+
+
+def frobenius_series(ode, z0, branch="first", n_terms=60, exponents=None):
     """Frobenius solution at a regular singular point of any rational ODE.
 
     The series is centered on the finite singular point that z0 matches
     (see local_exponents) and converges out to the nearest other one.
     branch="first" takes the exponent with the larger real part (the
     solution that always exists); "second" takes the other one and raises
-    LogarithmicCase when the exponents differ by an integer.
+    LogarithmicCase when the exponents differ by an integer. A caller that
+    knows the exponents exactly passes them as (first, second) instead.
     """
-    (r1, r2), (center, lead, weights, scale) = local_exponents(ode, z0)
+    roots, (center, lead, weights, scale) = local_exponents(ode, z0)
+    r1, r2 = roots if exponents is None else exponents
     if branch == "second":
         if is_integer(r1 - r2):
             raise LogarithmicCase(
@@ -156,12 +176,11 @@ def frobenius_series(ode, z0, branch="first", n_terms=60):
         raise InvalidParameter(f"branch must be 'first' or 'second', got {branch!r}")
 
     h = [1.0 + 0j]
-    terms = recurrence_terms(weights, lead, rho, [h], pivot_floor=1e-12 * scale)
+    terms = recurrence_terms(weights, lead, rho, [h],
+                             pivot_floor=PIVOT_FLOOR * scale)
     for _ in range(n_terms):
         next(terms)
-    radius = min((abs(loc - center) for loc in ode.cleared()[3]
-                  if loc != center), default=math.inf)
-    return LocalSeries(center, rho, tuple(h), radius)
+    return LocalSeries(center, rho, tuple(h), convergence_radius(ode, center))
 
 
 def ratio_radius_estimate(series, window=12):

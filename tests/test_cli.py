@@ -156,6 +156,28 @@ def test_cli_connect_identity():
     assert abs(C[0][1]["re"]) < 1e-9 and abs(C[1][0]["re"]) < 1e-9
 
 
+def test_cli_domain_errors(capsys):
+    """Inputs the library refuses exit 1 with the error's name: a target
+    basis at 1 with exponents 0 and 3e-9, and the Frobenius series at f
+    where e = 0, q = a*b*f leave f an ordinary point."""
+    from heunkit.cli import main
+
+    heun = ["--a", "0.3", "--b", "0.4", "--c", "1.2", "--f", "2.5",
+            "--q", "0.3"]
+    cases = [
+        (["connect", *heun, "--d", "0.999999997", "--e", "-0.499999997",
+          "--from", "0", "--to", "1"], "IllConditioned"),
+        (["heun-eval", *heun, "--d", "0.5", "--e", "0", "--z", "2.2",
+          "--center", "2.5", "--branch", "first"], "NotRegular"),
+    ]
+    for argv, name in cases:
+        status = main(argv)
+        out, err = capsys.readouterr()
+        assert status == 1, (argv, err)
+        assert err.startswith(f"error: {name}:"), (argv, err)
+        assert out == ""
+
+
 def test_cli_determinism_repeated_runs():
     a = run_cli("scenario", "--id", "stark")
     b = run_cli("scenario", "--id", "stark")

@@ -8,8 +8,9 @@ from heunkit.engine import (ComplexPath, SolutionState, connection_matrix,
                             integrate_callable, integrate_p_along,
                             integrate_path, loop_transfer_matrix, trace_path,
                             wronskian_abel_check)
-from heunkit.errors import (DegenerateSystem, InvalidTolerance, NonFiniteInput,
-                            SingularityTooClose, StepUnderflow, UnknownCenter)
+from heunkit.errors import (DegenerateSystem, IllConditioned, InvalidTolerance,
+                            NonFiniteInput, SingularityTooClose,
+                            StepUnderflow, UnknownCenter)
 from heunkit.heun import GeneralHeunParams, general_heun, heun_value
 from heunkit.ode import LinearODE
 from heunkit.poly import Polynomial
@@ -227,6 +228,15 @@ def test_connection_classical_hypergeometric_values():
     expected = (g1, g2 * cmath.exp(-1j * math.pi * rho))
     assert abs(C.entries[0][0] - expected[0]) <= 1e-6
     assert abs(C.entries[0][1] - expected[1]) <= 1e-6
+
+
+def test_connection_ill_conditioned_target_basis():
+    # d = 1 - 3e-9: exponents 0 and 3e-9 at 1, so the two target branches
+    # are nearly the same function at the matching point
+    a, b, c, d = 0.3, 0.4, 1.2, 1 - 3e-9
+    params = GeneralHeunParams(a, b, c, d, a + b + 1 - c - d, 2.5, 0.3)
+    with pytest.raises(IllConditioned, match=r"condition number 1\.6\d*e\+08"):
+        connection_matrix(params, 0, 1)
 
 
 def test_connection_rejects_path_through_singularity():

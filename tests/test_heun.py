@@ -136,6 +136,55 @@ def test_eval_local_outside_radius():
         eval_local(ser, 1.7)
 
 
+def _mp_heun_coeffs(params, z0, rho, n_terms):
+    """The module-docstring recurrence A_k h_{k+1} + B_k h_k + C_k h_{k-1}
+    = 0 at 50 digits, with T, S, L expanded about z0 by hand."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a, b, c, d, e, f, q, z0, rho = (mpmath.mpc(v) for v in (
+            params.a, params.b, params.c, params.d, params.e, params.f,
+            params.q, z0, rho))
+        t = (3 * z0 ** 2 - 2 * (1 + f) * z0 + f, 3 * z0 - (1 + f), 1)
+        s = (c * (z0 - 1) * (z0 - f) + d * z0 * (z0 - f) + e * z0 * (z0 - 1),
+             2 * (c + d + e) * z0 - c * (1 + f) - d * f - e, c + d + e)
+        l = (a * b * z0 - q, a * b)
+        h = [mpmath.mpc(1)]
+        for k in range(n_terms):
+            x = k + rho
+            A = t[0] * (x + 1) * x + s[0] * (x + 1)
+            B = t[1] * x * (x - 1) + s[1] * x + l[0]
+            C = t[2] * (x - 1) * (x - 2) + s[2] * (x - 1) + l[1]
+            h.append(-(B * h[k] + (C * h[k - 1] if k else 0)) / A)
+        return [complex(v) for v in h]
+
+
+def test_series_against_fifty_digit_recurrence():
+    """At 0, 1 and f, both branches, the series has the accuracy of the
+    recurrence itself. With f in (1.5, 2) the radius at 1 and f is below 1
+    and the coefficients grow like (f - 1)**-k, so a centre a few ulps off
+    1 or f (T's root-found points) shows as an error near 4e-13."""
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(30):
+        while True:
+            a, b, c, d = (complex(x, y) for x, y in rng.normal(0, 0.35, (4, 2)))
+            e = a + b + 1 - c - d
+            if all(abs(g.imag) >= 0.05 or abs(g.real - round(g.real)) >= 0.05
+                   for g in (1 - c, 1 - d, 1 - e)):
+                break
+        params = GeneralHeunParams(a, b, c, d, e, rng.uniform(1.5, 2.0),
+                                   complex(*rng.normal(0, 0.25, 2)))
+        for center, z0, gap in ((0, 0, 1 - c), (1, 1, 1 - d),
+                                ("f", params.f, 1 - e)):
+            for branch, rho in (("first", 0), ("second", gap)):
+                ser = heun_series(params, center, branch, 60)
+                ref = _mp_heun_coeffs(params, z0, rho, 60)
+                err = max(abs(x - y) for x, y in zip(ser.coeffs, ref))
+                worst = max(worst, err / max(map(abs, ref)))
+    assert worst <= 2e-13, worst
+
+
 def test_heun_value_refines_truncation():
     params = random_params(np.random.default_rng(13))
     z = 0.45 * cmath.exp(2.0j)

@@ -16,27 +16,25 @@ def termwise_second_derivative(series, z):
 
 
 def test_generic_series_matches_heun_recurrence():
-    """The generic rational-ODE machinery and the dedicated three-term
-    recurrence must produce the same solutions (branches matched by
-    exponent: the generic builder orders by real part, the dedicated one
-    pins 'first' to exponent 0)."""
+    """heun_series is the generic Frobenius series with Heun's labels. The
+    generic builder's own exponents match the labelled ones (it orders by
+    real part; the labels pin 'first' to exponent 0), and given the
+    labelled exponents it returns the Heun series exactly, centre and
+    radius included: general_heun keeps the exact points 0, 1, f."""
     params = GeneralHeunParams(0.31 + 0.1j, 0.77, 1.23, 0.62,
                                0.31 + 0.1j + 0.77 + 1 - 1.23 - 0.62, 2.5, 0.4)
     ode = general_heun(params)
-    for center in (0j, 1.0 + 0j, 2.5 + 0j):
-        generic = {}
-        for branch in ("first", "second"):
-            ser = frobenius_series(ode, center, branch, 40)
-            generic[complex(round(ser.exponent.real, 8),
-                            round(ser.exponent.imag, 8))] = ser
+    for center, second in ((0j, 1 - params.c), (1.0 + 0j, 1 - params.d),
+                           (2.5 + 0j, 1 - params.e)):
+        computed = [frobenius_series(ode, center, branch, 40).exponent
+                    for branch in ("first", "second")]
         for branch in ("first", "second"):
             dedicated = heun_series(params, center, branch, 40)
-            key = min(generic, key=lambda e: abs(e - dedicated.exponent))
-            gen = generic[key]
-            assert abs(gen.exponent - dedicated.exponent) < 1e-9
-            assert max(abs(x - y) for x, y in
-                       zip(gen.coeffs, dedicated.coeffs)) < 1e-11
-            assert abs(gen.radius - dedicated.radius) < 1e-9
+            assert min(abs(e - dedicated.exponent) for e in computed) < 1e-9
+            generic = frobenius_series(ode, center, branch, 40,
+                                       exponents=(0j, second))
+            assert generic == dedicated
+            assert generic.center == center
 
 
 def test_generic_series_on_confluent_hypergeometric():
