@@ -37,7 +37,7 @@ from .errors import GrammarError, HeunkitError, InvalidParameter, \
     InvalidTolerance, MalformedComplex, MissingOption, UnknownCenter, \
     UnknownVerb
 from .grammar import format_complex, parse_complex, parse_ode
-from .heun import GeneralHeunParams, heun_value
+from .heun import GeneralHeunParams, heun_center, heun_value
 from .mathieu import characteristic_value
 from .ode import classify_singularities
 from .scenarios import SCENARIOS, run_scenario
@@ -97,7 +97,7 @@ VERBS = {
     "heun-eval": {
         **_HEUN_FLAGS,
         "z": ("complex", True, None),
-        "center": ("complex", False, 0j),
+        "center": ("str", False, "0"),
         "branch": ("str", False, "first"),
         "n-terms": ("int", False, 60),
         "format": _formats("json", "csv", "text"),
@@ -261,7 +261,12 @@ def _run_heun_eval(cmd):
     o = cmd.options
     params = GeneralHeunParams(o["a"], o["b"], o["c"], o["d"], o["e"],
                                o["f"], o["q"])
-    val, series = heun_value(params, o["center"], o["branch"], o["z"],
+    # --center is a label of heun_center (0/zero, 1/one, f/2) or a number
+    try:
+        _, center = heun_center(params, o["center"])
+    except UnknownCenter:
+        _, center = heun_center(params, parse_complex(o["center"]))
+    val, series = heun_value(params, center, o["branch"], o["z"],
                              n_terms=o["n-terms"])
     payload = {
         "schema": 1,

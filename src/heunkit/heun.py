@@ -28,7 +28,8 @@ then reproduces the Gauss hypergeometric coefficients term by term
 (regression-tested, and the basis for the classifier cross-checks).
 
 general_heun caches T, S, L with the exact points 0, 1, f as the
-equation's cleared form, so heun_series is series.frobenius_series with
+equation's cleared form (divided by z - f where the degeneration leaves f
+ordinary), so heun_series is series.frobenius_series with
 Heun's labels (center 0/1/f, exponent 0 or 1-c/1-d/1-e): the generic
 recurrence at a simple root of T is this one. heun_recurrence_residual
 re-substitutes a series into the recurrence as written here, apart from
@@ -112,19 +113,26 @@ def general_heun(params):
     """The LinearODE for the general Heun equation with these parameters,
     built once and cached on them, like LinearODE.cleared.
 
-    When 0, 1 and f are all singular, the cached cleared form is the
-    T, S, L the equation was built from, with the exact points: root-finding
-    T would centre series and shifts a few ulps off 1 and f. At a
-    degeneration (e = 0, q = a*b*f leaves f ordinary) the computed form
-    stays.
+    The cached cleared form is the T, S, L the equation was built from,
+    with the exact points: root-finding T would centre series and shifts a
+    few ulps off 1 and f. A point that a degeneration leaves ordinary (f at
+    e = 0, q = a*b*f) is divided out of T, S and L; the remainders are what
+    make_rational cancelled.
     """
     cached = params.__dict__.get("_ode")
     if cached is None:
         T, S, L = _heun_T(params), _heun_S(params), _heun_L(params)
         cached = LinearODE(make_rational(S.coeffs, T.coeffs),
                            make_rational(L.coeffs, T.coeffs))
-        if len(cached.finite_singular_points()) == 3:
-            cached.__dict__["_cleared"] = (T, S, L, _centers(params))
+        found = [loc for loc, _, _ in cached.finite_singular_points()]
+        kept = []
+        for z0 in _centers(params):
+            if any(_near(loc, z0) for loc in found):
+                kept.append(z0)
+            else:
+                T, S, L = T.deflate(z0), S.deflate(z0), L.deflate(z0)
+        if len(kept) == len(found):
+            cached.__dict__["_cleared"] = (T, S, L, tuple(kept))
         params.__dict__["_ode"] = cached
     return cached
 
@@ -134,6 +142,10 @@ _CENTER_LABELS = {"0": 0, "zero": 0, "1": 1, "one": 1, "f": 2, "2": 2}
 
 def _centers(params):
     return (0j, 1.0 + 0j, params.f)
+
+
+def _near(z, loc):
+    return abs(z - loc) <= 1e-9 * max(1.0, abs(loc))
 
 
 def heun_center(params, center):
@@ -150,7 +162,7 @@ def heun_center(params, center):
         return idx, centers[idx]
     z0 = complex(center)
     for idx, loc in enumerate(centers):
-        if abs(z0 - loc) <= 1e-9 * max(1.0, abs(loc)):
+        if _near(z0, loc):
             return idx, loc
     raise UnknownCenter(f"center {center} is not one of 0, 1, f={params.f}")
 

@@ -241,10 +241,11 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
     # 2-D product residual on a 20 x 20 grid, series-side derivatives only
     worst2d = 0.0
     rows = []
+    angular = [(t, *angular_mathieu_derivatives(params, char, t))
+               for t in _linspace(0.0, 2.0 * math.pi, 20)]
     for mu in _linspace(0.0, 2.0, 20):
         M, M1, M2 = modified_mathieu_derivatives(params, char, mu)
-        for t in _linspace(0.0, 2.0 * math.pi, 20):
-            S, S1, S2 = angular_mathieu_derivatives(params, char, t)
+        for t, S, S1, S2 in angular:
             lap = M2 * S + M * S2
             coup = h2 * (math.cosh(mu) ** 2 - math.cos(t) ** 2) * M * S
             res = abs(lap + coup) / max(1.0, abs(M2 * S), abs(M * S2), abs(coup))
@@ -969,11 +970,11 @@ def boundary_dirac_equation(a, k, x0, phi):
     report.claim_at_most("zero-coupling limit has the elementary solution "
                          "f = sin T", res0, "1e-10", "residual")
 
-    # transport T -> u and back
+    # transport T -> u and back. A Taylor step ends at every vertex, so the
+    # straight T run is one segment; the grid only traces its image arc in u
     t0, t1 = 0.15, 1.25
-    nseg = 40
-    tgrid = _linspace(t0, t1, nseg + 1)
-    tpath = ComplexPath(tuple(tgrid))
+    tpath = ComplexPath((t0, t1))
+    tgrid = _linspace(t0, t1, 41)
     upath = ComplexPath(tuple(cmath.exp(2j * t) for t in tgrid))
     check_clearance((0j, -1.0 + 0j), upath)
 

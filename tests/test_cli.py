@@ -178,6 +178,45 @@ def test_cli_domain_errors(capsys):
         assert out == ""
 
 
+GAUSS_HEUN = ["--a", "0.31", "--b", "0.77", "--c", "1.23", "--d", "0.85",
+              "--e", "0", "--f", "2.5", "--q", "0.59675"]
+
+
+def test_heun_eval_at_gauss_degeneration(capsys):
+    """At e = 0, q = a*b*f the point f is ordinary. The series at 1 is
+    centred on the exact point, and its first branch is the Gauss
+    solution 2F1(a, b; a+b-c+1; 1-z)."""
+    import mpmath
+    from heunkit.cli import main
+
+    for branch in ("second", "first"):
+        assert main(["heun-eval", *GAUSS_HEUN, "--center", "1",
+                     "--branch", branch, "--z", "1.2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["center"] == {"re": 1.0, "im": 0.0}
+        assert out["radius"] == 1.0
+    w = complex(out["w"]["re"], out["w"]["im"])
+    want = complex(mpmath.hyp2f1(0.31, 0.77, 0.31 + 0.77 - 1.23 + 1, -0.2))
+    assert abs(w - want) <= 1e-12
+
+
+def test_heun_eval_center_labels(capsys):
+    """--center takes the labels of heun_center: f (or 2) is the point f,
+    one is 1."""
+    from heunkit.cli import main
+
+    heun = ["--a", "0.31", "--b", "0.77", "--c", "1.23", "--d", "0.62",
+            "--e", "0.23", "--f", "2.5", "--q", "0.1"]
+
+    def run(center, z):
+        assert main(["heun-eval", *heun, "--center", center, "--z", z]) == 0
+        return capsys.readouterr().out
+
+    at_f = run("2.5", "2.2+0.1i")
+    assert run("f", "2.2+0.1i") == run("2", "2.2+0.1i") == at_f
+    assert run("one", "0.9+0.2i") == run("1", "0.9+0.2i")
+
+
 def test_cli_determinism_repeated_runs():
     a = run_cli("scenario", "--id", "stark")
     b = run_cli("scenario", "--id", "stark")

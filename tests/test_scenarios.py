@@ -196,6 +196,7 @@ def test_boundary_dirac_generic():
     rep = boundary_dirac_equation(1.0, 1.0, 0.3, 0.0)
     assert rep.all_passed(), failing(rep)
     assert rep.residuals["transport"] <= 1e-6
+    assert rep.residuals["transport"] <= 1e-12  # integration tol is 1e-11
     assert rep.residuals["transport_roundtrip"] <= 1e-8
     assert len(rep.data["monodromy_eigenvalues"]) == 2
     assert rep.data["printed_vs_derived_distance"] > 1e-3  # genuine mismatch
