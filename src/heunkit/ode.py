@@ -4,8 +4,9 @@ An ODE is stored as w'' + p(z) w' + q(z) w = 0 with p, q rational. The
 classifier follows the pole-order criterion: a finite point is regular
 singular when p has at most a simple pole and q at most a double pole
 there; anything worse is irregular. The point at infinity is classified
-by substituting z = 1/t and running the same finite-point machinery at
-t = 0 (one code path for everything).
+by the same pole-order rule applied to the equation in t = 1/z at t = 0,
+whose orders and residues are read off the degrees and leading
+coefficients of p and q (no reduction, no root finding).
 
 Irregular severity is reported as a rational Poincare rank obtained from
 the Newton-polygon slopes of the two coefficients,
@@ -19,13 +20,14 @@ genuinely have rank 3/2 at infinity, and the classifier must not round).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import NotRegular, PoleAtSample
-from .poly import CLUSTER_REL, TAU_POLE, Polynomial, RationalFunction, \
-    _transitive_groups, make_rational
+from .poly import CLUSTER_REL, TAU_GCD, TAU_POLE, Polynomial, \
+    RationalFunction, _transitive_groups, make_rational
 
 
 class PointKind(enum.Enum):
@@ -80,28 +82,13 @@ class LinearODE:
         """The equation satisfied by v(z) = w(z + s)."""
         return LinearODE(self.p.shifted(s), self.q.shifted(s))
 
-    def at_infinity(self):
-        """The equation in t = 1/z satisfied by v(t) = w(1/t):
-        v'' + P v' + Q v = 0 with P = 2/t - p(1/t)/t**2, Q = q(1/t)/t**4."""
-        cached = self.__dict__.get("_at_infinity")
-        if cached is not None:
-            return cached
-        two_over_t = make_rational((2.0,), (0, 1.0))
-        inv_t2 = make_rational((1.0,), (0, 0, 1.0))
-        inv_t4 = make_rational((1.0,), (0, 0, 0, 0, 1.0))
-        P = two_over_t - self.p.compose_reciprocal() * inv_t2
-        Q = self.q.compose_reciprocal() * inv_t4
-        out = LinearODE(P, Q)
-        self.__dict__["_at_infinity"] = out
-        return out
-
     def cleared(self):
         """(A, B, C, points): the same equation as A w'' + B w' + C w = 0
         with polynomial A, B, C, and the tuple of its finite singular points.
 
         A is monic with exactly those points as roots, each with
-        multiplicity max(ord_p, ord_q); B = p A and C = q A. Cached like
-        at_infinity.
+        multiplicity max(ord_p, ord_q); B = p A and C = q A. Cached on the
+        instance.
         """
         cached = self.__dict__.get("_cleared")
         if cached is not None:
@@ -147,7 +134,22 @@ def _indicial_roots(p_res, q_res2):
     tied = abs(r1.real - r2.real) <= 1e-12 * scale
     if (not tied and r1.real < r2.real) or (tied and r1.imag < r2.imag):
         r1, r2 = r2, r1
-    return r1, r2
+    # + 0.0 turns a signed zero into 0.0, so no exponent prints as -0
+    return (complex(r1.real + 0.0, r1.imag + 0.0),
+            complex(r2.real + 0.0, r2.imag + 0.0))
+
+
+def _point(location, ord_p, ord_q, residues):
+    """The SingularPoint where p and q have poles of these orders;
+    ``residues()`` gives (p_res, q_res2) for the indicial equation and is
+    called only when the point is regular."""
+    if ord_p == 0 and ord_q == 0:
+        return SingularPoint(location, PointKind.ORDINARY, Fraction(0))
+    if ord_p <= 1 and ord_q <= 2:
+        return SingularPoint(location, PointKind.REGULAR, Fraction(0),
+                             _indicial_roots(*residues()))
+    rank = max(Fraction(ord_p - 1), Fraction(ord_q - 2, 2), Fraction(0))
+    return SingularPoint(location, PointKind.IRREGULAR, rank)
 
 
 def _classify_at(ode, z0):
@@ -155,17 +157,47 @@ def _classify_at(ode, z0):
     and q there; exponents from the residues when the point is regular."""
     ord_p, _ = ode.p.pole_order_at(z0)
     ord_q, _ = ode.q.pole_order_at(z0)
-    exponents = None
-    if ord_p == 0 and ord_q == 0:
-        kind, rank = PointKind.ORDINARY, Fraction(0)
-    elif ord_p <= 1 and ord_q <= 2:
-        kind, rank = PointKind.REGULAR, Fraction(0)
-        exponents = _indicial_roots(ode.p.limit_coefficient(z0, 1),
-                                    ode.q.limit_coefficient(z0, 2))
-    else:
-        kind = PointKind.IRREGULAR
-        rank = max(Fraction(ord_p - 1), Fraction(ord_q - 2, 2), Fraction(0))
-    return SingularPoint(z0, kind, rank, exponents)
+    return _point(z0, ord_p, ord_q, lambda: (ode.p.limit_coefficient(z0, 1),
+                                             ode.q.limit_coefficient(z0, 2)))
+
+
+def _degree_and_lead(rf):
+    """(deg num - deg den, lead num / lead den), with degree -inf for the
+    zero function; common factors change neither, so rf need not be
+    reduced."""
+    if rf.is_zero:
+        return -math.inf, 0j
+    return rf.num.degree - rf.den.degree, rf.num.coeffs[-1] / rf.den.coeffs[-1]
+
+
+def _classify_at_infinity(ode):
+    """The SingularPoint at infinity (DLMF §2.7(i)).
+
+    With z = 1/t, v(t) = w(1/t) solves v'' + P v' + Q v = 0 with
+    P = 2/t - p(1/t)/t**2 and Q = q(1/t)/t**4. Near t = 0, p(1/t) is
+    c_p t**(-k_p) + ..., where k = deg num - deg den and c = lead num /
+    lead den of p (likewise k_q, c_q of q). So:
+
+    - the residue of P is r = 2 - (c_p if k_p = -1, else 0); it counts as
+      0 when |r| <= TAU_GCD * max(1, |c_p|);
+    - ord P = k_p + 2 when p is not zero and k_p >= 0, else 1 when r != 0
+      and 0 when r = 0;
+    - ord Q = max(k_q + 4, 0), or 0 when q is zero.
+
+    Infinity is ordinary when both orders are 0, regular when ord P <= 1
+    and ord Q <= 2, with exponents from r and c_q (if k_q = -2, else 0),
+    and irregular otherwise, with the finite-point rank formula.
+    """
+    k_p, c_p = _degree_and_lead(ode.p)
+    k_q, c_q = _degree_and_lead(ode.q)
+    c_res = c_p if k_p == -1 else 0j
+    r = 2.0 - c_res
+    if abs(r) <= TAU_GCD * max(1.0, abs(c_res)):
+        r = 0j
+    ord_p = k_p + 2 if k_p >= 0 else (1 if r else 0)
+    ord_q = max(k_q + 4, 0)
+    return _point(None, ord_p, ord_q,
+                  lambda: (r, c_q if k_q == -2 else 0j))
 
 
 def classify_singularities(ode):
@@ -175,7 +207,7 @@ def classify_singularities(ode):
     own classification, including the ordinary case.
     """
     points = [_classify_at(ode, z0) for z0, _, _ in ode.finite_singular_points()]
-    points.append(replace(_classify_at(ode.at_infinity(), 0j), location=None))
+    points.append(_classify_at_infinity(ode))
     return points
 
 
@@ -204,8 +236,7 @@ def indicial_exponents(ode, z0):
     Roots are ordered by descending real part (then descending imaginary
     part). Raises NotRegular at ordinary or irregular points.
     """
-    pt = _classify_at(ode, z0) if z0 is not None else \
-        _classify_at(ode.at_infinity(), 0j)
+    pt = _classify_at(ode, z0) if z0 is not None else _classify_at_infinity(ode)
     if pt.kind is not PointKind.REGULAR:
         where = "inf" if z0 is None else z0
         raise NotRegular(f"point {where} is {pt.kind.value}, not regular singular")

@@ -138,10 +138,6 @@ class Polynomial:
         """Coefficients of p(z + s)."""
         return Polynomial(taylor_shift(self.coeffs, s))
 
-    def reversed_coeffs(self):
-        """Polynomial with reversed coefficients: z**deg * p(1/z)."""
-        return Polynomial(tuple(reversed(self.coeffs)))
-
     def roots(self):
         """All complex roots (with multiplicity, as returned by the
         companion matrix; no clustering applied here)."""
@@ -305,44 +301,6 @@ class RationalFunction:
 
     def shifted(self, s):
         return RationalFunction(self.num.shifted(s), self.den.shifted(s))
-
-    def compose_reciprocal(self):
-        """r(1/t) as a rational function of t."""
-        dn, dd = self.num.degree, self.den.degree
-        num = self.num.reversed_coeffs()
-        den = self.den.reversed_coeffs()
-        if dd > dn:
-            num = num * Polynomial((0j,) * (dd - dn) + (1.0 + 0j,))
-        elif dn > dd:
-            den = den * Polynomial((0j,) * (dn - dd) + (1.0 + 0j,))
-        return make_rational(num.coeffs, den.coeffs)
-
-    def __add__(self, other):
-        other = _as_rational(other)
-        num = self.num * other.den + other.num * self.den
-        return make_rational(num.coeffs, (self.den * other.den).coeffs)
-
-    def __sub__(self, other):
-        return self + (-_as_rational(other))
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = _as_rational(other)
-        return make_rational((self.num * other.num).coeffs,
-                             (self.den * other.den).coeffs)
-
-    def scale(self):
-        return max(self.num.scale(), self.den.scale(), 1.0)
-
-
-def _as_rational(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Polynomial):
-        return RationalFunction(x, Polynomial((1.0,)))
-    return RationalFunction(Polynomial((complex(x),)), Polynomial((1.0,)))
 
 
 def make_rational(num_coeffs, den_coeffs):

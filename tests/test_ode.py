@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from heunkit.corpus import canonical_corpus
 from heunkit.errors import NotRegular, PoleAtSample
 from heunkit.hypergeometric import gauss_2f1, gauss_2f1_derivative
-from heunkit.ode import (LinearODE, PointKind, classify_singularities,
-                         fuchs_exponent_sum, indicial_exponents, ode_residual,
+from heunkit.ode import (LinearODE, PointKind, _classify_at,
+                         classify_singularities, fuchs_exponent_sum,
+                         indicial_exponents, ode_residual,
                          singularity_signature)
 from heunkit.heun import GeneralHeunParams, general_heun
 
@@ -83,6 +86,103 @@ def test_infinity_reported_even_when_ordinary():
     pts = classify_singularities(ode)
     inf = [p for p in pts if p.at_infinity]
     assert len(inf) == 1 and inf[0].kind is PointKind.ORDINARY
+
+
+@pytest.mark.parametrize("A, B, C, kind, rank, exponents", [
+    # p = (2 + 1e-6)/z: the residue of P at t = 0 is -1e-6, above TAU_GCD
+    ([0, 1], [2.0 + 1e-6], [0], PointKind.REGULAR, 0, (1.0 + 1e-6, 0.0)),
+    # p == 0: w'' - 2 w / z**2 = 0 has the solutions z**2 and 1/z
+    ([0, 0, 1], [0], [-2.0], PointKind.REGULAR, 0, (1.0, -2.0)),
+    ([0, 0, 0, 0, 1], [0], [1.0], PointKind.REGULAR, 0, (0.0, -1.0)),
+    # q == 0: z w'' + 1.7 w' = 0 has the solutions 1 and z**-0.7
+    ([0, 1], [1.7], [0], PointKind.REGULAR, 0, (0.7, 0.0)),
+    # q == 0 and p with a polynomial part of degree k_p: rank k_p + 1
+    ([1], [0, 0, 1], [0], PointKind.IRREGULAR, 3, None),
+    ([0, 1], [1, 0, 0, 1], [0], PointKind.IRREGULAR, 3, None),
+    ([0, 1], [1, 1], [0], PointKind.IRREGULAR, 1, None),
+    ([1], [0, 0, 0, 0, 1], [0], PointKind.IRREGULAR, 5, None),
+])
+def test_infinity_known_answers(A, B, C, kind, rank, exponents):
+    pt = classify_singularities(LinearODE.from_polynomials(A, B, C))[-1]
+    assert pt.at_infinity and pt.kind is kind and pt.rank == rank
+    if exponents is None:
+        assert pt.exponents is None
+    else:
+        assert max(abs(x - y) for x, y in zip(pt.exponents, exponents)) < 1e-12
+
+
+def test_heun_exponents_at_infinity_are_a_and_b():
+    """DLMF 31.1: the exponents at infinity are {a, b}; draws as in the
+    accepted half of acceptance criterion 2."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        a, b, c, d = (complex(x, y) for x, y in rng.normal(0, 0.5, (4, 2)))
+        e = a + b + 1.0 - c - d
+        params = GeneralHeunParams(a, b, c, d, e, rng.uniform(1.5, 10.0),
+                                   complex(*rng.normal(0, 0.3, 2)))
+        got = indicial_exponents(general_heun(params), None)
+        scale = max(1.0, abs(a), abs(b))
+        assert min(abs(got[0] - a) + abs(got[1] - b),
+                   abs(got[0] - b) + abs(got[1] - a)) <= 1e-12 * scale
+
+
+def test_corpus_general_heun_double_exponent_is_exact():
+    (ode,) = [ode for name, ode, _ in canonical_corpus()
+              if name == "general-heun"]
+    assert indicial_exponents(ode, None) == (1, 1)
+
+
+def test_corpus_exponents_have_no_negative_zero():
+    for name, ode, _ in canonical_corpus():
+        for pt in classify_singularities(ode):
+            for x in pt.exponents or ():
+                for part in (x.real, x.imag):
+                    assert part != 0 or math.copysign(1.0, part) > 0, (name, pt)
+
+
+def _at_reciprocal(A, B, C):
+    """The equation for v(t) = w(1/t), given A w'' + B w' + C w = 0:
+    t**4 A(1/t) v'' + (2 t**3 A(1/t) - t**2 B(1/t)) v' + C(1/t) v = 0,
+    times t**n for polynomial coefficients, with the common power of t
+    cancelled."""
+    n = max(len(A), len(B), len(C)) - 1
+
+    def rev(P, shift):  # t**(n + shift) * P(1/t), ascending
+        out = [0j] * (n + 5)
+        for i, c in enumerate(P):
+            out[n + shift - i] += c
+        return out
+
+    At = rev(A, 4)
+    Bt = [2 * x - y for x, y in zip(rev(A, 3), rev(B, 2))]
+    Ct = rev(C, 0)
+    low = min(next((k for k, c in enumerate(P) if c), len(P))
+              for P in (At, Bt, Ct))
+    return At[low:], Bt[low:], Ct[low:]
+
+
+_COEFFS = st.lists(st.builds(complex, st.integers(-4, 4), st.integers(-1, 1)),
+                   min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_COEFFS, _COEFFS, _COEFFS)
+def test_infinity_matches_substituted_equation(A, B, C):
+    """Infinity read off degrees and leading coefficients agrees with the
+    finite-point classifier at t = 0 of the equation substituted directly
+    into A, B and C."""
+    assume(any(A))
+    ode = LinearODE.from_polynomials(A, B, C)
+    if not ode.p.is_zero and ode.p.num.degree - ode.p.den.degree == -1:
+        residue = 2.0 - ode.p.num.coeffs[-1] / ode.p.den.coeffs[-1]
+        assume(residue == 0 or abs(residue) > 1e-6)
+    got = classify_singularities(ode)[-1]
+    want = _classify_at(LinearODE.from_polynomials(*_at_reciprocal(A, B, C)),
+                        0j)
+    assert (got.kind, got.rank) == (want.kind, want.rank)
+    if want.exponents is not None:
+        assert max(abs(x - y)
+                   for x, y in zip(got.exponents, want.exponents)) <= 1e-8
 
 
 def test_harmonic_rank_at_infinity():

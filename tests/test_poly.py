@@ -72,13 +72,6 @@ def test_cluster_mean_is_accurate_for_double_roots():
         assert min(abs(center), abs(center - 1.0)) < 1e-12
 
 
-def test_compose_reciprocal():
-    r = make_rational([1.0, 2.0], [0.0, 0.0, 3.0])  # (1+2z)/(3z^2)
-    rr = r.compose_reciprocal()
-    for t in (0.4, 1.5 - 0.3j):
-        assert abs(rr(t) - r(1.0 / t)) < 1e-12
-
-
 def test_pole_orders():
     r = make_rational([1.0], [0.0, 0.0, 1.0, -2.0, 1.0])  # 1/(z^2 (z-1)^2)
     poles = sorted(r.poles(), key=lambda p: p[0].real)
