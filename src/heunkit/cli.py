@@ -19,9 +19,9 @@ than first or second, malformed equation, parameter-line or config text,
 a malformed or non-finite number, an invalid tolerance, a center that is
 none of 0, 1, f, an unknown scenario, scenario parameter, corpus entry or
 parity, a --set without key=value, a scenario parameter outside its
-domain or not an integer where one is expected, a --q-count below 1, an
---n-max below 0 or an --n-terms below 1). Output is deterministic: fixed
-key order, floats at 17 significant digits.
+domain or not an integer where one is expected, a --q-count below 1 or an
+--n-max below 0). Output is deterministic: fixed key order, floats at 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ VERBS = {
         "z": ("complex", True, None),
         "center": ("str", False, "0"),
         "branch": ("str", False, "first"),
-        "n-terms": ("int", False, 60),
         "format": _formats("json", "csv", "text"),
         "output": ("str", False, None),
     },
@@ -266,8 +265,7 @@ def _run_heun_eval(cmd):
         _, center = heun_center(params, o["center"])
     except UnknownCenter:
         _, center = heun_center(params, parse_complex(o["center"]))
-    val, series = heun_value(params, center, o["branch"], o["z"],
-                             n_terms=o["n-terms"])
+    val, series = heun_value(params, center, o["branch"], o["z"])
     payload = {
         "schema": 1,
         "center": to_jsonable(series.center),

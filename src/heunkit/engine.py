@@ -1,9 +1,8 @@
 """Second-order linear ODEs continued along complex paths.
 
-Rational coefficients (``integrate_path``, ``trace_path``,
-``loop_transfer_matrix``, ``connection_matrix``) are continued by Taylor
-re-expansion, after O. V. Motygin, "On evaluation of the Heun functions",
-and ``mpmath.odefun``:
+Rational coefficients (``integrate_path``, ``loop_transfer_matrix``,
+``connection_matrix``) are continued by Taylor re-expansion, after O. V.
+Motygin, "On evaluation of the Heun functions", and ``mpmath.odefun``:
 
 * the equation is cleared once to A w'' + B w' + C w = 0 and cached with
   its finite singular points (``LinearODE.cleared``);
@@ -15,9 +14,11 @@ and ``mpmath.odefun``:
   at most 1/2, and no further than twice the scale on which the equation's
   coefficients change a solution (this bounds steps when no singular point
   is near, as for the harmonic oscillator);
-* terms are added until the last two (more when the recurrence is deeper,
-  so a run of zero coefficients cannot stop it early) are below ``tol``
-  relative to the state, with w' weighted by n/step;
+* terms are added until the tail rule of ``series.sum_until`` holds: the
+  last two (more when the recurrence is deeper, so a run of zero
+  coefficients cannot stop it early) are below ``tol`` relative to the
+  state, with w' weighted by n/step. ``heun_value`` sums Frobenius series
+  by the same rule;
 * all solutions carried along a path share the shifted polynomials and the
   recurrence weights, so a fundamental pair walks the path in one pass.
 
@@ -58,7 +59,7 @@ from .errors import (
 )
 from .heun import general_heun, heun_center, heun_value
 from .poly import TAU_POLE, taylor_shift
-from .series import convergence_radius, recurrence_terms, recurrence_weights
+from .series import convergence_radius, recurrence_weights, sum_until
 
 CLEARANCE_FACTOR = 1e-3
 DEFAULT_TOL = 1e-10
@@ -218,22 +219,13 @@ def _coefficient_scale(a, b, c):
 def _taylor_step(a, b, c, dz, cols, tol):
     """Carry the (w, w') columns from the center of the shifted polynomials
     a, b, c to center + dz with one series each."""
-    weights = recurrence_weights(a, b, c)
-    window = max(2, len(weights) - 1)
-    r = abs(dz)
     # each column scaled to max(1, |w|, |w'|) = 1, so one tail test fits all
     scales = [max(1.0, abs(w), abs(dw)) for w, dw in cols]
     h = [[w / s, dw / s] for (w, dw), s in zip(cols, scales)]
-    errs = []
-    rn = r
-    for n in recurrence_terms(weights, 0, 0j, h):
-        rn *= r
-        errs.append(rn * max(1.0, n / r) * max([abs(hc[n]) for hc in h]))
-        if n > window and sum(errs[-window:]) <= tol:
-            break
-        if n >= MAX_TERMS:
-            raise StepUnderflow(f"Taylor series did not reach tol {tol:.3e} "
-                                f"in {MAX_TERMS} terms (step {dz:.3e})")
+    if not sum_until(recurrence_weights(a, b, c), 0, 0j, h, abs(dz), tol,
+                     MAX_TERMS):
+        raise StepUnderflow(f"Taylor series did not reach tol {tol:.3e} "
+                            f"in {MAX_TERMS} terms (step {dz:.3e})")
     out = []
     for hc, s in zip(h, scales):
         w = dw = 0j
@@ -248,18 +240,16 @@ def _distance(z, points):
     return min((abs(z - s) for s in points), default=math.inf)
 
 
-def _transport(expand, path, cols, tol, keep=False):
+def _transport(expand, path, cols, tol):
     """Carry (w, w') columns from the first path vertex to the last.
 
     expand(z) gives the ascending coefficients a, b, c of A w'' + B w' +
     C w = 0 about z, the largest step there and the tries that took, which
-    count toward MAX_STEPS. Returns the columns at the last vertex, or with
-    keep=True a list of the columns at every vertex. Clearance is the
-    caller's check.
+    count toward MAX_STEPS. Returns the columns at the last vertex.
+    Clearance is the caller's check.
     """
     z = path.vertices[0]
     cols = [(complex(w), complex(dw)) for w, dw in cols]
-    visited = [cols]
     steps = 0
     for zb in path.vertices[1:]:
         while z != zb:
@@ -273,8 +263,7 @@ def _transport(expand, path, cols, tol, keep=False):
             z_next = zb if abs(d) <= reach else z + d * (reach / abs(d))
             cols = _taylor_step(a, b, c, z_next - z, cols, tol)
             z = z_next
-        visited.append(cols)
-    return visited if keep else cols
+    return cols
 
 
 def _cleared_expansion(ode):
@@ -364,36 +353,6 @@ def integrate_callable(pfun, qfun, init, path, tol=DEFAULT_TOL,
     points = tuple(complex(s) for s in singular_points)
     return _carry(_sampled_expansion(pfun, qfun, points, tol), points, init,
                   path, tol)
-
-
-def trace_path(ode, init, path, tol=DEFAULT_TOL, points_per_segment=16):
-    """Like integrate_path but returns the states at points_per_segment
-    equally spaced points of every segment (after the initial state)."""
-    tol = check_tolerance(tol)
-    _check_start(init, path)
-    check_clearance(ode.cleared()[3], path)
-    verts = [path.vertices[0]]
-    for za, zb in path.segments:
-        if zb != za:
-            verts += [za + (k / points_per_segment) * (zb - za)
-                      for k in range(1, points_per_segment)] + [zb]
-    if len(verts) < 2:
-        return [init]
-    visited = _transport(_cleared_expansion(ode), ComplexPath(tuple(verts)),
-                         [(init.w, init.dw)], tol, keep=True)
-    return [init] + [SolutionState(z, w, dw)
-                     for z, [(w, dw)] in zip(verts[1:], visited[1:])]
-
-
-def trace_to_csv(states):
-    """Render integration states as CSV with columns
-    z_re, z_im, w_re, w_im, dw_re, dw_im."""
-    lines = ["z_re,z_im,w_re,w_im,dw_re,dw_im"]
-    for st in states:
-        lines.append(",".join(f"{v:.17g}" for v in
-                              (st.z.real, st.z.imag, st.w.real, st.w.imag,
-                               st.dw.real, st.dw.imag)))
-    return "\n".join(lines) + "\n"
 
 
 def integrate_p_along(ode, path):

@@ -31,7 +31,9 @@ general_heun caches T, S, L with the exact points 0, 1, f as the
 equation's cleared form (divided by z - f where the degeneration leaves f
 ordinary), so heun_series is series.frobenius_series with
 Heun's labels (center 0/1/f, exponent 0 or 1-c/1-d/1-e): the generic
-recurrence at a simple root of T is this one. heun_recurrence_residual
+recurrence at a simple root of T is this one. heun_value is
+series.frobenius_value with the same labels: the series is summed at z
+until the tail rule of series.sum_until holds. heun_recurrence_residual
 re-substitutes a series into the recurrence as written here, apart from
 that code.
 
@@ -50,19 +52,16 @@ from .errors import (
     CollidingSingularities,
     DegenerateReduction,
     FuchsViolation,
-    InvalidParameter,
     NotReducible,
-    TruncationFailure,
     UnknownCenter,
     UnknownKind,
 )
 from .ode import LinearODE
 from .poly import Polynomial, make_rational
-from .series import eval_local, frobenius_series
+from .series import frobenius_series, frobenius_value
 
 FUCHS_TOL = 1e-12
 COLLISION_TOL = 1e-10
-MAX_SERIES_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,7 @@ def general_heun(params):
     cached = params.__dict__.get("_ode")
     if cached is None:
         T, S, L = _heun_T(params), _heun_S(params), _heun_L(params)
-        cached = LinearODE(make_rational(S.coeffs, T.coeffs),
-                           make_rational(L.coeffs, T.coeffs))
+        cached = LinearODE(make_rational(S, T), make_rational(L, T))
         found = [loc for loc, _, _ in cached.finite_singular_points()]
         kept = []
         for z0 in _centers(params):
@@ -167,6 +165,13 @@ def heun_center(params, center):
     raise UnknownCenter(f"center {center} is not one of 0, 1, f={params.f}")
 
 
+def _heun_branches(params, center):
+    """(equation, center, exact exponents) at one of the points 0, 1, f."""
+    idx, z0 = heun_center(params, center)
+    second = 1.0 - (params.c, params.d, params.e)[idx]
+    return general_heun(params), z0, (0j, second)
+
+
 def heun_series(params, center, branch="first", n_terms=60):
     """Frobenius series at one of the finite singular points 0, 1, f.
 
@@ -177,10 +182,16 @@ def heun_series(params, center, branch="first", n_terms=60):
     need a logarithm; NotRegular when the center is ordinary (f at the
     degeneration e = 0, q = a*b*f).
     """
-    idx, z0 = heun_center(params, center)
-    second = 1.0 - (params.c, params.d, params.e)[idx]
-    return frobenius_series(general_heun(params), z0, branch, n_terms,
-                            exponents=(0j, second))
+    ode, z0, exponents = _heun_branches(params, center)
+    return frobenius_series(ode, z0, branch, n_terms, exponents=exponents)
+
+
+def heun_value(params, center, branch, z, tail_tol=1e-12):
+    """(SeriesValue, LocalSeries) of heun_series's solution at z: that is
+    ``series.frobenius_value`` with Heun's labels, a series as long as the
+    tail rule of ``series.sum_until`` needs for tail_tol at z."""
+    ode, z0, exponents = _heun_branches(params, center)
+    return frobenius_value(ode, z0, branch, z, tail_tol, exponents=exponents)
 
 
 def heun_recurrence_residual(params, series):
@@ -207,27 +218,6 @@ def heun_recurrence_residual(params, series):
         norm = max(1e-300, max(abs(v) for v in terms))
         worst = max(worst, res / norm)
     return worst
-
-
-def heun_value(params, center, branch, z, tail_tol=1e-12, n_terms=60):
-    """Series evaluation with automatic truncation refinement.
-
-    Doubles the series length until the two-term tail estimate at z is below
-    tail_tol (relative), up to 4096 terms, then raises TruncationFailure.
-    n_terms below 1 raises InvalidParameter (doubling would never end).
-    """
-    if n_terms < 1:
-        raise InvalidParameter(f"n_terms must be at least 1, got {n_terms}")
-    n = n_terms
-    while True:
-        series = heun_series(params, center, branch, n)
-        val = eval_local(series, z)
-        if val.tail <= tail_tol * max(1.0, abs(val.w)):
-            return val, series
-        if n >= MAX_SERIES_TERMS:
-            raise TruncationFailure(
-                f"series tail {val.tail:.3e} at z={z} after {n} terms")
-        n = min(2 * n, MAX_SERIES_TERMS)
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,8 @@ class LinearODE:
     @staticmethod
     def from_polynomials(A, B, C):
         """A(z) w'' + B(z) w' + C(z) w = 0, given ascending coefficient lists."""
-        A = Polynomial(A) if not isinstance(A, Polynomial) else A
-        B = Polynomial(B) if not isinstance(B, Polynomial) else B
-        C = Polynomial(C) if not isinstance(C, Polynomial) else C
-        return LinearODE(make_rational(B.coeffs, A.coeffs),
-                         make_rational(C.coeffs, A.coeffs))
+        A = A if isinstance(A, Polynomial) else Polynomial(A)
+        return LinearODE(make_rational(B, A), make_rational(C, A))
 
     def shifted(self, s):
         """The equation satisfied by v(z) = w(z + s)."""

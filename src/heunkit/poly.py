@@ -306,11 +306,13 @@ class RationalFunction:
 def make_rational(num_coeffs, den_coeffs):
     """Build a reduced RationalFunction from ascending coefficient lists.
 
-    Raises ZeroDenominator when the denominator is identically zero.
-    Common roots (within TAU_GCD, after multiplicity clustering) cancel.
+    A Polynomial is taken as it is, so its cached roots serve every call
+    that shares it. Raises ZeroDenominator when the denominator is
+    identically zero. Common roots (within TAU_GCD, after multiplicity
+    clustering) cancel.
     """
-    num = Polynomial(num_coeffs)
-    den = Polynomial(den_coeffs)
+    num, den = (c if isinstance(c, Polynomial) else Polynomial(c)
+                for c in (num_coeffs, den_coeffs))
     if den.is_zero:
         raise ZeroDenominator("denominator is identically zero")
     if num.is_zero:

@@ -8,7 +8,8 @@ of s**(k+rho-2) gives
 
 so every new term is -(sum of the earlier ones)/pivot, the pivot being the
 first P_d that does not vanish. ``recurrence_terms`` runs that one loop for
-every series in the package:
+every series in the package, and ``sum_until`` is the one rule that ends a
+sum at a point:
 
 * a regular singular point (``frobenius_series``): A, B, C are the
   equation's cached ``LinearODE.cleared`` polynomials shifted to the point,
@@ -17,10 +18,12 @@ every series in the package:
   polynomial P_lead(n + rho), whose roots are the exponents. Division by
   it fails exactly when the exponents differ by the integer n; that is the
   logarithmic case and frobenius_series refuses rather than return a wrong
-  series. ``heun.heun_series`` is this series on the general Heun
-  equation, whose cleared form is the exact T = z(z-1)(z-f) with lead 1 at
-  each simple root (``heun.general_heun``), with the exponents passed in
-  exactly: the Heun three-term recurrence;
+  series. ``frobenius_value`` sums it at a point z until the tail rule
+  holds, so the series is as long as z and the tolerance need.
+  ``heun.heun_series`` and ``heun.heun_value`` are these on the general
+  Heun equation, whose cleared form is the exact T = z(z-1)(z-f) with lead
+  1 at each simple root (``heun.general_heun``), with the exponents passed
+  in exactly: the Heun three-term recurrence;
 * an ordinary point (path transport in ``engine``): A(0) != 0 and rho = 0,
   so h_0 = w and h_1 = w' are free and the pivot of h_n is a_0 n(n-1).
 """
@@ -32,12 +35,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidParameter, LogarithmicCase, NotRegular, \
-    OutsideRadius
+    OutsideRadius, TruncationFailure
 from .ode import _indicial_roots
 from .poly import CLUSTER_REL, taylor_shift
 
 INTEGER_TOL = 1e-9
 PIVOT_FLOOR = 1e-10  # LogarithmicCase below this pivot, relative to A, B, C
+MAX_SERIES_TERMS = 4096  # TruncationFailure beyond this many terms
 
 
 def is_integer(x):
@@ -108,6 +112,28 @@ def recurrence_terms(weights, lead, rho, cols, pivot_floor=0.0):
         n += 1
 
 
+def sum_until(weights, lead, rho, cols, r, tol, max_terms, pivot_floor=0.0):
+    """Extend the columns with recurrence_terms until the tail rule holds at
+    distance r > 0 from the center; return whether it did by max_terms.
+
+    Term n is the largest |h_n| r**n over the columns, weighted by
+    max(1, n/r) to bound the derivative's term too. The rule: the last
+    ``window`` terms sum to at most tol, window being the recurrence depth
+    beyond lead and at least 2, so a run of zero coefficients cannot end a
+    sum early (after O. V. Motygin, "On evaluation of the Heun functions").
+    """
+    window = max(2, len(weights) - 1 - lead)
+    rn = r ** (len(cols[0]) - 1)
+    errs = []
+    for n in recurrence_terms(weights, lead, rho, cols, pivot_floor):
+        rn *= r
+        errs.append(rn * max(1.0, n / r) * max([abs(h[n]) for h in cols]))
+        if n > window and sum(errs[-window:]) <= tol:
+            return True
+        if n >= max_terms:
+            return False
+
+
 def local_exponents(ode, z0):
     """Indicial exponents at the regular singular point that z0 matches, and
     the recurrence they belong to as (center, lead, weights, scale).
@@ -152,8 +178,25 @@ def _matching_point(points, z0, default=None):
                  <= CLUSTER_REL * max(1.0, abs(loc), abs(z0))), default)
 
 
+def _branch(ode, z0, branch, exponents):
+    """(rho, (center, lead, weights, scale)) of one branch at the point
+    that z0 matches; see frobenius_series."""
+    roots, local = local_exponents(ode, z0)
+    r1, r2 = roots if exponents is None else exponents
+    if branch == "second":
+        if is_integer(r1 - r2):
+            raise LogarithmicCase(
+                f"exponents {r1}, {r2} differ by an integer; the second "
+                "solution carries a logarithm")
+        return r2, local
+    if branch == "first":
+        return r1, local
+    raise InvalidParameter(f"branch must be 'first' or 'second', got {branch!r}")
+
+
 def frobenius_series(ode, z0, branch="first", n_terms=60, exponents=None):
-    """Frobenius solution at a regular singular point of any rational ODE.
+    """Frobenius solution at a regular singular point of any rational ODE,
+    with n_terms terms after the first.
 
     The series is centered on the finite singular point that z0 matches
     (see local_exponents) and converges out to the nearest other one.
@@ -162,19 +205,7 @@ def frobenius_series(ode, z0, branch="first", n_terms=60, exponents=None):
     LogarithmicCase when the exponents differ by an integer. A caller that
     knows the exponents exactly passes them as (first, second) instead.
     """
-    roots, (center, lead, weights, scale) = local_exponents(ode, z0)
-    r1, r2 = roots if exponents is None else exponents
-    if branch == "second":
-        if is_integer(r1 - r2):
-            raise LogarithmicCase(
-                f"exponents {r1}, {r2} differ by an integer; the second "
-                "solution carries a logarithm")
-        rho = r2
-    elif branch == "first":
-        rho = r1
-    else:
-        raise InvalidParameter(f"branch must be 'first' or 'second', got {branch!r}")
-
+    rho, (center, lead, weights, scale) = _branch(ode, z0, branch, exponents)
     h = [1.0 + 0j]
     terms = recurrence_terms(weights, lead, rho, [h],
                              pivot_floor=PIVOT_FLOOR * scale)
@@ -183,21 +214,35 @@ def frobenius_series(ode, z0, branch="first", n_terms=60, exponents=None):
     return LocalSeries(center, rho, tuple(h), convergence_radius(ode, center))
 
 
-def ratio_radius_estimate(series, window=12):
-    """Diagnostic radius estimate from trailing coefficient ratios.
+def frobenius_value(ode, z0, branch, z, tol, exponents=None):
+    """(SeriesValue, LocalSeries) of frobenius_series's solution at z, summed
+    until sum_until's rule holds relative to max(1, |(z - center)**rho|),
+    the leading term, as a Taylor step measures against its state.
 
-    Three-term recurrences make individual ratios noisy, so the median of
-    the last `window` ratios is used. The stored LocalSeries radius comes
-    from the exact distance to the nearest singular point; this estimate
-    exists only to cross-check it.
+    At z = center only exponent 0 has a value: w = h_0, w' = h_1. Raises
+    OutsideRadius at or beyond the radius (before summing) and at the
+    center for rho != 0, TruncationFailure after MAX_SERIES_TERMS terms.
     """
-    coeffs = [c for c in series.coeffs if abs(c) > 0.0]
-    if len(coeffs) < 4:
-        return math.inf
-    window = min(window, len(coeffs) - 1)
-    ratios = sorted(abs(coeffs[k] / coeffs[k + 1])
-                    for k in range(len(coeffs) - window - 1, len(coeffs) - 1))
-    return ratios[len(ratios) // 2]
+    rho, (center, lead, weights, scale) = _branch(ode, z0, branch, exponents)
+    radius = convergence_radius(ode, center)
+    s = complex(z) - center
+    r = abs(s)
+    if r >= radius:
+        raise OutsideRadius(f"|z - center| = {r:.6g} >= radius {radius:.6g}")
+    h = [1.0 + 0j]
+    floor = PIVOT_FLOOR * scale
+    if r == 0.0:
+        next(recurrence_terms(weights, lead, rho, [h], floor))
+    else:
+        head = abs(s ** rho)  # 0 when it underflows: any sum is exact enough
+        bound = tol * max(1.0, head) / head if head else math.inf
+        if not sum_until(weights, lead, rho, [h], r, bound, MAX_SERIES_TERMS,
+                         floor):
+            raise TruncationFailure(
+                f"series at z={z} did not reach tol {tol:.3e} in "
+                f"{MAX_SERIES_TERMS} terms")
+    series = LocalSeries(center, rho, tuple(h), radius)
+    return eval_local(series, z), series
 
 
 def eval_local(series, z):

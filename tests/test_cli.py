@@ -92,6 +92,22 @@ def test_cli_heun_eval_matches_library():
     assert abs(complex(data["w"]["re"], data["w"]["im"]) - val.w) <= 1e-13
 
 
+def test_cli_heun_eval_at_the_center():
+    """z at the center: the exponent-0 branch prints w = 1 and exit 0; the
+    second branch is a domain error (exit 1), never a traceback."""
+    base = ["heun-eval", "--a", "0.31", "--b", "0.77", "--c", "1.23",
+            "--d", "0.62", "--e", "0.23", "--f", "2.5", "--q", "0.4",
+            "--z", "0"]
+    p = run_cli(*base)
+    assert p.returncode == 0, p.stderr
+    data = json.loads(p.stdout)
+    assert (data["w"]["re"], data["w"]["im"]) == (1.0, 0.0)
+    p = run_cli(*base, "--branch", "second")
+    assert p.returncode == 1
+    assert "OutsideRadius" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
 def test_cli_mathieu_table_q_zero_squares():
     p = run_cli("mathieu-table", "--q-values", "0", "--n-max", "4",
                 "--parity", "even")
@@ -357,11 +373,8 @@ def test_cli_parameter_inputs(capsys):
         (["mathieu-table", "--q-min", "0", "--q-max", "1", "--q-count", "1",
           "--n-max", "0", "--parity", "even"], 0, ""),
         (["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
-          "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--n-terms", "0"],
-         2, "n_terms must be at least 1"),
-        (["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
-          "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--n-terms", "-5"],
-         2, "n_terms must be at least 1"),
+          "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--n-terms", "60"],
+         2, "unknown option --n-terms for verb heun-eval"),
         (["mathieu-table", "--q-values", "1", "--parity", "x"], 2,
          "parity must be even, odd or both"),
         (["scenario", "--id", "nosuch"], 2, "unknown scenario 'nosuch'"),

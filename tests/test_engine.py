@@ -6,7 +6,7 @@ import pytest
 
 from heunkit.engine import (ComplexPath, SolutionState, connection_matrix,
                             integrate_callable, integrate_p_along,
-                            integrate_path, loop_transfer_matrix, trace_path,
+                            integrate_path, loop_transfer_matrix,
                             wronskian_abel_check)
 from heunkit.errors import (DegenerateSystem, IllConditioned, InvalidTolerance,
                             NonFiniteInput, SingularityTooClose,
@@ -282,30 +282,6 @@ def test_trivial_monodromy():
     loop = ComplexPath.circle(0.5 + 0.5j, 0.12, n=16)
     M = loop_transfer_matrix(ode, loop, tol=1e-11)
     assert np.max(np.abs(M.as_array() - np.eye(2))) <= 10 * 1e-11
-
-
-def test_trace_path_samples():
-    ode = harmonic()
-    states = trace_path(ode, SolutionState(0.0, 0.0, 1.0),
-                        ComplexPath((0.0, 1.0)), tol=1e-12,
-                        points_per_segment=8)
-    assert len(states) == 9
-    for st in states:
-        assert abs(st.w - cmath.sin(st.z)) <= 1e-10
-
-
-def test_trace_csv_columns():
-    from heunkit.engine import trace_to_csv
-
-    ode = harmonic()
-    states = trace_path(ode, SolutionState(0.0, 0.0, 1.0),
-                        ComplexPath((0.0, 0.5)), tol=1e-12,
-                        points_per_segment=4)
-    text = trace_to_csv(states)
-    lines = text.strip().splitlines()
-    assert lines[0] == "z_re,z_im,w_re,w_im,dw_re,dw_im"
-    assert len(lines) == 6
-    assert all(len(line.split(",")) == 6 for line in lines[1:])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0, 1.0,

@@ -186,11 +186,85 @@ def test_series_against_fifty_digit_recurrence():
 
 
 def test_heun_value_refines_truncation():
+    """The series is as long as z needs: the term count grows as |z| nears
+    the radius, and the tail estimate stays below the tolerance."""
     params = random_params(np.random.default_rng(13))
-    z = 0.45 * cmath.exp(2.0j)
-    val, ser = heun_value(params, 0, "first", z, tail_tol=1e-13, n_terms=8)
-    assert len(ser.coeffs) > 9
-    assert val.tail <= 1e-13 * max(1.0, abs(val.w))
+    counts = []
+    for frac in (0.1, 0.45, 0.8, 0.95):
+        z = frac * cmath.exp(2.0j)
+        val, ser = heun_value(params, 0, "first", z, tail_tol=1e-13)
+        assert val.tail <= 1e-13 * max(1.0, abs(val.w))
+        counts.append(len(ser.coeffs))
+    assert counts == sorted(set(counts)), counts
+
+
+def test_heun_value_against_fifty_digit_recurrence():
+    """w and w' at 0.7 of the radius, both branches at 0, 1 and f, against
+    the 50-digit recurrence summed far past the tail: the tail rule weighs
+    the derivative's terms by n/r, so w' meets the tolerance as w does."""
+    rng = np.random.default_rng(7)
+    worst_w = worst_dw = 0.0
+    for _ in range(30):
+        while True:
+            a, b, c, d = (complex(x, y) for x, y in rng.normal(0, 0.35, (4, 2)))
+            e = a + b + 1 - c - d
+            if all(abs(g.imag) >= 0.05 or abs(g.real - round(g.real)) >= 0.05
+                   for g in (1 - c, 1 - d, 1 - e)):
+                break
+        params = GeneralHeunParams(a, b, c, d, e, rng.uniform(1.5, 4.0),
+                                   complex(*rng.normal(0, 0.25, 2)))
+        direction = cmath.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        for center, z0, gap in ((0, 0, 1 - c), (1, 1, 1 - d),
+                                ("f", params.f, 1 - e)):
+            for branch, rho in (("first", 0), ("second", gap)):
+                radius = heun_series(params, center, branch, 1).radius
+                s = 0.7 * radius * direction
+                val, _ = heun_value(params, center, branch, z0 + s)
+                h = _mp_heun_coeffs(params, z0, rho, 160)
+                w = s ** rho * sum(hk * s ** k for k, hk in enumerate(h))
+                dw = s ** rho * sum((k + rho) * hk * s ** (k - 1)
+                                    for k, hk in enumerate(h))
+                worst_w = max(worst_w, abs(val.w - w) / max(1.0, abs(w)))
+                worst_dw = max(worst_dw, abs(val.dw - dw) / max(1.0, abs(dw)))
+    assert worst_w <= 1e-12, worst_w
+    assert worst_dw <= 1e-11, worst_dw
+
+
+def test_heun_value_at_gauss_degeneration():
+    """e = 0, q = a*b*f: the Heun solution is 2F1(a, b; c; z), and its
+    derivative a*b/c 2F1(a+1, b+1; c+1; z)."""
+    import mpmath
+
+    a, b, c, f = 0.31, 0.77, 1.23, 2.5
+    params = GeneralHeunParams(a, b, c, a + b + 1 - c, 0.0, f, a * b * f)
+    z = 0.6 + 0.3j
+    val, _ = heun_value(params, 0, "first", z)
+    with mpmath.workdps(30):
+        w = complex(mpmath.hyp2f1(a, b, c, z))
+        dw = complex(a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z))
+    assert abs(val.w - w) <= 1e-12 * max(1.0, abs(w))
+    assert abs(val.dw - dw) <= 1e-12 * max(1.0, abs(dw))
+
+
+def test_heun_value_at_the_center():
+    """At z = center the exponent-0 branch is (h_0, h_1); any other
+    exponent has no value there and raises OutsideRadius."""
+    params = random_params(np.random.default_rng(13))
+    for center, z0 in ((0, 0.0), (1, 1.0), ("f", params.f)):
+        val, _ = heun_value(params, center, "first", z0)
+        h = heun_series(params, center, "first", 1).coeffs
+        assert (val.w, val.dw, val.tail) == (h[0], h[1], 0.0)
+        with pytest.raises(OutsideRadius):
+            heun_value(params, center, "second", z0)
+
+
+def test_heun_value_with_underflowing_leading_term():
+    """|z**(1-c)| below the smallest float: the value is 0, not an error."""
+    c = -399.5
+    params = GeneralHeunParams(0.31, 0.77, c, 0.62, 0.31 + 0.77 + 1 - c - 0.62,
+                               2.5, 0.4)
+    val, _ = heun_value(params, 0, "second", 0.001)
+    assert (val.w, val.dw) == (0, 0)
 
 
 # --- confluent family ------------------------------------------------------

@@ -94,16 +94,6 @@ def test_eval_local_boundary():
         eval_local(ser, 1.0 + 0j)
 
 
-def test_ratio_radius_diagnostic_agrees():
-    from heunkit.series import ratio_radius_estimate
-
-    params = GeneralHeunParams(0.4, 0.6, 0.9, 0.7, 0.4 + 0.6 + 1 - 0.9 - 0.7,
-                               3.0, 0.2)
-    ser = heun_series(params, 0, "first", 200)
-    est = ratio_radius_estimate(ser)
-    assert abs(est - ser.radius) <= 0.25 * ser.radius
-
-
 def test_eval_local_tail_uses_last_two_terms():
     # the last coefficient is 0: a last-term estimate would report 0
     ser = LocalSeries(0j, 0j, (1.0, 0.5, 0.25, 0.0), 10.0)
