@@ -47,8 +47,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DegenerateSystem,
     IllConditioned,
@@ -148,15 +146,24 @@ class ConnectionMatrix:
         return a * d - b * c
 
     def as_array(self):
+        import numpy as np
         return np.array(self.entries, dtype=complex)
 
     @property
     def condition_number(self):
-        return float(np.linalg.cond(self.as_array()))
+        """2-norm condition number s1/s2 in closed form: s1**2 + s2**2 = F,
+        the squared Frobenius norm, and s1 s2 = |det| give s1/s2 =
+        (F + sqrt(F**2 - 4 |det|**2)) / (2 |det|); inf when singular."""
+        det = abs(self.determinant)
+        F = sum(abs(x) ** 2 for row in self.entries for x in row)
+        return (F + math.sqrt(max(F * F - 4.0 * det * det, 0.0))) / (2.0 * det) \
+            if det else math.inf
 
     def __matmul__(self, other):
-        prod = self.as_array() @ other.as_array()
-        return ConnectionMatrix(tuple(tuple(row) for row in prod))
+        (a, b), (c, d) = self.entries
+        (e, f), (g, h) = other.entries
+        return ConnectionMatrix(((a * e + b * g, a * f + b * h),
+                                 (c * e + d * g, c * f + d * h)))
 
 
 def point_segment_distance(p, a, b):
@@ -291,6 +298,7 @@ def _sampled_expansion(pfun, qfun, points, tol):
     MAX_SAMPLED_TERMS, whose weighted tail is at most tol * max(1, |bin 0|);
     when p or q has none, rho is halved and the try counts as a step.
     """
+    import numpy as np
     k = np.arange(SAMPLES)
     roots = np.exp(2j * math.pi * k / SAMPLES)
     weight = 0.5 ** np.minimum(k, SAMPLES - k)
@@ -473,8 +481,8 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     for branch in ("first", "second"):
         val, _ = heun_value(params, to_c, branch, z_m, tail_tol=1e-13)
         v.append(val)
-    M = np.array([[v[0].w, v[1].w], [v[0].dw, v[1].dw]], dtype=complex)
-    cond = float(np.linalg.cond(M))
+    M = ConnectionMatrix(((v[0].w, v[1].w), (v[0].dw, v[1].dw)))
+    cond = M.condition_number
     if cond > 1e8:
         raise IllConditioned(f"target basis condition number {cond:.3e}")
 
@@ -483,9 +491,12 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
         val, _ = heun_value(params, frm_c, branch, z_a, tail_tol=1e-13)
         starts.append((val.w, val.dw))
     ends = _transport(_cleared_expansion(ode), path, starts, tol)
-    coeff = np.linalg.solve(M, np.array(ends, dtype=complex).T)
-    C = ConnectionMatrix(tuple((complex(coeff[0, j]), complex(coeff[1, j]))
-                               for j in range(2)))
+    # Cramer's rule: row j of C solves M x = (w, dw) of start j at z_m
+    (m11, m12), (m21, m22) = M.entries
+    det = M.determinant
+    C = ConnectionMatrix(tuple(((w * m22 - m12 * dw) / det,
+                                (m11 * dw - m21 * w) / det)
+                               for w, dw in ends))
     if abs(C.determinant) < 1e-12:
         raise DegenerateSystem("connection matrix is singular")
     return C

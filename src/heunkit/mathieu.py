@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InvalidParameter, NonConvergence, OverflowGuard
 
 MAX_TRUNCATION = 2048
@@ -116,6 +114,7 @@ def _eig_index(n, parity):
 def _family_matrix(family, q, M):
     """Symmetric tridiagonal truncation (diag, offdiag) of the Fourier-mode
     operator for y'' + (a - 2q cos 2t) y = 0, as complex arrays."""
+    import numpy as np
     d = np.array(_harmonics(family, M), dtype=complex) ** 2
     e = np.full(M - 1, complex(q))
     if family == "even-pi":
@@ -129,13 +128,14 @@ def _family_matrix(family, q, M):
 
 def _eigenvalues(family, q, M):
     """Eigenvalues of the order-M truncation, ascending for real q."""
+    import numpy as np
     d, e = _family_matrix(family, q, M)
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     return np.linalg.eigvalsh(T.real) if q.imag == 0 else np.linalg.eigvals(T)
 
 
 def _nearest(vals, target):
-    return complex(vals[np.argmin(np.abs(vals - target))])
+    return complex(vals[abs(vals - target).argmin()])
 
 
 def _continue_label(family, idx, q, M):
@@ -149,7 +149,7 @@ def _continue_label(family, idx, q, M):
     N0 = N
     while k < N:
         vals = _eigenvalues(family, complex(re, q.imag * (k + 1) / N), M)
-        near, second = np.sort(np.abs(vals - lam))[:2]
+        near, second = sorted(abs(vals - lam))[:2]
         if near > SEPARATION * second:
             k, N = 2 * k, 2 * N
             continue
@@ -369,6 +369,7 @@ def orthogonality_matrix(q, n_max):
     Review 56 (2014)), so N = 2 nu_max + 2 is exact up to rounding. Real
     for real q; the diagonal is pi, off-diagonal entries vanish. No scipy.
     """
+    import numpy as np
     funcs = basis_functions(q, n_max)
     series = [fourier_coefficients(p, c) for p, c in funcs]
     nu_max = max(nus[-1] for nus, _ in series)

@@ -5,18 +5,24 @@ Everything is an immutable value; arithmetic returns new objects.
 
 Rational functions are kept in reduced form: common roots of numerator and
 denominator are cancelled by numeric root matching (tolerance ``TAU_GCD``).
-Root finding goes through the numpy companion matrix; multiple roots come
-back as small clusters, so multiplicities are recovered by clustering and
-the cluster mean is used as the root location (the mean of a multiplicity-m
-cluster is far more accurate than its members).
+
+Roots are found in pure Python: low-order zero coefficients give exact
+zero roots, the rest has closed-form roots up to degree 2 and Ehrlich-Aberth
+roots above (Ehrlich, CACM 10 (1967); Aberth, Math. Comp. 27 (1973)), from
+start points on the Newton-polygon radii (Bini, Numer. Algorithms 13
+(1996)). An m-fold root comes back as m approximations scattered by about
+eps**(1/m); ``clustered_roots`` accepts such a group as one root only when
+the first m derivatives vanish at its mean, then polishes the mean by
+Newton on P^(m-1), where the root is simple. Clustered roots are cached by
+coefficient tuple.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .errors import ZeroDenominator
 
@@ -26,17 +32,15 @@ TRIM_REL = 1e-14
 TAU_GCD = 1e-9
 # Pole-detection tolerance, relative to local scale.
 TAU_POLE = 1e-10
-# Clustering tolerance for repeated roots (companion-matrix roots of an
-# m-fold root scatter by ~eps**(1/m), so this must be much looser than eps).
+# Clustering tolerance for repeated roots (the approximations of an m-fold
+# root scatter by ~eps**(1/m), so this must be much looser than eps).
 CLUSTER_REL = 1e-6
-
-
-def _as_complex_tuple(coeffs):
-    return tuple(complex(c) for c in coeffs)
+MAX_ABERTH = 100  # Ehrlich-Aberth sweeps; each root stops on its own test
+POLISH_STEPS = 4  # Newton steps on P^(m-1) for a verified m-fold root
 
 
 def _trim(coeffs):
-    coeffs = _as_complex_tuple(coeffs)
+    coeffs = tuple(complex(c) for c in coeffs)
     if not coeffs:
         return (0j,)
     scale = max(abs(c) for c in coeffs)
@@ -51,11 +55,10 @@ def _trim(coeffs):
 class Polynomial:
     """Immutable dense polynomial with complex coefficients (ascending)."""
 
-    __slots__ = ("coeffs", "_root_cache")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _trim(coeffs))
-        object.__setattr__(self, "_root_cache", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -139,36 +142,26 @@ class Polynomial:
         return Polynomial(taylor_shift(self.coeffs, s))
 
     def roots(self):
-        """All complex roots (with multiplicity, as returned by the
-        companion matrix; no clustering applied here)."""
-        if self.degree < 1:
-            return []
-        arr = np.array(list(reversed(self.coeffs)), dtype=complex)
-        return [complex(r) for r in np.roots(arr)]
+        """All complex roots, each as often as its multiplicity (no
+        clustering applied here)."""
+        zeros = next((k for k, a in enumerate(self.coeffs) if a != 0), self.degree)
+        c = self.coeffs[zeros:]
+        if len(c) > 3:
+            found = _aberth(c)
+        elif len(c) == 3:  # the quadratic formula without cancellation
+            sq = cmath.sqrt(c[1] * c[1] - 4.0 * c[2] * c[0])
+            half = -0.5 * (c[1] + (sq if (c[1].conjugate() * sq).real >= 0 else -sq))
+            found = [half / c[2], c[0] / half]
+        else:
+            found = [-c[0] / c[1]] if len(c) == 2 else []
+        return [0j] * zeros + found
 
     def clustered_roots(self):
-        """Roots grouped into (center, multiplicity) pairs.
-
-        Candidate groups are linked generously (the scatter of an m-fold
-        root scales like eps**(1/m)) and then verified against the
-        polynomial's derivatives at the group mean, splitting groups that
-        fail the multiplicity test.
-        """
-        if self._root_cache is not None:
-            return self._root_cache
-        roots = self.roots()
-        if not roots:
-            out = []
-        else:
-            groups = _transitive_groups(
-                roots,
-                lambda a, b: 3.0 * _EPS ** 0.25 * max(1.0, abs(a), abs(b)))
-            out = []
-            for g in groups:
-                out.extend(_verified_root_clusters(self, g))
-            out.sort(key=lambda c: (c[0].real, c[0].imag))
-        object.__setattr__(self, "_root_cache", out)
-        return out
+        """Roots grouped into (center, multiplicity) pairs, sorted by
+        location. Groups are linked generously (an m-fold root scatters by
+        eps**(1/m)) and then verified against the polynomial's derivatives
+        at the group mean; a group that fails is split."""
+        return list(_clustered_roots(self.coeffs))
 
     @staticmethod
     def from_roots(roots, lead=1.0):
@@ -176,6 +169,61 @@ class Polynomial:
         for r in roots:
             p = p * Polynomial((-complex(r), 1.0))
         return p
+
+
+@lru_cache(maxsize=1024)
+def _clustered_roots(coeffs):
+    poly = Polynomial(coeffs)
+    groups = _transitive_groups(
+        poly.roots(), lambda a, b: 3.0 * _EPS ** 0.25 * max(1.0, abs(a), abs(b)))
+    return tuple(sorted((c for g in groups for c in _verified_root_clusters(poly, g)),
+                        key=lambda c: (c[0].real, c[0].imag)))
+
+
+def _start_points(c):
+    """Bini's start points: for each edge (i, j) of the upper convex hull of
+    the points (k, log|c_k|), j - i points on the circle of radius (|c_i| /
+    |c_j|)**(1 / (j - i)), turned by 2 pi i / n + 0.7 so no two line up."""
+    hull = []
+    for k, a in enumerate(c):
+        if a != 0:
+            y = math.log(abs(a))
+            # drop the last vertex while it lies on or below the chord to (k, y)
+            while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                                     <= (y - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+                hull.pop()
+            hull.append((k, y))
+    n = len(c) - 1
+    return [cmath.rect(math.exp((yi - yj) / (j - i)),
+                       2.0 * math.pi * (m / (j - i) + i / n) + 0.7)
+            for (i, yi), (j, yj) in zip(hull, hull[1:]) for m in range(j - i)]
+
+
+def _aberth(c):
+    """Roots of ascending c, c[0] != 0, by Ehrlich-Aberth sweeps that update
+    each root in place. A root stops when its correction is below eps |z|,
+    or when |P(z)| <= eps sum |c_k| |z|**k: its Newton correction |P/P'| is
+    then within what rounding the coefficients could cause."""
+    z = _start_points(c)
+    live = range(len(z))
+    for _ in range(MAX_ABERTH):
+        moving = []
+        for i in live:
+            zi, r = z[i], abs(z[i])
+            p, dp, bound = c[-1], 0j, abs(c[-1])
+            for a in c[-2::-1]:
+                p, dp, bound = p * zi + a, dp * zi + p, bound * r + abs(a)
+            if abs(p) <= _EPS * bound:
+                continue
+            den = dp - p * sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            if den:
+                z[i] = zi - p / den
+            if not den or abs(z[i] - zi) > _EPS * abs(z[i]):
+                moving.append(i)
+        live = moving
+        if not live:
+            break
+    return z
 
 
 def taylor_shift(coeffs, s):
@@ -209,8 +257,9 @@ def _transitive_groups(points, radius_of):
 
 # Verified multiplicity detection: an exact m-fold root makes the first m
 # derivatives vanish, so a candidate cluster of size m is accepted only if
-# |P^(i)(center)| <= MULT_BASE**(m-i) * scale_i for every i < m. Distinct
-# roots closer than ~MULT_BASE may still be merged; that is the honest
+# |P^(i)(center)| <= (MULT_BASE**(m-i) + (deg + 1) eps) * scale_i for every
+# i < m, the eps term being the rounding of the evaluation. Distinct roots
+# closer than ~MULT_BASE may still be merged; that is the honest
 # resolution limit of multiplicity detection in double precision.
 MULT_BASE = 3e-5
 _EPS = 2.220446049250313e-16
@@ -222,24 +271,26 @@ def _verified_root_clusters(poly, group):
         return [(group[0], 1)]
     center = sum(group) / m
     deriv = poly
-    ok = True
     for i in range(m):
         scale = max(deriv.scale(), 1e-300) * max(1.0, abs(center)) ** max(deriv.degree, 0)
-        if abs(deriv(center)) > MULT_BASE ** (m - i) * scale:
-            ok = False
+        if abs(deriv(center)) > (MULT_BASE ** (m - i)
+                                 + (deriv.degree + 1) * _EPS) * scale:
             break
-        deriv = deriv.derivative()
-    if ok:
+        last, deriv = deriv, deriv.derivative()
+    else:
+        # an m-fold root of P is a simple root of P^(m-1) = last
+        for _ in range(POLISH_STEPS):
+            step = last(center) / deriv(center) if deriv(center) else 0j
+            center -= step
+            if abs(step) <= _EPS * abs(center):
+                break
         return [(center, m)]
     # not a genuine m-fold root: split at the tight tolerance and recurse
     sub = _transitive_groups(
         group, lambda a, b: CLUSTER_REL * max(1.0, abs(a), abs(b)))
     if len(sub) == 1:
         return [(center, m)]
-    out = []
-    for g in sub:
-        out.extend(_verified_root_clusters(poly, g))
-    return out
+    return [c for g in sub for c in _verified_root_clusters(poly, g)]
 
 
 @dataclass(frozen=True)
@@ -285,7 +336,13 @@ class RationalFunction:
         poles s of sum_j c_j (z - s)**-j: the polynomial part of num / den
         as ascending coefficients, and (s, [c_1, ..., c_m]) for each pole of
         order m, read from the Taylor series of (z - s)**m r(z) at s."""
-        quotient = np.polydiv(self.num.coeffs[::-1], self.den.coeffs[::-1])[0]
+        d, rest = self.den.coeffs, list(self.num.coeffs)
+        quotient = [0j] * max(len(rest) - len(d) + 1, 1)
+        inv = 1.0 / d[-1]
+        for k in range(len(rest) - len(d), -1, -1):
+            quotient[k] = inv * rest[k + len(d) - 1]
+            for i, di in enumerate(d):
+                rest[k + i] -= quotient[k] * di
         principal = []
         for s, m in self.poles():
             rest = self.den
@@ -297,7 +354,7 @@ class RationalFunction:
                 g.append((n[k] - sum(d[i] * g[k - i] for i in range(1, k + 1)))
                          / d[0])
             principal.append((s, g[::-1]))
-        return quotient[::-1].tolist(), principal
+        return quotient, principal
 
     def shifted(self, s):
         return RationalFunction(self.num.shifted(s), self.den.shifted(s))
@@ -306,10 +363,8 @@ class RationalFunction:
 def make_rational(num_coeffs, den_coeffs):
     """Build a reduced RationalFunction from ascending coefficient lists.
 
-    A Polynomial is taken as it is, so its cached roots serve every call
-    that shares it. Raises ZeroDenominator when the denominator is
-    identically zero. Common roots (within TAU_GCD, after multiplicity
-    clustering) cancel.
+    Raises ZeroDenominator when the denominator is identically zero. Common
+    roots (within TAU_GCD, after multiplicity clustering) cancel.
     """
     num, den = (c if isinstance(c, Polynomial) else Polynomial(c)
                 for c in (num_coeffs, den_coeffs))
@@ -320,35 +375,22 @@ def make_rational(num_coeffs, den_coeffs):
     if den.degree == 0:
         return RationalFunction(num * (1.0 / den.coeffs[0]), Polynomial((1.0,)))
     nroots = num.clustered_roots()
-    droots = den.clustered_roots()
-    cancelled = False
-    new_n, new_d = [], []
-    used = [False] * len(nroots)
-    for dloc, dmult in droots:
-        best, best_dist = None, math.inf
-        for i, (nloc, nmult) in enumerate(nroots):
-            if used[i]:
-                continue
-            dist = abs(nloc - dloc)
-            if dist < best_dist:
-                best, best_dist = i, dist
-        tol = max(TAU_GCD * max(1.0, abs(dloc)), 0.0)
-        if best is not None and best_dist <= tol:
-            nloc, nmult = nroots[best]
-            k = min(nmult, dmult)
-            cancelled = True
-            used[best] = True
-            if nmult - k > 0:
-                new_n.append((nloc, nmult - k))
-            if dmult - k > 0:
-                new_d.append((dloc, dmult - k))
-        else:
+    used, new_n, new_d = set(), [], []
+    for dloc, dmult in den.clustered_roots():
+        # the nearest numerator root not yet cancelled, if within TAU_GCD
+        best = min((i for i in range(len(nroots)) if i not in used),
+                   key=lambda i: abs(nroots[i][0] - dloc), default=None)
+        if best is None or abs(nroots[best][0] - dloc) > TAU_GCD * max(1.0, abs(dloc)):
             new_d.append((dloc, dmult))
-    for i, (nloc, nmult) in enumerate(nroots):
-        if not used[i]:
-            new_n.append((nloc, nmult))
-    if not cancelled:
+            continue
+        used.add(best)
+        nloc, nmult = nroots[best]
+        k = min(nmult, dmult)
+        new_n += [(nloc, nmult - k)] if nmult > k else []
+        new_d += [(dloc, dmult - k)] if dmult > k else []
+    if not used:
         return RationalFunction(num, den)
+    new_n += [r for i, r in enumerate(nroots) if i not in used]
     lead_n = num.coeffs[-1]
     lead_d = den.coeffs[-1]
     pn = Polynomial.from_roots([loc for loc, m in new_n for _ in range(m)], lead_n)

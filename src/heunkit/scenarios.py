@@ -18,8 +18,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .engine import ComplexPath, SolutionState, check_clearance, \
     integrate_callable, integrate_path, loop_transfer_matrix
 from .errors import DegenerateShift, InvalidParameter, LogarithmicCase, \
@@ -103,6 +101,12 @@ class ScenarioReport:
         self.claim(description, f"{what} <= {bound}".lstrip(),
                    f"{value:.3e}", value <= float(bound))
 
+    def point(self, label, loc):
+        """The classified point of ``label`` at loc, matched as
+        claim_signature matches it; None when there is none."""
+        return _lookup({("inf" if p.at_infinity else p.location): p
+                        for p in self.classifications[label]}, loc)
+
     def claim_signature(self, description, label, expected_sig):
         observed = singularity_signature(self.classifications[label])
         ok = _signatures_match(expected_sig, observed)
@@ -129,24 +133,19 @@ def _format_signature(sig):
     return "; ".join(parts)
 
 
-def _signatures_match(expected, observed, tol=1e-6):
-    if len(expected) != len(observed):
-        return False
-    for loc, kind in expected.items():
-        if loc == "inf":
-            if observed.get("inf") != kind:
-                return False
-            continue
-        hit = None
-        for oloc, okind in observed.items():
-            if oloc == "inf":
-                continue
-            if abs(oloc - loc) <= tol * max(1.0, abs(loc)):
-                hit = okind
-                break
-        if hit != kind:
-            return False
-    return True
+def _lookup(table, loc, tol=1e-6):
+    """table's value at loc: the key "inf" for "inf", else the first finite
+    key within tol (relative) of loc; None when there is none."""
+    if loc == "inf":
+        return table.get("inf")
+    return next((v for k, v in table.items()
+                 if k != "inf" and abs(k - loc) <= tol * max(1.0, abs(loc))),
+                None)
+
+
+def _signatures_match(expected, observed):
+    return len(expected) == len(observed) and all(
+        _lookup(observed, loc) == kind for loc, kind in expected.items())
 
 
 def _linspace(a, b, n):
@@ -325,9 +324,8 @@ def stark_separation(E, F, m, beta1):
         report.claim_signature(
             f"{label} equation has a regular point at 0 and an irregular "
             "point at infinity", label, {0j: "regular", "inf": "irregular"})
-        pts = {("inf" if p.at_infinity else p.location): p
-               for p in report.classifications[label]}
-        report.data[f"{label}_rank_infinity"] = str(pts["inf"].rank)
+        report.data[f"{label}_rank_infinity"] = str(
+            report.point(label, "inf").rank)
         exps = indicial_exponents(ode, 0j)
         report.data[f"{label}_exponents_at_0"] = list(exps)
 
@@ -341,9 +339,7 @@ def stark_separation(E, F, m, beta1):
 
     sq = _stark_squared_ode(E, F, beta1, m)
     report.add_ode("xi_squared_variable", sq)
-    pts = {("inf" if p.at_infinity else p.location): p
-           for p in report.classifications["xi_squared_variable"]}
-    post_rank = pts["inf"].rank
+    post_rank = report.point("xi_squared_variable", "inf").rank
     report.data["post_substitution_rank_infinity"] = str(post_rank)
     report.claim_signature(
         "squared-variable equation keeps the regular-0 / irregular-infinity "
@@ -520,6 +516,7 @@ def nutku_angular(a, k, n=2, parity="even"):
     report.claim_at_most("angular solutions are 2pi-periodic (separation "
                          "constant quantized)", worst_per, "1e-12")
 
+    import numpy as np
     n_max = max(int(n), 3)
     G = orthogonality_matrix(q, n_max)
     off = float(np.max(np.abs(G - np.diag(np.diag(G)))))
@@ -638,10 +635,9 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
         "algebraized radial equation has the double-confluent pattern "
         "(irregular at 0 and infinity)", "radial_algebraic",
         {0j: "irregular", "inf": "irregular"})
-    pts = {(("inf" if p.at_infinity else p.location)): p
-           for p in report.classifications["radial_algebraic"]}
-    report.data["algebraic_ranks"] = {"0": str(pts[0j].rank),
-                                      "inf": str(pts["inf"].rank)}
+    report.data["algebraic_ranks"] = {
+        key: str(report.point("radial_algebraic", loc).rank)
+        for key, loc in (("0", 0j), ("inf", "inf"))}
     report.notes.append("the n-coupling enters the printed angular and "
                         "radial equations with the same sign; a joint "
                         "product solution requires opposite signs, so the "
@@ -1010,6 +1006,7 @@ def boundary_dirac_equation(a, k, x0, phi):
     # monodromy of the algebraic equation around u = 0
     loop = ComplexPath.circle(0j, 0.82, n=28, start_angle=2.0 * t0)
     M = loop_transfer_matrix(derived, loop, tol=1e-11)
+    import numpy as np
     eig = np.linalg.eigvals(M.as_array())
     report.data["monodromy_eigenvalues"] = [complex(v) for v in eig]
     report.claim("loop transfer matrix around u = 0 is non-degenerate",

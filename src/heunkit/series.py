@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidParameter, LogarithmicCase, NotRegular, \
-    OutsideRadius, TruncationFailure
+    OutsideRadius, OverflowGuard, TruncationFailure
 from .ode import _indicial_roots
 from .poly import CLUSTER_REL, taylor_shift
 
@@ -234,7 +234,7 @@ def frobenius_value(ode, z0, branch, z, tol, exponents=None):
     if r == 0.0:
         next(recurrence_terms(weights, lead, rho, [h], floor))
     else:
-        head = abs(s ** rho)  # 0 when it underflows: any sum is exact enough
+        head = abs(_power(s, rho))  # 0 on underflow: any sum is exact enough
         bound = tol * max(1.0, head) / head if head else math.inf
         if not sum_until(weights, lead, rho, [h], r, bound, MAX_SERIES_TERMS,
                          floor):
@@ -243,6 +243,14 @@ def frobenius_value(ode, z0, branch, z, tol, exponents=None):
                 f"{MAX_SERIES_TERMS} terms")
     series = LocalSeries(center, rho, tuple(h), radius)
     return eval_local(series, z), series
+
+
+def _power(s, rho):
+    try:
+        return s ** rho
+    except OverflowError:  # a typed domain error, not a traceback
+        raise OverflowGuard(f"|z - center|**exponent = {abs(s):.6g}**{rho} "
+                            "exceeds the float range") from None
 
 
 def eval_local(series, z):
@@ -271,7 +279,7 @@ def eval_local(series, z):
             return SeriesValue(series.coeffs[0], dw, 0.0)
         raise OutsideRadius(
             "evaluation exactly at the expansion center needs exponent 0")
-    head = s ** rho
+    head = _power(s, rho)
     w = head * S
     dw = head * (rho * S / s + T)
     last = max(len(series.coeffs) - 2, 0)

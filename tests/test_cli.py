@@ -495,6 +495,53 @@ def test_cheap_verbs_do_not_import_scipy():
     assert data["abel"] <= 1e-8
 
 
+_NO_NUMPY_CHILD = """
+import contextlib, io, json, sys
+import heunkit.cli
+
+loaded = []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = heunkit.cli.main(argv)
+    loaded.append([argv[0], status, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_cheap_verbs_do_not_import_numpy():
+    """In a fresh interpreter, classify, heun-eval, connect and the stark,
+    h2plus and eguchi-hanson-radial scenarios run through cli.main without
+    loading numpy: roots and 2x2 algebra are pure Python, and numpy is
+    imported only where mathieu, the callable-coefficient sampler and the
+    remaining scenarios use it."""
+    argvs = [
+        ["classify", "--text", "heun a=1 b=1 c=1 d=1 e=1 f=2 q=0"],
+        ["classify", "--text", "cform kind=spheroidal p=0.7 lam=1.1 m=1"],
+        ["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
+         "--e", "1", "--f", "2", "--q", "0", "--z", "0.3+0.1i"],
+        CONNECT_01,
+        ["scenario", "--id", "stark"],
+        ["scenario", "--id", "h2plus"],
+        ["scenario", "--id", "eguchi-hanson-radial"],
+    ]
+    p = subprocess.run([sys.executable, "-c",
+                        _NO_NUMPY_CHILD.format(argvs=argvs)],
+                       capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == [[argv[0], 0, False] for argv in argvs]
+
+
+def test_cli_exponent_overflow_is_a_domain_error():
+    """An exponent 1 - c = -399.5 at |z| = 0.001 leaves the float range:
+    heun-eval reports OverflowGuard with status 1, not a traceback."""
+    p = run_cli("heun-eval", "--a", "0.31", "--b", "0.77", "--c", "400.5",
+                "--d", "0.62", "--e", "-399.04", "--f", "2.5", "--q", "0.4",
+                "--z", "0.001", "--branch", "second")
+    assert p.returncode == 1
+    assert "Traceback" not in p.stderr
+    assert p.stderr.startswith("error: OverflowGuard:")
+
+
 # every option value of the property test comes from this pool: malformed,
 # boundary, non-finite, overflowing and complex numbers, a valid and an
 # unknown scenario id

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from heunkit.errors import ZeroDenominator
 from heunkit.poly import Polynomial, make_rational
@@ -87,3 +88,73 @@ def test_limit_coefficient():
     # and the double-pole coefficient there is 0 by convention order-2 limit
     r2 = make_rational([1.0], [0.0, 1.0])
     assert abs(r2.limit_coefficient(0j, 2)) < 1e-12
+
+
+def _match(found, exact):
+    """Largest |found - exact| / max(1, |exact|) over a greedy pairing."""
+    left, worst = list(found), 0.0
+    for r in exact:
+        j = min(range(len(left)), key=lambda j: abs(left[j] - r))
+        worst = max(worst, abs(left.pop(j) - r) / max(1.0, abs(r)))
+    return worst
+
+
+def test_roots_against_mpmath_polyroots():
+    """Seeded complex polynomials of degree 1 to 8: every root within 1e-12
+    (relative) of mpmath's at 40 digits."""
+    import mpmath
+
+    rng = np.random.default_rng(19)
+    for degree in range(1, 9):
+        for _ in range(10):
+            c = [complex(x, y) for x, y in rng.normal(0, 1, (degree + 1, 2))]
+            with mpmath.workdps(40):
+                exact = [complex(r) for r in mpmath.polyroots(
+                    [mpmath.mpc(a.real, a.imag) for a in reversed(c)],
+                    maxsteps=200, extraprec=200)]
+            found = Polynomial(c).roots()
+            assert len(found) == degree
+            assert _match(found, exact) <= 1e-12, (c, found, exact)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([1, 0, -2, 0, 1], [(-1, 2), (1, 2)]),                         # (1 - x^2)^2
+    ([0, 0, 0, 1], [(0, 3)]),                                       # z^3
+    (Polynomial.from_roots([1, 1, 2.5 + 0.5j]).coeffs,
+     [(1, 2), (2.5 + 0.5j, 1)]),                                    # (z-1)^2 (z-f)
+    (Polynomial.from_roots([1, 1, 1, -2]).coeffs, [(-2, 1), (1, 3)]),
+])
+def test_multiple_roots_exact_multiplicity(coeffs, want):
+    """Centres within 1e-12 and exact multiplicities: the cluster mean is
+    off by about eps**(1/m), and the Newton polish on P^(m-1) removes that."""
+    got = Polynomial(coeffs).clustered_roots()
+    assert [m for _, m in got] == [m for _, m in want]
+    for (center, _), (loc, _) in zip(got, want):
+        assert abs(center - loc) <= 1e-12
+
+
+def test_zero_coefficients_give_exact_zero_roots():
+    p = Polynomial([0, 0, 0, 4.0])
+    assert p.roots() == [0j, 0j, 0j]
+    assert p.clustered_roots() == [(0j, 3)]
+
+
+_centers = st.lists(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_centers, st.lists(st.integers(1, 3), min_size=4, max_size=4))
+def test_from_roots_round_trip(centers, mults):
+    """from_roots(r).clustered_roots() gives back r: the distinct centres
+    (at least 0.5 apart) to 1e-9 and their multiplicities exactly."""
+    assume(all(abs(a - b) >= 0.5 for i, a in enumerate(centers)
+               for b in centers[:i]))
+    want = list(zip(centers, mults))
+    p = Polynomial.from_roots([r for r, m in want for _ in range(m)])
+    got = p.clustered_roots()
+    assert len(got) == len(want)
+    for r, k in want:
+        center, m = min(got, key=lambda c: abs(c[0] - r))
+        assert m == k and abs(center - r) <= 1e-9 * max(1.0, abs(r)), (want, got)

@@ -246,3 +246,15 @@ def test_trig_and_rational_residuals_agree():
     res = ode_residual(rational, samples)
     assert 1e-4 < res < 1e-2
     assert trig.residual(iter(samples)) == res
+
+
+def test_report_point_matches_locations_as_signatures_do():
+    """A point root-found at 1e-17 is the point at 0, for ScenarioReport.point
+    as for claim_signature; a location with no point gives None."""
+    rep = ScenarioReport("t", {})
+    rep.add_ode("e", LinearODE.from_coefficients([1], [-1e-17, 1], [1], [1]))
+    assert rep.claim_signature("regular at 1e-17", "e",
+                               {0j: "regular", "inf": "irregular"})
+    assert rep.point("e", 0j).location == 1e-17
+    assert rep.point("e", "inf").at_infinity
+    assert rep.point("e", 0.5) is None
