@@ -15,13 +15,13 @@ overrides both; a tolerance must be a finite number in (0, 1), and one
 below 100 machine epsilons is raised to that floor.
 Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
 option, a --format the verb does not render, a heun-eval --branch other
-than first or second, malformed equation, parameter-line or config text,
-a malformed or non-finite number, an invalid tolerance, a center that is
-none of 0, 1, f, an unknown scenario, scenario parameter, corpus entry or
-parity, a --set without key=value, a scenario parameter outside its
-domain or not an integer where one is expected, a --q-count below 1 or an
---n-max below 0). Output is deterministic: fixed key order, floats at 17
-significant digits.
+than first or second, malformed equation, parameter-line (cform kind and
+parameter names included) or config text, a malformed or non-finite
+number, an invalid tolerance, a center that is none of 0, 1, f, an
+unknown scenario, scenario parameter, corpus entry or parity, a --set
+without key=value, a scenario parameter outside its domain or not an
+integer where one is expected, a --q-count below 1 or an --n-max below
+0). Output is deterministic: fixed key order, 17 significant digits.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .corpus import canonical_corpus
 from .engine import DEFAULT_TOL, check_tolerance, connection_matrix
 from .errors import GrammarError, HeunkitError, InvalidParameter, \
     InvalidTolerance, MalformedComplex, MissingOption, UnknownCenter, \
-    UnknownVerb
+    UnknownKind, UnknownVerb
 from .grammar import format_complex, parse_complex, parse_ode
 from .heun import GeneralHeunParams, heun_center, heun_value
 from .mathieu import characteristic_value
@@ -478,7 +478,7 @@ def main(argv=None):
     try:
         return run(parse_args(argv))
     except (UnknownVerb, MissingOption, GrammarError, InvalidParameter,
-            InvalidTolerance, UnknownCenter) as exc:
+            InvalidTolerance, UnknownCenter, UnknownKind) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except HeunkitError as exc:

@@ -29,13 +29,13 @@ then reproduces the Gauss hypergeometric coefficients term by term
 
 general_heun caches T, S, L with the exact points 0, 1, f as the
 equation's cleared form (divided by z - f where the degeneration leaves f
-ordinary), so heun_series is series.frobenius_series with
-Heun's labels (center 0/1/f, exponent 0 or 1-c/1-d/1-e): the generic
-recurrence at a simple root of T is this one. heun_value is
-series.frobenius_value with the same labels: the series is summed at z
-until the tail rule of series.sum_until holds. heun_recurrence_residual
-re-substitutes a series into the recurrence as written here, apart from
-that code.
+ordinary), so the classifier reports exactly 0, 1 and f, and heun_series
+is series.frobenius_series with Heun's labels (center 0/1/f, exponent 0
+or 1-c/1-d/1-e): the generic recurrence at a simple root of T is this
+one. heun_value is series.frobenius_value with the same labels: the
+series is summed at z until the tail rule of series.sum_until holds.
+heun_recurrence_residual re-substitutes a series into the recurrence as
+written here, apart from that code.
 
 Confluent family members are transcribed literally from their usual
 printed shapes (see build_confluent_form); reductions between members
@@ -57,11 +57,14 @@ from .errors import (
     UnknownKind,
 )
 from .ode import LinearODE
-from .poly import Polynomial, make_rational
+from .poly import MULT_BASE, Polynomial, make_rational, near
 from .series import frobenius_series, frobenius_value
 
 FUCHS_TOL = 1e-12
-COLLISION_TOL = 1e-10
+# poly accepts roots closer than about MULT_BASE as one multiple root, so
+# the classifier merges f into 0 for |f| up to about 2 MULT_BASE and into 1
+# for |f - 1| up to about 2.8 MULT_BASE (8.45e-5 measured); refuse those f.
+COLLISION_TOL = 4.0 * MULT_BASE
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,8 @@ class GeneralHeunParams:
         for bad in (0.0, 1.0):
             if abs(self.f - bad) <= COLLISION_TOL * max(1.0, abs(self.f)):
                 raise CollidingSingularities(
-                    f"f = {self.f} collides with the singular point at {bad}")
+                    f"f = {self.f} collides with the singular point at {bad} "
+                    f"(closer than {COLLISION_TOL:.2g} relative)")
 
 
 def _heun_T(params):
@@ -114,23 +118,23 @@ def general_heun(params):
 
     The cached cleared form is the T, S, L the equation was built from,
     with the exact points: root-finding T would centre series and shifts a
-    few ulps off 1 and f. A point that a degeneration leaves ordinary (f at
-    e = 0, q = a*b*f) is divided out of T, S and L; the remainders are what
-    make_rational cancelled.
+    few ulps off 1 and f. A point where p and q have no pole (f at the
+    degeneration e = 0, q = a*b*f) is divided out of T, S and L; the
+    remainders are what make_rational cancelled. COLLISION_TOL keeps the
+    poles apart, so they are the exact points.
     """
     cached = params.__dict__.get("_ode")
     if cached is None:
         T, S, L = _heun_T(params), _heun_S(params), _heun_L(params)
         cached = LinearODE(make_rational(S, T), make_rational(L, T))
-        found = [loc for loc, _, _ in cached.finite_singular_points()]
         kept = []
-        for z0 in _centers(params):
-            if any(_near(loc, z0) for loc in found):
+        for z0 in (0j, 1.0 + 0j, params.f):
+            if cached.p.pole_order_at(z0)[0] or cached.q.pole_order_at(z0)[0]:
                 kept.append(z0)
             else:
                 T, S, L = T.deflate(z0), S.deflate(z0), L.deflate(z0)
-        if len(kept) == len(found):
-            cached.__dict__["_cleared"] = (T, S, L, tuple(kept))
+        kept.sort(key=lambda z: (z.real, z.imag))
+        cached.__dict__["_cleared"] = (T, S, L, tuple(kept))
         params.__dict__["_ode"] = cached
     return cached
 
@@ -138,29 +142,20 @@ def general_heun(params):
 _CENTER_LABELS = {"0": 0, "zero": 0, "1": 1, "one": 1, "f": 2, "2": 2}
 
 
-def _centers(params):
-    return (0j, 1.0 + 0j, params.f)
-
-
-def _near(z, loc):
-    return abs(z - loc) <= 1e-9 * max(1.0, abs(loc))
-
-
 def heun_center(params, center):
     """(index, location) of one of the finite singular points 0, 1, f.
 
-    ``center`` is a number within 1e-9 (relative) of the point, or one of
-    the labels "0"/"zero", "1"/"one", "f"/"2". Raises UnknownCenter.
+    ``center`` is a number ``poly.near`` the point, or one of the labels
+    "0"/"zero", "1"/"one", "f"/"2". Raises UnknownCenter.
     """
-    centers = _centers(params)
+    centers = (0j, 1.0 + 0j, params.f)
     if isinstance(center, str):
         idx = _CENTER_LABELS.get(center.strip().lower())
         if idx is None:
             raise UnknownCenter(f"unknown center label {center!r}")
         return idx, centers[idx]
-    z0 = complex(center)
     for idx, loc in enumerate(centers):
-        if _near(z0, loc):
+        if near(complex(center), loc):
             return idx, loc
     raise UnknownCenter(f"center {center} is not one of 0, 1, f={params.f}")
 
@@ -271,13 +266,13 @@ class ConfluentFormParams:
         return self.params[key]
 
 
-def _self_adjoint_pair(p, beta, lam, m2_term, with_beta=True):
+def _self_adjoint_pair(p, beta, lam, m2_term):
     """(z^2-1) w'' + 2z w' + [-p^2(z^2-1) + 2 p beta z - lam - m2/(z^2-1)] w = 0
     multiplied by (z^2-1); returns (A, B, C) coefficient polynomials."""
     zsq = Polynomial((-1.0, 0j, 1.0))  # z^2 - 1
     A = zsq * zsq
     B = Polynomial((0j, 2.0)) * zsq
-    inner = -p * p * zsq + (Polynomial((0j, 2.0 * p * beta)) if with_beta else Polynomial((0j,))) - Polynomial((lam,))
+    inner = -p * p * zsq + Polynomial((0j, 2.0 * p * beta)) - Polynomial((lam,))
     C = inner * zsq - m2_term
     return A, B, C
 
@@ -302,10 +297,10 @@ def build_confluent_form(cf):
                                      Polynomial((P["m"] * P["m"],)))
     elif kind == "spheroidal":
         A, B, C = _self_adjoint_pair(P["p"], 0j, P["lam"],
-                                     Polynomial((P["m"] * P["m"],)), with_beta=False)
+                                     Polynomial((P["m"] * P["m"],)))
     elif kind == "algebraic-mathieu":
         A, B, C = _self_adjoint_pair(P["p"], 0j, P["lam"],
-                                     Polynomial((0.25,)), with_beta=False)
+                                     Polynomial((0.25,)))
     elif kind == "double-confluent":
         a1, am1 = P["alpha1"], P["alpham1"]
         A = Polynomial((0j, 0j, 0j, 1.0))                      # z^3

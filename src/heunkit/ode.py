@@ -8,6 +8,11 @@ by the same pole-order rule applied to the equation in t = 1/z at t = 0,
 whose orders and residues are read off the degrees and leading
 coefficients of p and q (no reduction, no root finding).
 
+A finite point is read from the cleared form A w'' + B w' + C w = 0 of
+``LinearODE.cleared`` alone, by ``local_form``, which the classifier,
+``indicial_exponents`` and ``series.local_exponents`` share; its points
+are the cleared form's own (a Heun equation reports exactly 0, 1 and f).
+
 Irregular severity is reported as a rational Poincare rank obtained from
 the Newton-polygon slopes of the two coefficients,
 
@@ -23,11 +28,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotRegular, PoleAtSample
-from .poly import CLUSTER_REL, TAU_GCD, TAU_POLE, Polynomial, \
-    RationalFunction, _transitive_groups, make_rational
+from .poly import TAU_GCD, TAU_POLE, Polynomial, RationalFunction, \
+    _transitive_groups, make_rational, near, taylor_shift
 
 
 class PointKind(enum.Enum):
@@ -81,7 +86,8 @@ class LinearODE:
 
     def cleared(self):
         """(A, B, C, points): the same equation as A w'' + B w' + C w = 0
-        with polynomial A, B, C, and the tuple of its finite singular points.
+        with polynomial A, B, C, and the tuple of its finite singular
+        points, sorted by real then imaginary part.
 
         A is monic with exactly those points as roots, each with
         multiplicity max(ord_p, ord_q); B = p A and C = q A. Cached on the
@@ -90,7 +96,12 @@ class LinearODE:
         cached = self.__dict__.get("_cleared")
         if cached is not None:
             return cached
-        points = self.finite_singular_points()
+        # the poles of p and q, those near each other merged at their mean
+        locs = [loc for rf in (self.p, self.q) for loc, _ in rf.poles()]
+        centers = sorted((sum(g) / len(g) for g in _transitive_groups(locs, near)),
+                         key=lambda z: (z.real, z.imag))
+        points = [(loc, self.p.pole_order_at(loc)[0], self.q.pole_order_at(loc)[0])
+                  for loc in centers]
 
         def times(rf, slot):
             # rf * A as a polynomial: the factors of A that rf's poles leave
@@ -106,25 +117,13 @@ class LinearODE:
         self.__dict__["_cleared"] = out
         return out
 
-    def finite_singular_points(self):
-        """The poles of p and q, those within CLUSTER_REL of each other
-        merged at their mean, as (location, ord_p, ord_q) with the orders
-        read by ``pole_order_at``."""
-        locs = [loc for rf in (self.p, self.q) for loc, _ in rf.poles()]
-        groups = _transitive_groups(
-            locs, lambda a, b: CLUSTER_REL * max(1.0, abs(a), abs(b)))
-        out = [(loc, self.p.pole_order_at(loc)[0], self.q.pole_order_at(loc)[0])
-               for loc in (sum(g) / len(g) for g in groups)]
-        out.sort(key=lambda r: (r[0].real, r[0].imag))
-        return out
-
 
 def _indicial_roots(p_res, q_res2):
     """Roots of rho(rho-1) + p_res*rho + q_res2, ordered by descending real
     part (descending imaginary part on a near-tie)."""
     b = complex(p_res) - 1.0
-    disc = complex(b * b - 4.0 * complex(q_res2))
-    sq = disc ** 0.5
+    # with q_res2 = 0, sq = -b makes the roots exactly 1 - p_res and 0
+    sq = -b if q_res2 == 0 else complex(b * b - 4.0 * complex(q_res2)) ** 0.5
     r1 = (-b + sq) / 2.0
     r2 = (-b - sq) / 2.0
     scale = max(1.0, abs(r1), abs(r2))
@@ -149,13 +148,46 @@ def _point(location, ord_p, ord_q, residues):
     return SingularPoint(location, PointKind.IRREGULAR, rank)
 
 
+class LocalForm(NamedTuple):
+    """The cleared equation about a point: the pole orders of p and q there
+    and A, B, C as ascending coefficients a, b, c in z - center."""
+    center: complex
+    ord_p: int
+    ord_q: int
+    a: list
+    b: list
+    c: list
+
+    def point(self):
+        """The SingularPoint at the center. With m = max(ord_p, ord_q) the
+        residues of p and q are b_{m-1}/a_m and c_{m-2}/a_m, the recurrence's
+        pivot weight; each is 0 below the pole order it counts (1, 2)."""
+        m = max(self.ord_p, self.ord_q)
+        a, b, c = self.a, self.b, self.c
+        return _point(self.center, self.ord_p, self.ord_q, lambda: (
+            b[m - 1] / a[m] if self.ord_p == 1 else 0j,
+            c[m - 2] / a[m] if self.ord_q == 2 else 0j))
+
+
+def local_form(ode, z0):
+    """The LocalForm at the cleared point that the finite location z0 is
+    ``near``, or at z0 itself when it is near none (an ordinary point)."""
+    A, B, C, points = ode.cleared()
+    center = next((loc for loc in points if near(loc, z0)), z0)
+    return LocalForm(center, ode.p.pole_order_at(center)[0],
+                     ode.q.pole_order_at(center)[0],
+                     *(taylor_shift(P.coeffs, center) for P in (A, B, C)))
+
+
 def _classify_at(ode, z0):
-    """The SingularPoint at the finite point z0, from the pole orders of p
-    and q there; exponents from the residues when the point is regular."""
-    ord_p, _ = ode.p.pole_order_at(z0)
-    ord_q, _ = ode.q.pole_order_at(z0)
-    return _point(z0, ord_p, ord_q, lambda: (ode.p.limit_coefficient(z0, 1),
-                                             ode.q.limit_coefficient(z0, 2)))
+    return local_form(ode, z0).point()
+
+
+def regular_exponents(pt, where):
+    """pt's exponents; NotRegular naming ``where`` unless pt is regular."""
+    if pt.kind is not PointKind.REGULAR:
+        raise NotRegular(f"point {where} is {pt.kind.value}, not regular singular")
+    return pt.exponents
 
 
 def _degree_and_lead(rf):
@@ -203,7 +235,7 @@ def classify_singularities(ode):
     Finite poles of p or q each appear exactly once; infinity carries its
     own classification, including the ordinary case.
     """
-    points = [_classify_at(ode, z0) for z0, _, _ in ode.finite_singular_points()]
+    points = [_classify_at(ode, z0) for z0 in ode.cleared()[3]]
     points.append(_classify_at_infinity(ode))
     return points
 
@@ -234,10 +266,7 @@ def indicial_exponents(ode, z0):
     part). Raises NotRegular at ordinary or irregular points.
     """
     pt = _classify_at(ode, z0) if z0 is not None else _classify_at_infinity(ode)
-    if pt.kind is not PointKind.REGULAR:
-        where = "inf" if z0 is None else z0
-        raise NotRegular(f"point {where} is {pt.kind.value}, not regular singular")
-    return pt.exponents
+    return regular_exponents(pt, "inf" if z0 is None else z0)
 
 
 def fuchs_exponent_sum(ode):

@@ -15,6 +15,8 @@ eps**(1/m); ``clustered_roots`` accepts such a group as one root only when
 the first m derivatives vanish at its mean, then polishes the mean by
 Newton on P^(m-1), where the root is simple. Clustered roots are cached by
 coefficient tuple.
+
+``near`` is the one rule for when two locations are the same point.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ TAU_POLE = 1e-10
 CLUSTER_REL = 1e-6
 MAX_ABERTH = 100  # Ehrlich-Aberth sweeps; each root stops on its own test
 POLISH_STEPS = 4  # Newton steps on P^(m-1) for a verified m-fold root
+
+
+def near(a, b):
+    """Whether the locations a and b are the same point:
+    |a - b| <= CLUSTER_REL * max(1, |a|, |b|)."""
+    return abs(a - b) <= CLUSTER_REL * max(1.0, abs(a), abs(b))
 
 
 def _trim(coeffs):
@@ -174,8 +182,8 @@ class Polynomial:
 @lru_cache(maxsize=1024)
 def _clustered_roots(coeffs):
     poly = Polynomial(coeffs)
-    groups = _transitive_groups(
-        poly.roots(), lambda a, b: 3.0 * _EPS ** 0.25 * max(1.0, abs(a), abs(b)))
+    groups = _transitive_groups(poly.roots(), lambda a, b: abs(a - b)
+                                <= 3.0 * _EPS ** 0.25 * max(1.0, abs(a), abs(b)))
     return tuple(sorted((c for g in groups for c in _verified_root_clusters(poly, g)),
                         key=lambda c: (c[0].real, c[0].imag)))
 
@@ -240,11 +248,11 @@ def taylor_shift(coeffs, s):
     return out
 
 
-def _transitive_groups(points, radius_of):
-    """Union points into groups, linking any pair within radius_of(a, b)."""
+def _transitive_groups(points, linked):
+    """Union points into groups, joining any pair for which linked(a, b)."""
     groups = []
     for p in sorted(points, key=lambda w: (w.real, w.imag)):
-        hits = [g for g in groups if any(abs(p - q) <= radius_of(p, q) for q in g)]
+        hits = [g for g in groups if any(linked(p, q) for q in g)]
         if not hits:
             groups.append([p])
         else:
@@ -286,8 +294,7 @@ def _verified_root_clusters(poly, group):
                 break
         return [(center, m)]
     # not a genuine m-fold root: split at the tight tolerance and recurse
-    sub = _transitive_groups(
-        group, lambda a, b: CLUSTER_REL * max(1.0, abs(a), abs(b)))
+    sub = _transitive_groups(group, near)
     if len(sub) == 1:
         return [(center, m)]
     return [c for g in sub for c in _verified_root_clusters(poly, g)]
@@ -313,23 +320,12 @@ class RationalFunction:
             return []
         return self.den.clustered_roots()
 
-    def pole_order_at(self, z0, rel_tol=CLUSTER_REL):
+    def pole_order_at(self, z0):
+        """(order, location) of the pole ``near`` z0, else (0, z0)."""
         for loc, mult in self.poles():
-            if abs(loc - z0) <= rel_tol * max(1.0, abs(loc), abs(z0)):
+            if near(loc, z0):
                 return mult, loc
         return 0, z0
-
-    def limit_coefficient(self, z0, order):
-        """lim (z-z0)**order * r(z), assuming the pole order at z0 is <= order."""
-        m, loc = self.pole_order_at(z0)
-        if m > order:
-            raise ZeroDivisionError(f"pole of order {m} > {order} at {z0}")
-        den = self.den
-        for _ in range(m):
-            den = den.deflate(loc)
-        if m == order:
-            return self.num(z0) / den(z0)
-        return 0j
 
     def partial_fractions(self):
         """(quotient, principal) with r(z) = quotient(z) + the sum over the

@@ -36,6 +36,7 @@ from .mathieu import (
 )
 from .ode import LinearODE, classify_singularities, indicial_exponents, \
     normalized_residual, ode_residual, singularity_signature
+from .poly import near
 from .series import frobenius_series, eval_local
 
 
@@ -133,14 +134,12 @@ def _format_signature(sig):
     return "; ".join(parts)
 
 
-def _lookup(table, loc, tol=1e-6):
+def _lookup(table, loc):
     """table's value at loc: the key "inf" for "inf", else the first finite
-    key within tol (relative) of loc; None when there is none."""
+    key ``near`` loc; None when there is none."""
     if loc == "inf":
         return table.get("inf")
-    return next((v for k, v in table.items()
-                 if k != "inf" and abs(k - loc) <= tol * max(1.0, abs(loc))),
-                None)
+    return next((v for k, v in table.items() if k != "inf" and near(k, loc)), None)
 
 
 def _signatures_match(expected, observed):

@@ -12,11 +12,12 @@ every series in the package, and ``sum_until`` is the one rule that ends a
 sum at a point:
 
 * a regular singular point (``frobenius_series``): A, B, C are the
-  equation's cached ``LinearODE.cleared`` polynomials shifted to the point,
-  where A has a root of multiplicity lead = max(ord_p, ord_q), 1 or 2.
-  P_d vanishes for d < lead, so the pivot of h_n is the indicial
-  polynomial P_lead(n + rho), whose roots are the exponents. Division by
-  it fails exactly when the exponents differ by the integer n; that is the
+  equation's cached ``LinearODE.cleared`` polynomials shifted to the point
+  by ``ode.local_form``, the classifier's own local analysis, where A has
+  a root of multiplicity lead = max(ord_p, ord_q), 1 or 2. P_d vanishes
+  for d < lead, so the pivot of h_n is the indicial polynomial
+  P_lead(n + rho), whose roots are the exponents. Division by it fails
+  exactly when the exponents differ by the integer n; that is the
   logarithmic case and frobenius_series refuses rather than return a wrong
   series. ``frobenius_value`` sums it at a point z until the tail rule
   holds, so the series is as long as z and the tolerance need.
@@ -34,10 +35,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParameter, LogarithmicCase, NotRegular, \
-    OutsideRadius, OverflowGuard, TruncationFailure
-from .ode import _indicial_roots
-from .poly import CLUSTER_REL, taylor_shift
+from .errors import InvalidParameter, LogarithmicCase, OutsideRadius, \
+    OverflowGuard, TruncationFailure
+from .ode import local_form, regular_exponents
+from .poly import near
 
 INTEGER_TOL = 1e-9
 PIVOT_FLOOR = 1e-10  # LogarithmicCase below this pivot, relative to A, B, C
@@ -135,47 +136,26 @@ def sum_until(weights, lead, rho, cols, r, tol, max_terms, pivot_floor=0.0):
 
 
 def local_exponents(ode, z0):
-    """Indicial exponents at the regular singular point that z0 matches, and
+    """Indicial exponents at the regular singular point that z0 names, and
     the recurrence they belong to as (center, lead, weights, scale).
 
-    z0 matches a finite singular point within the classifier's tolerance
-    CLUSTER_REL; the cached ``LinearODE.cleared`` A, B, C are shifted to
-    that point, lead is its multiplicity in A (1 or 2), and the exponents
-    are the roots of the pivot weight P_lead, larger real part first.
-    Raises NotRegular at an ordinary or an irregular point.
+    One ``ode.local_form`` gives both: the point is the cleared point that
+    z0 is ``near``, the exponents are its classification's, larger real
+    part first, and lead is its multiplicity in A (1 or 2). Raises
+    NotRegular at an ordinary or an irregular point.
     """
-    z0 = complex(z0)
-    A, B, C, points = ode.cleared()
-    center = _matching_point(points, z0)
-    if center is None:
-        raise NotRegular(f"point {z0} is ordinary, not regular singular")
-    ord_p, _ = ode.p.pole_order_at(center)
-    ord_q, _ = ode.q.pole_order_at(center)
-    if ord_p > 1 or ord_q > 2:
-        raise NotRegular(f"point {z0} is irregular (pole orders {ord_p}, {ord_q})")
-    a, b, c = (taylor_shift(P.coeffs, center) for P in (A, B, C))
+    local = local_form(ode, complex(z0))
+    center, ord_p, ord_q, a, b, c = local
     weights = recurrence_weights(a, b, c)
-    lead = max(ord_p, ord_q)
-    pa, pb, pc = weights[lead]
-    # P_lead(x) = pa x^2 + pb x + pc = pa (x(x-1) + (1 + pb/pa) x + pc/pa)
-    exponents = _indicial_roots(1.0 + pb / pa, pc / pa)
-    return exponents, (center, lead, weights, max(map(abs, a + b + c)))
+    return regular_exponents(local.point(), z0), (
+        center, max(ord_p, ord_q), weights, max(map(abs, a + b + c)))
 
 
 def convergence_radius(ode, z0):
-    """Distance from the finite singular point that z0 matches (z0 itself
-    at an ordinary point) to the nearest other one: the radius of every
-    series about it."""
-    points = ode.cleared()[3]
-    z0 = _matching_point(points, complex(z0), complex(z0))
-    return min((abs(loc - z0) for loc in points if loc != z0),
+    """Distance from z0 to the nearest finite singular point that z0 is not
+    ``near``: the radius of every series about the point z0 names."""
+    return min((abs(loc - z0) for loc in ode.cleared()[3] if not near(loc, z0)),
                default=math.inf)
-
-
-def _matching_point(points, z0, default=None):
-    """The point within the classifier's tolerance CLUSTER_REL of z0."""
-    return next((loc for loc in points if abs(loc - z0)
-                 <= CLUSTER_REL * max(1.0, abs(loc), abs(z0))), default)
 
 
 def _branch(ode, z0, branch, exponents):

@@ -403,6 +403,10 @@ def test_cli_parameter_inputs(capsys):
          "expected line to start with 'ode'"),
         (["classify", "--text", "ode p_num=[1] p_den=[1] q_num=[1]"], 2,
          "missing field 'q_den'"),
+        (["classify", "--text", "cform kind=nosuch p=1"], 2,
+         "unknown confluent form 'nosuch'"),
+        (["classify", "--text", "cform kind=spheroidal p=1 q=0.5 g=1"], 2,
+         "spheroidal expects parameters ['lam', 'm', 'p']"),
     ]
     for argv, code, message in cases:
         status = main(argv)

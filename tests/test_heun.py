@@ -1,17 +1,19 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from heunkit.errors import (CollidingSingularities, DegenerateReduction,
                             FuchsViolation, LogarithmicCase, NotReducible,
                             OutsideRadius, UnknownKind)
-from heunkit.heun import (ConfluentFormParams,
+from heunkit.heun import (COLLISION_TOL, ConfluentFormParams,
                           GeneralHeunParams, SIGNATURES,
                           anharmonic_to_biconfluent, build_confluent_form,
                           double_confluent_to_mathieu, general_heun,
                           heun_recurrence_residual, heun_series, heun_value)
-from heunkit.ode import classify_singularities, ode_residual, \
+from heunkit.ode import PointKind, classify_singularities, ode_residual, \
     singularity_signature
 from heunkit.series import eval_local
 from heunkit.hypergeometric import gauss_2f1
@@ -52,6 +54,45 @@ def test_colliding_singularities_rejected():
         GeneralHeunParams(1, 1, 1, 1, 1, 1, 0)
     with pytest.raises(CollidingSingularities):
         GeneralHeunParams(1, 1, 1, 1, 1, 1e-13, 0)
+
+
+_PARAM = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-0.5, 0.5))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=_PARAM, b=_PARAM, c=_PARAM, d=_PARAM, q=_PARAM,
+       base=st.sampled_from([0.0, 1.0]), log_offset=st.floats(-5.0, -3.0),
+       turn=st.floats(0.0, 2.0 * math.pi))
+@example(a=0.31, b=0.77, c=1.23, d=0.65, q=0.4, base=1.0,
+         log_offset=math.log10(5e-5), turn=0.0)
+@example(a=0.31, b=0.77, c=1.23, d=0.65, q=0.4, base=0.0,
+         log_offset=math.log10(5e-5), turn=0.0)
+@example(a=0.31, b=0.77, c=1.23, d=0.65, q=0.4, base=1.0,
+         log_offset=math.log10(2e-4), turn=0.0)
+def test_fuchs_gate_near_colliding_points(a, b, c, d, q, base, log_offset,
+                                          turn):
+    """An f within 1e-3 of 0 or 1 is refused as colliding, or it gives
+    exactly four regular points, 0, 1, f and infinity, with the exponents
+    {0, 1-c}, {0, 1-d}, {0, 1-e} and {a, b} (DLMF 31.2). c, d and e stay
+    off 0, so each finite point is singular, and a, b apart, so the pair at
+    infinity is a well-conditioned root pair."""
+    e = a + b + 1.0 - c - d
+    assume(min(abs(c), abs(d), abs(e), abs(a - b)) >= 0.1)
+    f = base + 10.0 ** log_offset * cmath.exp(1j * turn)
+    try:
+        params = GeneralHeunParams(a, b, c, d, e, f, q)
+    except CollidingSingularities:
+        assert min(abs(f), abs(f - 1.0)) <= COLLISION_TOL * max(1.0, abs(f))
+        return
+    points = classify_singularities(general_heun(params))
+    want = {0j: (0, 1 - c), 1 + 0j: (0, 1 - d), params.f: (0, 1 - e),
+            None: (a, b)}
+    assert len(points) == 4 and {p.location for p in points} == set(want)
+    for p in points:
+        assert p.kind is PointKind.REGULAR, p
+        (x1, x2), (y1, y2) = p.exponents, want[p.location]
+        assert min(max(abs(x1 - y1), abs(x2 - y2)),
+                   max(abs(x1 - y2), abs(x2 - y1))) <= 1e-9, p
 
 
 def test_constant_series_when_forcing_vanishes():

@@ -81,15 +81,6 @@ def test_pole_orders():
     assert order == 2 and abs(loc) < 1e-9
 
 
-def test_limit_coefficient():
-    # residue of (2z + 3)/(z(z-1)) at 0 is -3
-    r = make_rational([3.0, 2.0], [0.0, -1.0, 1.0])
-    assert abs(r.limit_coefficient(0j, 1) - (-3.0)) < 1e-12
-    # and the double-pole coefficient there is 0 by convention order-2 limit
-    r2 = make_rational([1.0], [0.0, 1.0])
-    assert abs(r2.limit_coefficient(0j, 2)) < 1e-12
-
-
 def _match(found, exact):
     """Largest |found - exact| / max(1, |exact|) over a greedy pairing."""
     left, worst = list(found), 0.0
