@@ -256,16 +256,21 @@ def _run_classify(cmd):
     return 0
 
 
+def _center(params, raw):
+    """The point 0, 1 or f that an option names: a label of heun_center
+    (0/zero, 1/one, f/2), else a number ``near`` one of them."""
+    try:
+        return heun_center(params, raw)[1]
+    except UnknownCenter:
+        return heun_center(params, parse_complex(raw))[1]
+
+
 def _run_heun_eval(cmd):
     o = cmd.options
     params = GeneralHeunParams(o["a"], o["b"], o["c"], o["d"], o["e"],
                                o["f"], o["q"])
-    # --center is a label of heun_center (0/zero, 1/one, f/2) or a number
-    try:
-        _, center = heun_center(params, o["center"])
-    except UnknownCenter:
-        _, center = heun_center(params, parse_complex(o["center"]))
-    val, series = heun_value(params, center, o["branch"], o["z"])
+    val, series = heun_value(params, _center(params, o["center"]),
+                             o["branch"], o["z"])
     payload = {
         "schema": 1,
         "center": to_jsonable(series.center),
@@ -439,7 +444,8 @@ def _run_connect(cmd):
     params = GeneralHeunParams(o["a"], o["b"], o["c"], o["d"], o["e"],
                                o["f"], o["q"])
     tol = _tolerance(o)
-    C = connection_matrix(params, o["from"], o["to"], tol=tol)
+    C = connection_matrix(params, _center(params, o["from"]),
+                          _center(params, o["to"]), tol=tol)
     payload = {
         "schema": 1,
         "from": o["from"],

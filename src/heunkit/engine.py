@@ -25,12 +25,10 @@ Motygin, "On evaluation of the Heun functions", and ``mpmath.odefun``:
 Caps on steps per path and terms per step raise StepUnderflow instead of
 looping on inputs that cannot converge. Tolerances must be finite numbers
 in (0, 1); values below 100 machine epsilons are raised to that floor.
-
-Callable coefficients (``integrate_callable``; trigonometric ones have no
-polynomial form) take the same steps, with Taylor coefficients from a
-discrete Fourier transform of samples on a circle about each center, as
-``mpmath.odefun`` feeds its stepper. ``wronskian_abel_check`` integrates p
-in closed form from its partial fractions. No run-time path loads scipy.
+Only rational equations are transported: a trigonometric one is carried
+through an algebraic image (boundary-dirac takes v = tan T).
+``wronskian_abel_check`` integrates p in closed form from its partial
+fractions. No run-time path loads scipy.
 
 Clearance from singular points scales with the local singularity spacing,
 so tight geometries (points at distance ~1) and wide ones are treated
@@ -65,10 +63,6 @@ MIN_TOL = 100.0 * sys.float_info.epsilon
 STEP_FRACTION = 0.5  # step / distance to the nearest finite singular point
 MAX_STEPS = 10_000  # Taylor steps per path
 MAX_TERMS = 400  # series terms per Taylor step
-SAMPLES = 64  # samples per callable coefficient and center
-SAMPLE_RADIUS = 0.6  # sample radius / distance to the nearest listed point
-SAMPLE_RADIUS_CAP = 1.0  # sample radius when no listed point is nearer
-MAX_SAMPLED_TERMS = 24  # Taylor coefficients kept per callable coefficient
 
 
 def solve_ivp(*args, **kwargs):
@@ -85,6 +79,13 @@ def quad(*args, **kwargs):
     until ROADMAP item 1 lets the tracer skip missing names."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
+
+
+def integrate_callable(*args, **kwargs):
+    """Removed: only rational equations are transported. The name is kept
+    only because perfbench/tracer.py wraps it by name, until ROADMAP item 1
+    lets the tracer skip missing names."""
+    raise NotImplementedError("integrate_callable was removed")
 
 
 def check_tolerance(tol, name="tol"):
@@ -159,6 +160,18 @@ class ConnectionMatrix:
         return (F + math.sqrt(max(F * F - 4.0 * det * det, 0.0))) / (2.0 * det) \
             if det else math.inf
 
+    @property
+    def eigenvalues(self):
+        """The roots of x**2 - tr x + det in closed form, the larger in
+        modulus first: tr/2 +- sqrt(tr**2/4 - det), with the discriminant
+        written as ((a - d)/2)**2 + b c so that it does not cancel, and the
+        smaller root as det / larger, so that it does not either."""
+        (a, b), (c, d) = self.entries
+        half = (a + d) / 2.0
+        root = cmath.sqrt(((a - d) / 2.0) ** 2 + b * c)
+        big = half + root if abs(half + root) >= abs(half - root) else half - root
+        return (big, self.determinant / big if big else 0j)
+
     def __matmul__(self, other):
         (a, b), (c, d) = self.entries
         (e, f), (g, h) = other.entries
@@ -196,12 +209,6 @@ def check_clearance(singular_points, path):
                 raise SingularityTooClose(
                     f"path within {d:.3e} of singular point {s} "
                     f"(clearance {clearance:.3e})")
-
-
-def _check_start(init, path):
-    z = init.z
-    if abs(z - path.vertices[0]) > 1e-9 * max(1.0, abs(z)):
-        raise ValueError("initial state is not at the first path vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -247,93 +254,32 @@ def _distance(z, points):
     return min((abs(z - s) for s in points), default=math.inf)
 
 
-def _transport(expand, path, cols, tol):
+def _transport(cleared, path, cols, tol):
     """Carry (w, w') columns from the first path vertex to the last.
 
-    expand(z) gives the ascending coefficients a, b, c of A w'' + B w' +
-    C w = 0 about z, the largest step there and the tries that took, which
-    count toward MAX_STEPS. Returns the columns at the last vertex.
-    Clearance is the caller's check.
+    cleared is LinearODE.cleared(): the polynomials A, B, C of A w'' + B w'
+    + C w = 0 and its finite singular points. Returns the columns at the
+    last vertex. Raises SingularityTooClose / StepUnderflow.
     """
+    A, B, C, sing = cleared
+    check_clearance(sing, path)
     z = path.vertices[0]
     cols = [(complex(w), complex(dw)) for w, dw in cols]
     steps = 0
     for zb in path.vertices[1:]:
         while z != zb:
-            a, b, c, reach, tries = expand(z)
-            steps += tries
+            steps += 1
             if steps > MAX_STEPS:
                 raise StepUnderflow(f"more than {MAX_STEPS} Taylor steps; "
                                     f"stopped at z = {z}")
-            reach = min(reach, 2.0 * _coefficient_scale(a, b, c))
+            a, b, c = (taylor_shift(P.coeffs, z) for P in (A, B, C))
+            reach = min(STEP_FRACTION * _distance(z, sing),
+                        2.0 * _coefficient_scale(a, b, c))
             d = zb - z
             z_next = zb if abs(d) <= reach else z + d * (reach / abs(d))
             cols = _taylor_step(a, b, c, z_next - z, cols, tol)
             z = z_next
     return cols
-
-
-def _cleared_expansion(ode):
-    """expand(z) for _transport: the cached cleared A, B, C shifted to z,
-    and STEP_FRACTION of the distance to the nearest finite singular point."""
-    A, B, C, sing = ode.cleared()
-
-    def expand(z):
-        a, b, c = (taylor_shift(P.coeffs, z) for P in (A, B, C))
-        return a, b, c, STEP_FRACTION * _distance(z, sing), 1
-
-    return expand
-
-
-def _sampled_expansion(pfun, qfun, points, tol):
-    """expand(z) for _transport from SAMPLES values of p and q on the
-    circle |t - z| = rho, with rho = SAMPLE_RADIUS times the distance to
-    the nearest listed singular point, at most SAMPLE_RADIUS_CAP.
-
-    Bin k of the discrete Fourier transform is a Taylor coefficient times
-    rho**k, up to aliasing of order (rho / R)**SAMPLES for a convergence
-    radius R; a singular point inside the circle puts its negative powers
-    into the top bins. On the step disk |t - z| <= rho/2 bin k weighs
-    2**-min(k, SAMPLES - k). The head kept is the shortest, of at most
-    MAX_SAMPLED_TERMS, whose weighted tail is at most tol * max(1, |bin 0|);
-    when p or q has none, rho is halved and the try counts as a step.
-    """
-    import numpy as np
-    k = np.arange(SAMPLES)
-    roots = np.exp(2j * math.pi * k / SAMPLES)
-    weight = 0.5 ** np.minimum(k, SAMPLES - k)
-
-    def head(f, nodes, rho):
-        bins = np.fft.fft([f(t) for t in nodes]) / SAMPLES
-        tail = np.cumsum((np.abs(bins) * weight)[::-1])[::-1]
-        fits = np.flatnonzero(tail[:MAX_SAMPLED_TERMS + 1]
-                              <= tol * max(1.0, abs(bins[0])))
-        return (bins[:fits[0]] / rho ** k[:fits[0]]).tolist() \
-            if fits.size else None
-
-    def expand(z):
-        rho = min(SAMPLE_RADIUS * _distance(z, points), SAMPLE_RADIUS_CAP)
-        for tries in range(1, MAX_STEPS + 1):
-            if z + 0.5 * rho == z:
-                break
-            nodes = (z + rho * roots).tolist()
-            b = head(pfun, nodes, rho)
-            c = None if b is None else head(qfun, nodes, rho)
-            if c is not None:
-                return [1.0 + 0j], b, c, 0.5 * rho, tries
-            rho *= 0.5
-        raise StepUnderflow(f"no sample radius about z = {z} gives "
-                            f"coefficients to tol {tol:.3e}")
-
-    return expand
-
-
-def _carry(expand, points, init, path, tol):
-    """One solution from init at the first path vertex to the last."""
-    _check_start(init, path)
-    check_clearance(points, path)
-    [(w, dw)] = _transport(expand, path, [(init.w, init.dw)], tol)
-    return SolutionState(path.vertices[-1], w, dw)
 
 
 def integrate_path(ode, init, path, tol=DEFAULT_TOL):
@@ -345,22 +291,10 @@ def integrate_path(ode, init, path, tol=DEFAULT_TOL):
     StepUnderflow.
     """
     tol = check_tolerance(tol)
-    return _carry(_cleared_expansion(ode), ode.cleared()[3], init, path, tol)
-
-
-def integrate_callable(pfun, qfun, init, path, tol=DEFAULT_TOL,
-                       singular_points=()):
-    """integrate_path for w'' + p(z) w' + q(z) w = 0 with callable p, q.
-
-    p and q must accept complex arguments and be holomorphic near the
-    path, apart from the listed singular points: their Taylor coefficients
-    come from samples on a circle about each center (_sampled_expansion).
-    Raises StepUnderflow when no sample radius meets tol.
-    """
-    tol = check_tolerance(tol)
-    points = tuple(complex(s) for s in singular_points)
-    return _carry(_sampled_expansion(pfun, qfun, points, tol), points, init,
-                  path, tol)
+    if abs(init.z - path.vertices[0]) > 1e-9 * max(1.0, abs(init.z)):
+        raise ValueError("initial state is not at the first path vertex")
+    [(w, dw)] = _transport(ode.cleared(), path, [(init.w, init.dw)], tol)
+    return SolutionState(path.vertices[-1], w, dw)
 
 
 def integrate_p_along(ode, path):
@@ -416,8 +350,7 @@ def loop_transfer_matrix(ode, loop, tol=DEFAULT_TOL):
     """Matrix mapping (w, w') at the loop start to their values after one
     traversal: the two unit initial conditions carried in one pass."""
     tol = check_tolerance(tol)
-    check_clearance(ode.cleared()[3], loop)
-    (w1, dw1), (w2, dw2) = _transport(_cleared_expansion(ode), loop,
+    (w1, dw1), (w2, dw2) = _transport(ode.cleared(), loop,
                                       [(1.0, 0.0), (0.0, 1.0)], tol)
     return ConnectionMatrix(((w1, w2), (dw1, dw2)))
 
@@ -474,7 +407,6 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     elif not isinstance(path, ComplexPath):
         path = ComplexPath(tuple(path))
     z_a, z_m = path.vertices[0], path.vertices[-1]
-    check_clearance(ode.cleared()[3], path)
 
     # target basis at the matching point
     v = []
@@ -490,7 +422,7 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     for branch in ("first", "second"):
         val, _ = heun_value(params, frm_c, branch, z_a, tail_tol=1e-13)
         starts.append((val.w, val.dw))
-    ends = _transport(_cleared_expansion(ode), path, starts, tol)
+    ends = _transport(ode.cleared(), path, starts, tol)
     # Cramer's rule: row j of C solves M x = (w, dw) of start j at z_m
     (m11, m12), (m21, m22) = M.entries
     det = M.determinant

@@ -7,9 +7,10 @@ operator identities) numerically. Results are collected in a ScenarioReport
 whose claims are machine-checked statements; nothing is assumed.
 
 Equations with trigonometric or hyperbolic coefficients are carried as
-TrigODE (callable coefficients) and classified only after an explicit
-algebraization substitution (u = exp(2 i t), t = cos theta, u = exp(2x)),
-which is recorded in the report.
+TrigODE (callable coefficients, used for residuals only) and classified
+and transported only after an explicit algebraization substitution
+(u = exp(2 i t), v = tan t, t = cos theta, u = exp(2x)), which is recorded
+in the report.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .engine import ComplexPath, SolutionState, check_clearance, \
-    integrate_callable, integrate_path, loop_transfer_matrix
+from .engine import ComplexPath, SolutionState, integrate_path, \
+    loop_transfer_matrix
 from .errors import DegenerateShift, InvalidParameter, LogarithmicCase, \
     ParameterPole
 from .heun import ConfluentFormParams, build_confluent_form
@@ -882,6 +883,18 @@ def _boundary_trig_ode(ak, x0):
                          "- i sin 2T sinh 2x0 + cosh 2x0] f = 0")
 
 
+def _boundary_v_ode(ak, x0):
+    """Image of the boundary equation under v = tan T (derived form):
+    (1+v^2)^3 f_vv + 3v(1+v^2)^2 f_v - (ak)^2 (cosh 2x0 - i v sinh 2x0) f = 0,
+    from d/dT = (1+v^2) d/dv, cos 2T = (1-v^2)/(1+v^2) and
+    sin 2T = 2v/(1+v^2). Its finite singular points are v = +-i."""
+    g = ak * ak
+    A = [1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0]
+    B = [0.0, 3.0, 0.0, 6.0, 0.0, 3.0]
+    C = [-g * math.cosh(2.0 * x0), 1j * g * math.sinh(2.0 * x0)]
+    return LinearODE.from_polynomials(A, B, C)
+
+
 def _boundary_u_ode_derived(ak, x0):
     """Image of the boundary equation under u = exp(2iT) (derived form):
     4u^3(u+1) F'' + 2u^2(u+3) F' + (ak)^2/4 e^{-2x0} (u+1)^2 (u+e^{4x0}) F = 0.
@@ -923,9 +936,11 @@ def boundary_dirac_equation(a, k, x0, phi):
     while the literal printed transcription differs in the first-derivative
     term and the exponential weights; both are classified (same signature:
     irregular at 0 and infinity, regular at -1) and the mismatch is
-    recorded. Transport: integrate in T, map states by F' = f'/(2iu),
-    compare against integration of the derived u-equation along the image
-    path; also round-trips back to T.
+    recorded. Transport: the T-data are carried in v = tan T, where the
+    equation is rational (``_boundary_v_ode``; its states mapped back by
+    f' = (1+v^2) f_v are checked against the T-equation), mapped by
+    F' = f'/(2iu) and compared against integration of the derived
+    u-equation along the image path; also round-trips back to T.
     """
     a, k, x0, phi = float(a), float(k), float(x0), float(phi)
     if a <= 0 or k < 0 or x0 < 0:
@@ -965,26 +980,37 @@ def boundary_dirac_equation(a, k, x0, phi):
     report.claim_at_most("zero-coupling limit has the elementary solution "
                          "f = sin T", res0, "1e-10", "residual")
 
+    vode = _boundary_v_ode(ak, x0)
+    report.add_ode("tangent-derived", vode)
+
     # transport T -> u and back. A Taylor step ends at every vertex, so the
-    # straight T run is one segment; the grid only traces its image arc in u
+    # straight v run is one segment. Every vertex of the u polyline lies on
+    # |u| = 1 at arg u = 2T in [0.3, 2.5], 0.275 apart, so each chord stays
+    # at |u| >= cos(0.1375); the lunes between the chords and the arc hold
+    # neither 0 nor -1, so the polyline continues solutions as the arc does
     t0, t1 = 0.15, 1.25
-    tpath = ComplexPath((t0, t1))
-    tgrid = _linspace(t0, t1, 41)
-    upath = ComplexPath(tuple(cmath.exp(2j * t) for t in tgrid))
-    check_clearance((0j, -1.0 + 0j), upath)
+    v0, v1 = math.tan(t0), math.tan(t1)
+    vpath = ComplexPath((v0, v1))
+    upath = ComplexPath(tuple(cmath.exp(2j * t) for t in _linspace(t0, t1, 9)))
+    u0, u1 = upath.vertices[0], upath.vertices[-1]
+
+    def t_sample(t, st):
+        """(T, f, f_T, f_TT) of a state at v = tan T, f_vv from vode."""
+        v, s = st.z, 1.0 + st.z * st.z
+        ddw = -(vode.p(v) * st.dw + vode.q(v) * st.w)
+        return (t, st.w, s * st.dw, s * s * ddw + 2.0 * v * s * st.dw)
 
     worst_fwd = 0.0
     worst_rt = 0.0
+    samples = []
     for w0, dw0 in ((1.0, 0.0), (0.0, 1.0)):
-        stT = integrate_callable(trig.p, trig.q,
-                                 SolutionState(t0, w0, dw0), tpath, tol=1e-11,
-                                 singular_points=trig.poles)
-        u0 = cmath.exp(2j * t0)
-        u1 = cmath.exp(2j * t1)
+        start = SolutionState(v0, w0, dw0 / (1.0 + v0 * v0))
+        stV = integrate_path(vode, start, vpath, tol=1e-11)
+        samples += [t_sample(t0, start), t_sample(t1, stV)]
         F0 = SolutionState(u0, complex(w0), complex(dw0) / (2j * u0))
         stU = integrate_path(derived, F0, upath, tol=1e-11)
-        expect_w = stT.w
-        expect_du = stT.dw / (2j * u1)
+        expect_w = stV.w
+        expect_du = stV.dw * (1.0 + v1 * v1) / (2j * u1)
         scale = max(1.0, abs(expect_w), abs(expect_du))
         err = max(abs(stU.w - expect_w), abs(stU.dw - expect_du)) / scale
         worst_fwd = max(worst_fwd, err)
@@ -994,6 +1020,11 @@ def boundary_dirac_equation(a, k, x0, phi):
                               tol=1e-11)
         rt_err = max(abs(back.w - w0), abs(back.dw * (2j * u0) - dw0))
         worst_rt = max(worst_rt, rt_err)
+    res_v = trig.residual(samples)
+    report.residuals["tangent_image"] = res_v
+    report.claim_at_most("v = tan T maps solutions of the algebraic tangent "
+                         "form onto solutions of the angular form", res_v,
+                         "1e-10", "residual")
     report.residuals["transport"] = worst_fwd
     report.residuals["transport_roundtrip"] = worst_rt
     report.claim_at_most("u = exp(2iT) maps solutions of the angular form "
@@ -1005,9 +1036,7 @@ def boundary_dirac_equation(a, k, x0, phi):
     # monodromy of the algebraic equation around u = 0
     loop = ComplexPath.circle(0j, 0.82, n=28, start_angle=2.0 * t0)
     M = loop_transfer_matrix(derived, loop, tol=1e-11)
-    import numpy as np
-    eig = np.linalg.eigvals(M.as_array())
-    report.data["monodromy_eigenvalues"] = [complex(v) for v in eig]
+    report.data["monodromy_eigenvalues"] = list(M.eigenvalues)
     report.claim("loop transfer matrix around u = 0 is non-degenerate",
                  "|det| > 1e-8", f"|det| = {abs(M.determinant):.6g}",
                  abs(M.determinant) > 1e-8)

@@ -172,6 +172,20 @@ def test_cli_connect_identity():
     assert abs(C[0][1]["re"]) < 1e-9 and abs(C[1][0]["re"]) < 1e-9
 
 
+def test_cli_connect_takes_numbers(capsys):
+    """--from/--to take a number near 0, 1 or f, as heun-eval --center
+    does: at f = 2.5, --to 2.5 prints the same matrix as --to f."""
+    from heunkit.cli import main
+
+    base = CONNECT_01[:-4] + ["--format", "text", "--from", "0", "--to"]
+    printed = []
+    for to in ("f", "2.5", "2.50000001"):
+        assert main(base + [to]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0].startswith("C11 = ")
+    assert printed[1] == printed[0] and printed[2] == printed[0]
+
+
 def test_cli_domain_errors(capsys):
     """Inputs the library refuses exit 1 with the error's name: a target
     basis at 1 with exponents 0 and 3e-9, and the Frobenius series at f
@@ -304,8 +318,8 @@ def test_cli_transport_inputs(monkeypatch, capsys):
         ([], "0", 2, "HEUNKIT_TOL must be"),
         ([], "abc", 2, "HEUNKIT_TOL is not a number"),
         (["--tol", "0"], "1e-9", 2, "--tol must be"),
-        (["--to", "x"], None, 2, "unknown center label"),
-        (["--from", "0.5"], None, 2, "unknown center label"),
+        (["--to", "x"], None, 2, "bad complex literal 'x'"),
+        (["--from", "0.5"], None, 2, "center (0.5+0j) is not one of 0, 1"),
         (["--tol", "1e-30"], None, 0, ""),
     ]
     for extra, env, code, message in cases:
@@ -514,10 +528,10 @@ print(json.dumps(loaded))
 
 def test_cheap_verbs_do_not_import_numpy():
     """In a fresh interpreter, classify, heun-eval, connect and the stark,
-    h2plus and eguchi-hanson-radial scenarios run through cli.main without
-    loading numpy: roots and 2x2 algebra are pure Python, and numpy is
-    imported only where mathieu, the callable-coefficient sampler and the
-    remaining scenarios use it."""
+    h2plus, eguchi-hanson-radial and boundary-dirac scenarios run through
+    cli.main without loading numpy: roots, 2x2 algebra and the eigenvalues
+    of a 2x2 monodromy matrix are pure Python, and numpy is imported only
+    where mathieu and the remaining scenarios use it."""
     argvs = [
         ["classify", "--text", "heun a=1 b=1 c=1 d=1 e=1 f=2 q=0"],
         ["classify", "--text", "cform kind=spheroidal p=0.7 lam=1.1 m=1"],
@@ -527,6 +541,7 @@ def test_cheap_verbs_do_not_import_numpy():
         ["scenario", "--id", "stark"],
         ["scenario", "--id", "h2plus"],
         ["scenario", "--id", "eguchi-hanson-radial"],
+        ["scenario", "--id", "boundary-dirac"],
     ]
     p = subprocess.run([sys.executable, "-c",
                         _NO_NUMPY_CHILD.format(argvs=argvs)],

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from heunkit.engine import (ComplexPath, SolutionState, connection_matrix,
-                            integrate_callable, integrate_p_along,
+from heunkit.engine import (ComplexPath, ConnectionMatrix, SolutionState,
+                            connection_matrix, integrate_p_along,
                             integrate_path, loop_transfer_matrix,
                             wronskian_abel_check)
 from heunkit.errors import (DegenerateSystem, IllConditioned, InvalidTolerance,
@@ -152,66 +152,51 @@ def test_abel_rejects_segment_through_pole():
         wronskian_abel_check(ode, pair, pair, ComplexPath((0.5, 1.5)))
 
 
-def test_callable_matches_dop853_on_boundary_equation():
-    """The T-equation of boundary-dirac, f'' + tan T f' + q(T) f = 0, on
-    the straight run from 0.15 to 1.25, against scipy's DOP853: as one
-    segment (the scenario's path) and as 40 pieces, where every vertex
-    ends a Taylor step."""
-    from heunkit.scenarios import _boundary_trig_ode
+def test_tangent_image_matches_dop853_on_boundary_equation():
+    """boundary-dirac's T-equation, f'' + tan T f' + q(T) f = 0, carried
+    in v = tan T by integrate_path from T = 0.15 to 1.25 and mapped back by
+    f' = (1 + v^2) f_v, against scipy's DOP853 on the T-equation itself:
+    as one segment (the scenario's path) and as 40 pieces, where every
+    vertex ends a Taylor step."""
+    from heunkit.scenarios import _boundary_trig_ode, _boundary_v_ode
 
     trig = _boundary_trig_ode(1.0, 0.3)
-    for path in (ComplexPath((0.15, 1.25)),
-                 ComplexPath(tuple(np.linspace(0.15, 1.25, 41)))):
+    vode = _boundary_v_ode(1.0, 0.3)
+    for grid in ((0.15, 1.25), np.linspace(0.15, 1.25, 41)):
+        vpath = ComplexPath(tuple(math.tan(t) for t in grid))
+        v0, v1 = vpath.vertices[0], vpath.vertices[-1]
         for w0, dw0 in ((1.0, 0.0), (0.0, 1.0)):
-            start = SolutionState(0.15, w0, dw0)
-            got = integrate_callable(trig.p, trig.q, start, path, tol=1e-11,
-                                     singular_points=trig.poles)
-            want = dop853(trig.p, trig.q, start, path, tol=1e-13)
+            got = integrate_path(vode, SolutionState(v0, w0, dw0 / (1 + v0 * v0)),
+                                 vpath, tol=1e-11)
+            want = dop853(trig.p, trig.q, SolutionState(0.15, w0, dw0),
+                          ComplexPath((0.15, 1.25)), tol=1e-13)
             scale = max(1.0, abs(want.w), abs(want.dw))
-            assert (max(abs(got.w - want.w), abs(got.dw - want.dw))
+            assert (max(abs(got.w - want.w),
+                        abs(got.dw * (1 + v1 * v1) - want.dw))
                     <= 1e-10 * scale)
 
 
-def test_callable_unlisted_pole():
-    """f = sin T solves f'' + tan T f' = 0. With the poles of tan not
-    listed, a path ending near pi/2 is within 1e-10 or raises
-    StepUnderflow; one ending on the pole or crossing it raises."""
-    def solve(end):
-        return integrate_callable(lambda t: cmath.tan(t), lambda t: 0.0,
-                                  SolutionState(0.0, 0.0, 1.0),
-                                  ComplexPath((0.0, end)), tol=1e-11)
-
-    for end in (math.pi / 2 - 1e-3, math.pi / 2 - 1e-6):
-        try:
-            st = solve(end)
-        except StepUnderflow:
-            continue
-        assert abs(st.w - math.sin(end)) <= 1e-10
-        assert abs(st.dw - math.cos(end)) <= 1e-10
-    for end in (math.pi / 2, 2.0):
-        with pytest.raises(StepUnderflow):
-            solve(end)
-
-
-def test_callable_radius_halvings_count_as_steps(monkeypatch):
-    """w'' + w'/(t - s) = 0 with s = 0.05i not listed: the one step from 0
-    to 0.01 needs the sample radius halved from 1 to 1/32, six tries."""
-    import heunkit.engine as engine
-
-    s = 0.05j
-
-    def solve():
-        return integrate_callable(lambda t: 1.0 / (t - s), lambda t: 0.0,
-                                  SolutionState(0.0, 0.0, 1.0),
-                                  ComplexPath((0.0, 0.01)), tol=1e-11)
-
-    monkeypatch.setattr(engine, "MAX_STEPS", 6)
-    st = solve()
-    assert abs(st.w + s * cmath.log((0.01 - s) / -s)) <= 1e-12
-    assert abs(st.dw + s / (0.01 - s)) <= 1e-12
-    monkeypatch.setattr(engine, "MAX_STEPS", 5)
-    with pytest.raises(StepUnderflow):
-        solve()
+def test_eigenvalues_match_numpy():
+    """ConnectionMatrix.eigenvalues in closed form against numpy's eigvals,
+    as sets: random complex matrices, a repeated eigenvalue with a Jordan
+    block, a multiple of the identity, a rotation, eigenvalues far apart in
+    size, and a nilpotent matrix."""
+    rng = np.random.default_rng(7)
+    mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            for _ in range(50)]
+    mats += [np.array([[2.0, 1.0], [0.0, 2.0]]),
+             np.array([[1.5 - 0.5j, 0.0], [0.0, 1.5 - 0.5j]]),
+             np.array([[0.6, -0.8], [0.8, 0.6]]),
+             np.array([[1e8, 2.0], [1.0, 3e-8]]),
+             np.array([[0.0, 1.0], [0.0, 0.0]])]
+    for m in mats:
+        got = ConnectionMatrix(tuple(tuple(complex(x) for x in row)
+                                     for row in m)).eigenvalues
+        want = np.linalg.eigvals(m)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        pair = min(max(abs(got[0] - want[i]), abs(got[1] - want[1 - i]))
+                   for i in (0, 1))
+        assert pair <= 1e-12 * scale, (m, got, want)
 
 
 def test_connection_identity():

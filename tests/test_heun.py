@@ -390,10 +390,11 @@ def test_double_confluent_not_reducible():
 
 
 def test_double_confluent_reduction_residual():
-    """Integrate the reduced trigonometric equation, undo the gauge, and
-    check the resulting function against the original operator on the unit
-    circle."""
-    from heunkit.engine import ComplexPath, SolutionState, integrate_callable
+    """Integrate the reduced trigonometric equation with scipy's DOP853,
+    undo the gauge, and check the resulting function against the original
+    operator on the unit circle."""
+    from heunkit.engine import ComplexPath, SolutionState
+    from scipy_reference import dop853
 
     alpha, B0 = 0.4, 0.7
     cf = ConfluentFormParams("double-confluent",
@@ -412,8 +413,8 @@ def test_double_confluent_reduction_residual():
     for v0, dv0 in ((1.0, 0.0), (0.0, 1.0)):
         state = SolutionState(t0, v0, dv0)
         for t1 in thetas[1:]:
-            state = integrate_callable(lambda t: 0.0, trig_q, state,
-                                       ComplexPath((state.z, t1)), tol=1e-12)
+            state = dop853(lambda t: 0.0, trig_q, state,
+                           ComplexPath((state.z, t1)), tol=1e-12)
             t, v, dv = state.z.real, state.w, state.dw
             ddv = -trig_q(t) * v
             # undo the gauge w = v exp(-i alpha sin t) and map to z = e^{it}

@@ -1,6 +1,7 @@
 """The README's examples run as written: every command of its "Command line"
 block through ``python -m heunkit``, with the config file from its ini block
-and a small ODE file, and its "Library example" as a script."""
+and a small ODE file (a ``--grid-out`` file must exist and start with the
+grid header), and its "Library example" as a script."""
 
 import os
 import re
@@ -42,6 +43,9 @@ def test_readme_command_line_examples(tmp_path):
         p = _run([sys.executable, "-m", "heunkit", *argv[1:]], tmp_path)
         assert p.returncode == 0, (argv, p.stderr)
         assert p.stdout and "Traceback" not in p.stderr, argv
+        if "--grid-out" in argv:
+            grid = tmp_path / argv[argv.index("--grid-out") + 1]
+            assert grid.read_text().startswith("mu,theta,psi,residual\n"), argv
 
 
 def test_readme_library_example(tmp_path):
