@@ -4,15 +4,17 @@ Layers:
 
 * poly / ode      exact rational-coefficient ODEs, singularity
                   classification, indicial analysis, residual checks
-* series / heun   Frobenius series from one recurrence (the Heun series is
-                  the generic one with Heun's labels), the general
-                  four-regular-point equation and its confluent family,
-                  reductions between family members
-* engine          complex-path integration, Wronskian integrity checks,
-                  numerical connection matrices
+* series / heun   every power series from one recurrence, tail rule and
+                  Horner evaluator: Frobenius series (the Heun series is
+                  the generic one with Heun's labels) and the Taylor steps
+                  of path continuation; the general four-regular-point
+                  equation, its confluent family, reductions between
+                  family members
+* engine          complex paths and their entry points, Wronskian
+                  integrity checks, numerical connection matrices
 * mathieu         characteristic values and angular/modified Mathieu
                   functions
-* hypergeometric  small series oracles for cross-checks
+* hypergeometric  small series oracles, used by the tests only
 * scenarios       physics reduction pipelines with machine-checked claims
 * cli             command-line front end
 """

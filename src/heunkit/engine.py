@@ -1,41 +1,21 @@
 """Second-order linear ODEs continued along complex paths.
 
 Rational coefficients (``integrate_path``, ``loop_transfer_matrix``,
-``connection_matrix``) are continued by Taylor re-expansion, after O. V.
-Motygin, "On evaluation of the Heun functions", and ``mpmath.odefun``:
+``connection_matrix``) are continued by the Taylor re-expansion of
+``series.transport``, whose docstring states the step rule, on the
+equation cleared once to A w'' + B w' + C w = 0 (``LinearODE.cleared``).
+This module keeps the path geometry, the entry points, the matrices and
+the Abel check; it sums no series itself.
 
-* the equation is cleared once to A w'' + B w' + C w = 0 and cached with
-  its finite singular points (``LinearODE.cleared``);
-* at each center z the polynomials are shifted to z and the series of every
-  carried solution comes from the recurrence in ``series``, whose pivot at
-  an ordinary point is A(z) n(n-1);
-* a step goes to the next path vertex, but no further than STEP_FRACTION of
-  the distance to the nearest finite singular point, so the series ratio is
-  at most 1/2, and no further than twice the scale on which the equation's
-  coefficients change a solution (this bounds steps when no singular point
-  is near, as for the harmonic oscillator);
-* terms are added until the tail rule of ``series.sum_until`` holds: the
-  last two (more when the recurrence is deeper, so a run of zero
-  coefficients cannot stop it early) are below ``tol`` relative to the
-  state, with w' weighted by n/step. ``heun_value`` sums Frobenius series
-  by the same rule;
-* all solutions carried along a path share the shifted polynomials and the
-  recurrence weights, so a fundamental pair walks the path in one pass.
+Tolerances must be finite numbers in (0, 1); values below 100 machine
+epsilons are raised to that floor. Only rational equations are
+transported: a trigonometric one is carried through an algebraic image
+(boundary-dirac takes v = tan T). ``wronskian_abel_check`` integrates p in
+closed form from its partial fractions. No run-time path loads scipy.
 
-Caps on steps per path and terms per step raise StepUnderflow instead of
-looping on inputs that cannot converge. Tolerances must be finite numbers
-in (0, 1); values below 100 machine epsilons are raised to that floor.
-Only rational equations are transported: a trigonometric one is carried
-through an algebraic image (boundary-dirac takes v = tan T).
-``wronskian_abel_check`` integrates p in closed form from its partial
-fractions. No run-time path loads scipy.
-
-Clearance from singular points scales with the local singularity spacing,
-so tight geometries (points at distance ~1) and wide ones are treated
-uniformly. Connection matrices express the Frobenius basis at one singular
-point in the basis at another by carrying both basis solutions to a
-matching point inside the target convergence disk and solving the 2x2
-system there.
+Connection matrices express the Frobenius basis at one singular point in
+the basis at another by carrying both basis solutions to a matching point
+inside the target convergence disk and solving the 2x2 system there.
 """
 
 from __future__ import annotations
@@ -51,18 +31,13 @@ from .errors import (
     InvalidTolerance,
     NonFiniteInput,
     SingularityTooClose,
-    StepUnderflow,
 )
 from .heun import general_heun, heun_center, heun_value
-from .poly import TAU_POLE, taylor_shift
-from .series import convergence_radius, recurrence_weights, sum_until
+from .poly import TAU_POLE
+from .series import convergence_radius, point_segment_distance, transport
 
-CLEARANCE_FACTOR = 1e-3
 DEFAULT_TOL = 1e-10
 MIN_TOL = 100.0 * sys.float_info.epsilon
-STEP_FRACTION = 0.5  # step / distance to the nearest finite singular point
-MAX_STEPS = 10_000  # Taylor steps per path
-MAX_TERMS = 400  # series terms per Taylor step
 
 
 def solve_ivp(*args, **kwargs):
@@ -179,109 +154,6 @@ class ConnectionMatrix:
                                  (c * e + d * g, c * f + d * h)))
 
 
-def point_segment_distance(p, a, b):
-    """Distance from point p to the segment [a, b]."""
-    d = b - a
-    L2 = (d * d.conjugate()).real
-    if L2 == 0.0:
-        return abs(p - a)
-    t = ((p - a) * d.conjugate()).real / L2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
-
-
-def _local_spacing(sing, idx):
-    others = [s for j, s in enumerate(sing) if j != idx]
-    if not others:
-        return max(1.0, abs(sing[idx]))
-    return min(abs(sing[idx] - s) for s in others)
-
-
-def check_clearance(singular_points, path):
-    """Raise SingularityTooClose when the polyline passes within
-    CLEARANCE_FACTOR * (local singularity spacing) of any singular point."""
-    sing = list(singular_points)
-    for i, s in enumerate(sing):
-        clearance = CLEARANCE_FACTOR * _local_spacing(sing, i)
-        for a, b in path.segments:
-            d = point_segment_distance(s, a, b)
-            if d < clearance:
-                raise SingularityTooClose(
-                    f"path within {d:.3e} of singular point {s} "
-                    f"(clearance {clearance:.3e})")
-
-
-# ---------------------------------------------------------------------------
-# Taylor re-expansion
-# ---------------------------------------------------------------------------
-
-
-def _coefficient_scale(a, b, c):
-    """Distance over which the terms b_k s^k w' and c_k s^k w grow to the
-    size of a_0 w'': the step bound where no singular point is near."""
-    a0 = abs(a[0])
-    scale = math.inf
-    for k, bk in enumerate(b):
-        if bk != 0:
-            scale = min(scale, (a0 / abs(bk)) ** (1.0 / (k + 1)))
-    for k, ck in enumerate(c):
-        if ck != 0:
-            scale = min(scale, (a0 / abs(ck)) ** (1.0 / (k + 2)))
-    return scale
-
-
-def _taylor_step(a, b, c, dz, cols, tol):
-    """Carry the (w, w') columns from the center of the shifted polynomials
-    a, b, c to center + dz with one series each."""
-    # each column scaled to max(1, |w|, |w'|) = 1, so one tail test fits all
-    scales = [max(1.0, abs(w), abs(dw)) for w, dw in cols]
-    h = [[w / s, dw / s] for (w, dw), s in zip(cols, scales)]
-    if not sum_until(recurrence_weights(a, b, c), 0, 0j, h, abs(dz), tol,
-                     MAX_TERMS):
-        raise StepUnderflow(f"Taylor series did not reach tol {tol:.3e} "
-                            f"in {MAX_TERMS} terms (step {dz:.3e})")
-    out = []
-    for hc, s in zip(h, scales):
-        w = dw = 0j
-        for k in range(len(hc) - 1, 0, -1):
-            w = w * dz + hc[k]
-            dw = dw * dz + k * hc[k]
-        out.append(((w * dz + hc[0]) * s, dw * s))
-    return out
-
-
-def _distance(z, points):
-    return min((abs(z - s) for s in points), default=math.inf)
-
-
-def _transport(cleared, path, cols, tol):
-    """Carry (w, w') columns from the first path vertex to the last.
-
-    cleared is LinearODE.cleared(): the polynomials A, B, C of A w'' + B w'
-    + C w = 0 and its finite singular points. Returns the columns at the
-    last vertex. Raises SingularityTooClose / StepUnderflow.
-    """
-    A, B, C, sing = cleared
-    check_clearance(sing, path)
-    z = path.vertices[0]
-    cols = [(complex(w), complex(dw)) for w, dw in cols]
-    steps = 0
-    for zb in path.vertices[1:]:
-        while z != zb:
-            steps += 1
-            if steps > MAX_STEPS:
-                raise StepUnderflow(f"more than {MAX_STEPS} Taylor steps; "
-                                    f"stopped at z = {z}")
-            a, b, c = (taylor_shift(P.coeffs, z) for P in (A, B, C))
-            reach = min(STEP_FRACTION * _distance(z, sing),
-                        2.0 * _coefficient_scale(a, b, c))
-            d = zb - z
-            z_next = zb if abs(d) <= reach else z + d * (reach / abs(d))
-            cols = _taylor_step(a, b, c, z_next - z, cols, tol)
-            z = z_next
-    return cols
-
-
 def integrate_path(ode, init, path, tol=DEFAULT_TOL):
     """Continue a solution of a rational-coefficient LinearODE along a
     polyline.
@@ -293,7 +165,8 @@ def integrate_path(ode, init, path, tol=DEFAULT_TOL):
     tol = check_tolerance(tol)
     if abs(init.z - path.vertices[0]) > 1e-9 * max(1.0, abs(init.z)):
         raise ValueError("initial state is not at the first path vertex")
-    [(w, dw)] = _transport(ode.cleared(), path, [(init.w, init.dw)], tol)
+    [(w, dw)] = transport(ode.cleared(), path.vertices, [(init.w, init.dw)],
+                          tol)
     return SolutionState(path.vertices[-1], w, dw)
 
 
@@ -350,8 +223,8 @@ def loop_transfer_matrix(ode, loop, tol=DEFAULT_TOL):
     """Matrix mapping (w, w') at the loop start to their values after one
     traversal: the two unit initial conditions carried in one pass."""
     tol = check_tolerance(tol)
-    (w1, dw1), (w2, dw2) = _transport(ode.cleared(), loop,
-                                      [(1.0, 0.0), (0.0, 1.0)], tol)
+    (w1, dw1), (w2, dw2) = transport(ode.cleared(), loop.vertices,
+                                     [(1.0, 0.0), (0.0, 1.0)], tol)
     return ConnectionMatrix(((w1, w2), (dw1, dw2)))
 
 
@@ -422,7 +295,7 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     for branch in ("first", "second"):
         val, _ = heun_value(params, frm_c, branch, z_a, tail_tol=1e-13)
         starts.append((val.w, val.dw))
-    ends = _transport(ode.cleared(), path, starts, tol)
+    ends = transport(ode.cleared(), path.vertices, starts, tol)
     # Cramer's rule: row j of C solves M x = (w, dw) of start j at z_m
     (m11, m12), (m21, m22) = M.entries
     det = M.determinant

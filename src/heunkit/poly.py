@@ -387,10 +387,9 @@ def make_rational(num_coeffs, den_coeffs):
     if not used:
         return RationalFunction(num, den)
     new_n += [r for i, r in enumerate(nroots) if i not in used]
-    lead_n = num.coeffs[-1]
-    lead_d = den.coeffs[-1]
-    pn = Polynomial.from_roots([loc for loc, m in new_n for _ in range(m)], lead_n)
-    pd = Polynomial.from_roots([loc for loc, m in new_d for _ in range(m)], lead_d)
-    # normalize so the denominator's leading coefficient is 1
-    inv = 1.0 / pd.coeffs[-1]
-    return RationalFunction(pn * inv, pd * inv)
+    # an exactly monic denominator: reducing the result again, as parsing its
+    # printed text does, changes no digit
+    lead = num.coeffs[-1] / den.coeffs[-1]
+    return RationalFunction(
+        Polynomial.from_roots([loc for loc, m in new_n for _ in range(m)], lead),
+        Polynomial.from_roots([loc for loc, m in new_d for _ in range(m)]))

@@ -24,7 +24,6 @@ from .engine import ComplexPath, SolutionState, integrate_path, \
 from .errors import DegenerateShift, InvalidParameter, LogarithmicCase, \
     ParameterPole
 from .heun import ConfluentFormParams, build_confluent_form
-from .hypergeometric import gauss_2f1
 from .mathieu import (
     MathieuParams,
     angular_mathieu,
@@ -38,7 +37,8 @@ from .mathieu import (
 from .ode import LinearODE, classify_singularities, indicial_exponents, \
     normalized_residual, ode_residual, singularity_signature
 from .poly import near
-from .series import frobenius_series, eval_local
+from .series import eval_local, frobenius_series, frobenius_value, \
+    is_integer
 
 
 # ---------------------------------------------------------------------------
@@ -752,22 +752,31 @@ def _series_second_derivative(series, z):
 # ---------------------------------------------------------------------------
 
 
-def _power_product_term(theta, m, n, beta, Fargs):
+def _gauss_series(a, b, c, s_max):
+    """2F1(a, b; c; s) as the exponent-0 Frobenius series at s = 0 of the
+    Gauss equation s(1-s) F'' + (c - (a+b+1)s) F' - ab F = 0, summed so
+    that it holds for every 0 <= s <= s_max."""
+    gauss = LinearODE.from_polynomials([0.0, 1.0, -1.0],
+                                       [c, -(a + b + 1.0)], [-a * b])
+    return frobenius_value(gauss, 0, "first", s_max, 1e-14,
+                           exponents=(0, 1 - c))[1]
+
+
+def _power_product_term(theta, m, n, beta, Fargs, series):
     """Value and two derivatives of
     exp(phi(theta)) * 2F1(a, b; c; s(theta)), where
 
         phi = -log sin t + (1/2) log(2 - 2 cos t)
               + ((m-n)/2) log((cos t - 1)/2) + beta log(2 cos t + 2)
 
-    and s = (1 + cos t)/2 (principal logarithms throughout)."""
+    and s = (1 + cos t)/2 (principal logarithms throughout). F and F' come
+    from the Gauss series ``series``, F'' from the Gauss equation."""
     a, b, c = Fargs
     t = float(theta)
     st, ct = math.sin(t), math.cos(t)
     s = (1.0 + ct) / 2.0
-    F0 = gauss_2f1(a, b, c, s)
-    F1 = (a * b / c) * gauss_2f1(a + 1, b + 1, c + 1, s)
-    F2 = (a * (a + 1) * b * (b + 1) / (c * (c + 1))) * \
-        gauss_2f1(a + 2, b + 2, c + 2, s)
+    F0, F1, _ = eval_local(series, s)
+    F2 = (a * b * F0 - (c - (a + b + 1.0) * s) * F1) / (s * (1.0 - s))
     phi = (-cmath.log(st) + 0.5 * cmath.log(2.0 - 2.0 * ct)
            + ((m - n) / 2.0) * cmath.log(complex((ct - 1.0) / 2.0))
            + beta * cmath.log(2.0 * ct + 2.0))
@@ -795,8 +804,8 @@ def eguchi_hanson_angular(lam, m, n):
 
     The printed closed-form candidates are evaluated exactly as printed
     (including the twice-printed (cos t/2 - 1/2) factor, combined into the
-    exponent (m-n)/2) through the Gauss-series oracle, and their residual
-    is recorded as a pass/fail claim rather than assumed. Raises
+    exponent (m-n)/2), each from one Gauss series (``_gauss_series``), and
+    their residual is recorded as a pass/fail claim rather than assumed. Raises
     ParameterPole when either candidate's series parameter 1 -+ (n+m) is a
     non-positive integer.
     """
@@ -820,21 +829,20 @@ def eguchi_hanson_angular(lam, m, n):
     c1 = 1.0 - n - m
     c2 = 1.0 + n + m
     for c in (c1, c2):
-        if abs(c - round(c)) <= 1e-9 and round(c) <= 0:
+        if is_integer(c) and c < 0.5:
             raise ParameterPole(
                 f"series parameter {c:g} is a non-positive integer")
 
-    def branch1(t):
-        return _power_product_term(
-            t, m, n, (1.0 - n - m) / 2.0,
-            (0.5 - n + root / 2.0, 0.5 - n - root / 2.0, c1))
-
-    def branch2(t):
-        return _power_product_term(
-            t, m, n, (1.0 + n + m) / 2.0,
-            (0.5 + m + root / 2.0, 0.5 + m - root / 2.0, c2))
-
     ts = _linspace(0.45, math.pi - 0.45, 31)
+
+    def branch(beta, *Fargs):
+        series = _gauss_series(*Fargs, (1.0 + math.cos(ts[0])) / 2.0)
+        return lambda t: _power_product_term(t, m, n, beta, Fargs, series)
+
+    branch1 = branch((1.0 - n - m) / 2.0, 0.5 - n + root / 2.0,
+                     0.5 - n - root / 2.0, c1)
+    branch2 = branch((1.0 + n + m) / 2.0, 0.5 + m + root / 2.0,
+                     0.5 + m - root / 2.0, c2)
     res1 = ang.residual((t, *branch1(t)) for t in ts)
     res2 = ang.residual((t, *branch2(t)) for t in ts)
     report.residuals["branch1"] = res1
@@ -941,10 +949,12 @@ def boundary_dirac_equation(a, k, x0, phi):
     f' = (1+v^2) f_v are checked against the T-equation), mapped by
     F' = f'/(2iu) and compared against integration of the derived
     u-equation along the image path; also round-trips back to T.
+    Raises InvalidParameter unless a > 0, x0 >= 0 and k > 0: at ak = 0 the
+    u-equations lose their C term, so 0 and infinity are regular.
     """
     a, k, x0, phi = float(a), float(k), float(x0), float(phi)
-    if a <= 0 or k < 0 or x0 < 0:
-        raise InvalidParameter("need a > 0, k >= 0, x0 >= 0")
+    if a <= 0 or k <= 0 or x0 < 0:
+        raise InvalidParameter("need a > 0, k > 0, x0 >= 0")
     ak = a * k
     report = ScenarioReport("boundary-dirac",
                             {"a": a, "k": k, "x0": x0, "phi": phi})

@@ -8,8 +8,8 @@ of s**(k+rho-2) gives
 
 so every new term is -(sum of the earlier ones)/pivot, the pivot being the
 first P_d that does not vanish. ``recurrence_terms`` runs that one loop for
-every series in the package, and ``sum_until`` is the one rule that ends a
-sum at a point:
+every series in the package, ``sum_until`` is the one rule that ends a sum
+at a point, and ``_horner`` gives every sum's value and derivative:
 
 * a regular singular point (``frobenius_series``): A, B, C are the
   equation's cached ``LinearODE.cleared`` polynomials shifted to the point
@@ -25,8 +25,18 @@ sum at a point:
   Heun equation, whose cleared form is the exact T = z(z-1)(z-f) with lead
   1 at each simple root (``heun.general_heun``), with the exponents passed
   in exactly: the Heun three-term recurrence;
-* an ordinary point (path transport in ``engine``): A(0) != 0 and rho = 0,
-  so h_0 = w and h_1 = w' are free and the pivot of h_n is a_0 n(n-1).
+* an ordinary point (``transport``, the Taylor re-expansion behind every
+  path in ``engine``, after O. V. Motygin, "On evaluation of the Heun
+  functions", and ``mpmath.odefun``): A(0) != 0 and rho = 0, so h_0 = w
+  and h_1 = w' are free and the pivot of h_n is a_0 n(n-1). Each step
+  shifts the cleared polynomials to its center and ends at the next
+  vertex, or sooner: at STEP_FRACTION of the distance to the nearest
+  singular point (series ratio at most 1/2), and at twice the scale on
+  which the coefficients change a solution (this bounds steps where no
+  singular point is near, as for the harmonic oscillator). All columns
+  share the shifted polynomials and weights, so a fundamental pair walks a
+  path in one pass. Caps on steps per path and terms per step raise
+  StepUnderflow instead of looping on inputs that cannot converge.
 """
 
 from __future__ import annotations
@@ -36,13 +46,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidParameter, LogarithmicCase, OutsideRadius, \
-    OverflowGuard, TruncationFailure
+    OverflowGuard, SingularityTooClose, StepUnderflow, TruncationFailure
 from .ode import local_form, regular_exponents
-from .poly import near
+from .poly import near, taylor_shift
 
 INTEGER_TOL = 1e-9
 PIVOT_FLOOR = 1e-10  # LogarithmicCase below this pivot, relative to A, B, C
 MAX_SERIES_TERMS = 4096  # TruncationFailure beyond this many terms
+CLEARANCE_FACTOR = 1e-3
+STEP_FRACTION = 0.5  # step / distance to the nearest finite singular point
+MAX_STEPS = 10_000  # Taylor steps per path
+MAX_TERMS = 400  # series terms per Taylor step
 
 
 def is_integer(x):
@@ -121,7 +135,7 @@ def sum_until(weights, lead, rho, cols, r, tol, max_terms, pivot_floor=0.0):
     max(1, n/r) to bound the derivative's term too. The rule: the last
     ``window`` terms sum to at most tol, window being the recurrence depth
     beyond lead and at least 2, so a run of zero coefficients cannot end a
-    sum early (after O. V. Motygin, "On evaluation of the Heun functions").
+    sum early.
     """
     window = max(2, len(weights) - 1 - lead)
     rn = r ** (len(cols[0]) - 1)
@@ -133,6 +147,101 @@ def sum_until(weights, lead, rho, cols, r, tol, max_terms, pivot_floor=0.0):
             return True
         if n >= max_terms:
             return False
+
+
+def _horner(h, s):
+    """S = sum h_k s^k and S' = sum k h_k s^(k-1), by Horner's rule."""
+    S = dS = 0j
+    for k in range(len(h) - 1, 0, -1):
+        S = S * s + h[k]
+        dS = dS * s + k * h[k]
+    return S * s + h[0], dS
+
+
+def point_segment_distance(p, a, b):
+    """Distance from point p to the segment [a, b]."""
+    d = b - a
+    L2 = (d * d.conjugate()).real
+    if L2 == 0.0:
+        return abs(p - a)
+    t = ((p - a) * d.conjugate()).real / L2
+    t = min(1.0, max(0.0, t))
+    return abs(p - (a + t * d))
+
+
+def check_clearance(sing, vertices):
+    """Raise SingularityTooClose when the polyline through ``vertices``
+    passes within CLEARANCE_FACTOR times the local spacing of a singular
+    point: its distance to the nearest other one, so tight geometries and
+    wide ones are treated alike (max(1, |s|) for a lone point)."""
+    for i, s in enumerate(sing):
+        clearance = CLEARANCE_FACTOR * min(
+            (abs(s - o) for j, o in enumerate(sing) if j != i),
+            default=max(1.0, abs(s)))
+        for a, b in zip(vertices[:-1], vertices[1:]):
+            d = point_segment_distance(s, a, b)
+            if d < clearance:
+                raise SingularityTooClose(
+                    f"path within {d:.3e} of singular point {s} "
+                    f"(clearance {clearance:.3e})")
+
+
+def _coefficient_scale(a, b, c):
+    """Distance over which the terms b_k s^k w' and c_k s^k w grow to the
+    size of a_0 w'': the step bound where no singular point is near."""
+    a0 = abs(a[0])
+    scale = math.inf
+    for k, bk in enumerate(b):
+        if bk != 0:
+            scale = min(scale, (a0 / abs(bk)) ** (1.0 / (k + 1)))
+    for k, ck in enumerate(c):
+        if ck != 0:
+            scale = min(scale, (a0 / abs(ck)) ** (1.0 / (k + 2)))
+    return scale
+
+
+def _taylor_step(a, b, c, dz, cols, tol):
+    """Carry the (w, w') columns from the center of the shifted polynomials
+    a, b, c to center + dz with one series each."""
+    # each column scaled to max(1, |w|, |w'|) = 1, so one tail test fits all
+    scales = [max(1.0, abs(w), abs(dw)) for w, dw in cols]
+    h = [[w / s, dw / s] for (w, dw), s in zip(cols, scales)]
+    if not sum_until(recurrence_weights(a, b, c), 0, 0j, h, abs(dz), tol,
+                     MAX_TERMS):
+        raise StepUnderflow(f"Taylor series did not reach tol {tol:.3e} "
+                            f"in {MAX_TERMS} terms (step {dz:.3e})")
+    out = []
+    for hc, s in zip(h, scales):
+        w, dw = _horner(hc, dz)
+        out.append((w * s, dw * s))
+    return out
+
+
+def transport(cleared, vertices, cols, tol):
+    """Carry (w, w') columns from the first vertex of a polyline to the
+    last. cleared is LinearODE.cleared(): A, B, C of A w'' + B w' + C w = 0
+    and the finite singular points, from which the path must keep its
+    clearance. Raises SingularityTooClose / StepUnderflow."""
+    A, B, C, sing = cleared
+    check_clearance(sing, vertices)
+    z = vertices[0]
+    cols = [(complex(w), complex(dw)) for w, dw in cols]
+    steps = 0
+    for zb in vertices[1:]:
+        while z != zb:
+            steps += 1
+            if steps > MAX_STEPS:
+                raise StepUnderflow(f"more than {MAX_STEPS} Taylor steps; "
+                                    f"stopped at z = {z}")
+            a, b, c = (taylor_shift(P.coeffs, z) for P in (A, B, C))
+            reach = min(STEP_FRACTION * min((abs(z - s) for s in sing),
+                                            default=math.inf),
+                        2.0 * _coefficient_scale(a, b, c))
+            d = zb - z
+            z_next = zb if abs(d) <= reach else z + d * (reach / abs(d))
+            cols = _taylor_step(a, b, c, z_next - z, cols, tol)
+            z = z_next
+    return cols
 
 
 def local_exponents(ode, z0):
@@ -245,13 +354,7 @@ def eval_local(series, z):
     if abs(s) >= series.radius:
         raise OutsideRadius(
             f"|z - center| = {abs(s):.6g} >= radius {series.radius:.6g}")
-    # Horner for S = sum h_k s^k and T = sum k h_k s^(k-1)
-    S = 0j
-    T = 0j
-    for k in range(len(series.coeffs) - 1, -1, -1):
-        S = S * s + series.coeffs[k]
-        if k >= 1:
-            T = T * s + k * series.coeffs[k]
+    S, T = _horner(series.coeffs, s)
     rho = series.exponent
     if s == 0:
         if rho == 0:

@@ -356,6 +356,8 @@ def test_cli_parameter_inputs(capsys):
          "E expects a finite number"),
         (["scenario", "--id", "nutku-radial", "--set", "a=-1"], 2,
          "a, k must be positive"),
+        (["scenario", "--id", "boundary-dirac", "--set", "k=0"], 2,
+         "need a > 0, k > 0, x0 >= 0"),
         (["scenario", "--id", "nutku-radial", "--set", "n=-1"], 2,
          "order must be a non-negative integer"),
         (["scenario", "--id", "nutku-radial", "--set", "grouping=x"], 2,

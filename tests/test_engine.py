@@ -304,13 +304,13 @@ def test_path_rejects_non_finite_vertices(vertex):
 
 
 def test_taylor_caps_raise_step_underflow(monkeypatch):
-    import heunkit.engine as engine
+    import heunkit.series as series
 
     ode = harmonic()
     with pytest.raises(StepUnderflow):  # no series reaches tol on nan data
         integrate_path(ode, SolutionState(0.0, float("nan"), 1.0),
                        ComplexPath((0.0, 1.0)))
-    monkeypatch.setattr(engine, "MAX_STEPS", 3)
+    monkeypatch.setattr(series, "MAX_STEPS", 3)
     with pytest.raises(StepUnderflow):  # steps are at most 2 long here
         integrate_path(ode, SolutionState(0.0, 0.0, 1.0),
                        ComplexPath((0.0, 10.0)))

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from heunkit.errors import GrammarError, MalformedComplex
+from heunkit.errors import CollidingSingularities, GrammarError, \
+    MalformedComplex
 from heunkit.grammar import (format_complex, format_ode, parse_complex,
                              parse_ode, parse_params_line)
+from heunkit.heun import (KIND_PARAMS, ConfluentFormParams, GeneralHeunParams,
+                          confluent_params_from_text, confluent_params_to_text,
+                          heun_params_from_text, heun_params_to_text)
+from heunkit.ode import LinearODE
 
 
 @pytest.mark.parametrize("text,value", [
@@ -101,3 +107,52 @@ def test_confluent_params_text_roundtrip():
 def test_parse_complex_rejects_non_finite(bad):
     with pytest.raises(MalformedComplex):
         parse_complex(bad)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COMPLEX = st.builds(complex, _FINITE, _FINITE)
+_SMALL = st.builds(complex, st.floats(-8, 8), st.floats(-8, 8))
+# small Gaussian integers, so common roots of numerator and denominator
+# (and their cancellation) are frequent
+_GAUSS = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+_POLY = st.lists(st.one_of(_GAUSS, _SMALL), min_size=1, max_size=4)
+_DEN = _POLY.filter(any)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_COMPLEX)
+def test_complex_literal_round_trip(z):
+    text = format_complex(z)
+    assert parse_complex(text) == z
+    assert format_complex(parse_complex(text)) == text
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@example([0], [1j], [0, 1j], [0, 2 + 2.5j])
+@given(_POLY, _DEN, _POLY, _DEN)
+def test_ode_line_round_trip(p_num, p_den, q_num, q_den):
+    """format -> parse -> format prints the same line: a reduced p and q are
+    their own reduction, so parsing their text changes no digit."""
+    text = format_ode(LinearODE.from_coefficients(p_num, p_den, q_num, q_den))
+    assert format_ode(parse_ode(text)) == text
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_SMALL, min_size=6, max_size=6))
+def test_heun_line_round_trip(values):
+    a, b, c, d, f, q = values
+    try:
+        params = GeneralHeunParams(a, b, c, d, a + b + 1.0 - c - d, f, q)
+    except CollidingSingularities:
+        assume(False)
+    text = heun_params_to_text(params)
+    assert heun_params_to_text(heun_params_from_text(text)) == text
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(KIND_PARAMS)), st.lists(_COMPLEX, min_size=5,
+                                                     max_size=5))
+def test_cform_line_round_trip(kind, values):
+    cf = ConfluentFormParams(kind, dict(zip(KIND_PARAMS[kind], values)))
+    text = confluent_params_to_text(cf)
+    assert confluent_params_to_text(confluent_params_from_text(text)) == text

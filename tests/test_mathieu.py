@@ -376,6 +376,29 @@ def test_complex_q_label_rule():
     assert time.perf_counter() - t0 < 6.0
 
 
+def test_exactly_imaginary_q():
+    """At q = +-2.236i with Re q = 0.0 (nutku-radial's k=1, Lambda=3 up to
+    rounding) the modified functions solve M'' = (a - 2 q cosh 2x) M, and
+    the label rule reads Re q = 0 as the limit from Re q > 0: a_2 is the
+    conjugate of a_0 there, while at Re q = -1.2e-15 the pair swaps."""
+    for q in (complex(0.0, 2.236), complex(0.0, -2.236)):
+        for n, parity in ((0, "even"), (2, "even"), (1, "odd")):
+            ch = characteristic_value(n, q, parity)
+            p = MathieuParams(q, n, parity)
+            worst = 0.0
+            for x in np.linspace(0.0, 2.0, 41):
+                M, M1, M2 = modified_mathieu_derivatives(p, ch, x)
+                res = abs(M2 - (ch.value - 2 * q * math.cosh(2 * x)) * M)
+                worst = max(worst, res / max(1.0, abs(M2)))
+            assert worst <= 1e-12, (q, n, parity, worst)
+    a0 = characteristic_value(0, complex(0.0, 2.236), "even").value
+    a2 = characteristic_value(2, complex(0.0, 2.236), "even").value
+    assert abs(a2 - (2.2018833534693307 + 2.325204048383475j)) <= 1e-12
+    assert abs(a2 - a0.conjugate()) <= 1e-12
+    swapped = characteristic_value(2, complex(-1.2e-15, 2.236), "even").value
+    assert abs(swapped - (2.2018833534693325 - 2.3252040483834757j)) <= 1e-12
+
+
 def test_out_of_range_inputs_rejected():
     for q in (math.nan, math.inf, complex(1, math.nan), complex(-math.inf, 0)):
         with pytest.raises(InvalidParameter):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from heunkit.errors import DegenerateShift, ParameterPole
+from heunkit.hypergeometric import gauss_2f1, gauss_2f1_derivative
 from heunkit.ode import LinearODE, ode_residual
+from heunkit.series import eval_local
 from heunkit.scenarios import (SCENARIOS, ScenarioReport, TrigODE,
                                boundary_dirac_equation,
                                eguchi_hanson_angular, eguchi_hanson_radial,
@@ -190,6 +192,36 @@ def test_eguchi_hanson_angular_parameter_pole():
         eguchi_hanson_angular(2.0, 0.0, -2.0)  # 1 + n + m = -1
     with pytest.raises(ParameterPole):
         eguchi_hanson_angular(2.0, 1.0, 1.0)   # 1 - n - m = -1
+
+
+@pytest.mark.parametrize("lam, m, n", [(2.0, 0.0, 0.0), (2.0, 0.3, 0.2),
+                                       (5.0, 0.7, -0.2)])
+def test_eguchi_hanson_angular_gauss_series_match_oracle(monkeypatch, lam,
+                                                          m, n):
+    """Each branch sums one Gauss series per run, and at the 31 samples its
+    F and F' match the independent gauss_2f1 oracle. Errors are relative to
+    max(1, |oracle|): near a zero of F the oracle's own sum is good to
+    about 1e-13 absolute only."""
+    import heunkit.scenarios as scenarios
+
+    build = scenarios._gauss_series
+    built = []
+
+    def spy(a, b, c, s_max):
+        built.append(((a, b, c), build(a, b, c, s_max)))
+        return built[-1][1]
+
+    monkeypatch.setattr(scenarios, "_gauss_series", spy)
+    assert not failing(eguchi_hanson_angular(lam, m, n))
+    assert len(built) == 2
+    for (a, b, c), series in built:
+        for t in scenarios._linspace(0.45, math.pi - 0.45, 31):
+            s = (1.0 + math.cos(t)) / 2.0
+            F, dF, _ = eval_local(series, s)
+            want = gauss_2f1(a, b, c, s)
+            dwant = gauss_2f1_derivative(a, b, c, s)
+            assert abs(F - want) <= 1e-12 * max(1.0, abs(want))
+            assert abs(dF - dwant) <= 1e-12 * max(1.0, abs(dwant))
 
 
 def test_boundary_dirac_generic():
