@@ -14,7 +14,6 @@ Layers:
                   integrity checks, numerical connection matrices
 * mathieu         characteristic values and angular/modified Mathieu
                   functions
-* hypergeometric  small series oracles, used by the tests only
 * scenarios       physics reduction pipelines with machine-checked claims
 * cli             command-line front end
 """
@@ -34,7 +33,6 @@ from .engine import (ComplexPath, ConnectionMatrix, SolutionState,
 from .mathieu import (CharacteristicValue, MathieuParams, angular_mathieu,
                       characteristic_value, modified_mathieu,
                       orthogonality_matrix)
-from .hypergeometric import confluent_1f1, gauss_2f1
 from .scenarios import SCENARIOS, ScenarioReport, run_scenario
 
 __version__ = "0.1.0"

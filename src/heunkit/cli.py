@@ -20,8 +20,9 @@ parameter names included) or config text, a malformed or non-finite
 number, an invalid tolerance, a center that is none of 0, 1, f, an
 unknown scenario, scenario parameter, corpus entry or parity, a --set
 without key=value, a scenario parameter outside its domain or not an
-integer where one is expected, a --q-count below 1 or an --n-max below
-0). Output is deterministic: fixed key order, 17 significant digits.
+integer where one is expected, an empty --q-values item, --q-values
+given with --q-min, --q-max or --q-count, a --q-count below 1 or an
+--n-max below 0). Output is deterministic: fixed key order, 17 significant digits.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ def _tolerance(options):
 class Command:
     verb: str
     options: dict = field(default_factory=dict)
-    input: str = None
     output: str = None
 
 
@@ -181,9 +181,7 @@ def parse_args(argv):
                 raise MissingOption(f"verb {verb} requires --{name}")
             if default is not None:
                 options[name] = default
-    return Command(verb=verb, options=options,
-                   input=options.get("ode") or options.get("config"),
-                   output=options.get("output"))
+    return Command(verb=verb, options=options, output=options.get("output"))
 
 
 def _write(cmd, text):
@@ -299,9 +297,12 @@ def _run_heun_eval(cmd):
 
 
 def _mathieu_grid(o):
-    if o.get("q-values"):
+    if o.get("q-values") is not None:
+        if any(o.get(k) is not None for k in ("q-min", "q-max", "q-count")):
+            raise MissingOption("mathieu-table needs exactly one of "
+                                "--q-values, --q-min/--q-max/--q-count")
         return [_finite_float(tok, "--q-values")
-                for tok in o["q-values"].split(",") if tok.strip()]
+                for tok in o["q-values"].split(",")]
     if o.get("q-min") is None or o.get("q-max") is None:
         raise MissingOption("mathieu-table needs --q-values or --q-min/--q-max")
     count = o.get("q-count", 5)

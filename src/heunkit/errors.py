@@ -116,16 +116,6 @@ class OverflowGuard(HeunkitError):
     pass
 
 
-# --- hypergeometric oracles ---
-
-class PoleParameter(HeunkitError):
-    pass
-
-
-class SlowConvergence(HeunkitError):
-    pass
-
-
 # --- scenarios ---
 
 class InvalidParameter(HeunkitError, ValueError):

