@@ -57,7 +57,7 @@ from .errors import (
     UnknownKind,
 )
 from .ode import LinearODE
-from .poly import MULT_BASE, Polynomial, make_rational, near
+from .poly import MULT_BASE, TRIM_REL, Polynomial, make_rational, near
 from .series import frobenius_series, frobenius_value
 
 FUCHS_TOL = 1e-12
@@ -65,11 +65,14 @@ FUCHS_TOL = 1e-12
 # the classifier merges f into 0 for |f| up to about 2 MULT_BASE and into 1
 # for |f - 1| up to about 2.8 MULT_BASE (8.45e-5 measured); refuse those f.
 COLLISION_TOL = 4.0 * MULT_BASE
+MAX_F = 0.01 / TRIM_REL  # 1% of the |f| where poly drops the 1 of z(z-1)(z-f)
 
 
 @dataclass(frozen=True)
 class GeneralHeunParams:
-    """Exponent parameters a..e, singular location f, accessory parameter q."""
+    """Exponent parameters a..e, singular location f, accessory parameter q;
+    CollidingSingularities when f is within COLLISION_TOL (relative) of 0
+    or 1 or when |f| > MAX_F = 0.01/TRIM_REL = 1e12 (f merges into inf)."""
 
     a: complex
     b: complex
@@ -92,6 +95,10 @@ class GeneralHeunParams:
                 raise CollidingSingularities(
                     f"f = {self.f} collides with the singular point at {bad} "
                     f"(closer than {COLLISION_TOL:.2g} relative)")
+        if abs(self.f) > MAX_F:
+            raise CollidingSingularities(
+                f"f = {self.f} merges into the point at infinity "
+                f"(|f| above {MAX_F:.0e})")
 
 
 def _heun_T(params):

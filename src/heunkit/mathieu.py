@@ -9,9 +9,9 @@ Conventions (fixed here, used everywhere else):
 * Angular functions are normalized so that the integral of S^2 over a full
   period [0, 2pi] equals pi (for complex q the square, not |S|^2, is used,
   which keeps the normalization an analytic identity).
-* Modified (radial) functions are the angular series evaluated at imaginary
-  argument: even series become sums of cosh, odd series i * sums of sinh,
-  and both satisfy y'' = (a - 2 q cosh 2x) y.
+* Modified (radial) functions are the angular series at imaginary argument,
+  M(x) = S(ix), M' = i S'(ix), M'' = -S''(ix): sums of cosh for even series,
+  i * sums of sinh for odd ones, solving y'' = (a - 2 q cosh 2x) y.
 
 Characteristic values are eigenvalues of the tridiagonal Fourier-mode
 matrices, truncated and doubled until the value is stable, from numpy's
@@ -23,8 +23,8 @@ Fourier coefficients are generated by backward recurrence from above the
 last significant mode (the coefficient sequence is the minimal solution of
 the three-term relation, so downward recursion is componentwise accurate;
 this matters for the modified functions, where noise in coefficient k is
-amplified by cosh(k x)). The Gram matrix sums these series; no run-time
-path in heunkit loads scipy.
+amplified by cosh(k x)). One numpy pass sums a series over a whole grid;
+the Gram matrix sums its own nodes. No run-time path loads scipy.
 """
 
 from __future__ import annotations
@@ -275,38 +275,61 @@ def fourier_coefficients(params, char):
                                 char.truncation, char.value)
 
 
+def _series_at(params, char, x, modified):
+    """(S, S', S'') of the angular series, term by term, at x or, when
+    modified, (M, M', M'') = (S(ix), i S'(ix), -S''(ix)); a tuple at a
+    number x, a list at a sequence. One numpy pass over all points with
+    .sum(axis=1), no BLAS call; modified_mathieu's guards hold per point,
+    in order, and an angular theta whose cosh overflows raises too."""
+    import numpy as np
+    one = np.ndim(x) == 0
+    xs = np.array([x] if one else list(x), dtype=complex)
+    nu, c = (np.array(v) for v in fourier_coefficients(params, char))
+    reach = np.abs(xs.imag) + (np.abs(xs.real) if modified else 0.0)
+    over = np.flatnonzero(nu[-1] * reach > MAX_HYPERBOLIC_ARG)
+    th = (1j * xs if modified else xs)[:over[0] if over.size else None]
+    arg = np.multiply.outer(th, nu)
+    base, other = (np.cos(arg), -np.sin(arg)) if params.parity == "even" \
+        else (np.sin(arg), np.cos(arg))
+    terms = c * base
+    sums = zip(terms.sum(axis=1).tolist(), (c * nu * other).sum(axis=1).tolist(),
+               (-nu * nu * terms).sum(axis=1).tolist(),
+               np.abs(terms).max(axis=1, initial=0.0).tolist(), th.tolist())
+    rows = []
+    for S, S1, S2, big, t in sums:
+        if modified and big > CANCELLATION_LIMIT * max(1e-300, abs(S)):
+            raise OverflowGuard(
+                f"cancellation ratio {big / max(1e-300, abs(S)):.3e} exceeds "
+                f"the series reliability bound {CANCELLATION_LIMIT:.0e}")
+        rows.append((S, 1j * S1, -S2) if modified else
+                    (S, S1, S2) if params.q.imag or t.imag else
+                    (S.real, S1.real, S2.real))
+    if over.size:
+        raise OverflowGuard(f"harmonic {nu[-1]} at |x| ~ "
+                            f"{abs(xs[over[0]]):.3g} overflows cosh")
+    return rows[0] if one else rows
+
+
 def angular_mathieu(params, char, theta):
-    """Angular Mathieu function of the given order/parity at theta.
+    """Angular Mathieu function of the given order/parity at theta, or a
+    list of values at a sequence of theta.
 
     2pi-periodic by construction; returns a real float for real q.
     """
-    return angular_mathieu_derivatives(params, char, theta)[0]
+    vals = _series_at(params, char, theta, False)
+    return vals[0] if isinstance(vals, tuple) else [v[0] for v in vals]
 
 
 def angular_mathieu_derivatives(params, char, theta):
     """(S, S', S'') with derivatives taken term by term (independent of the
-    defining ODE, so residual checks are meaningful)."""
-    nus, coeffs = fourier_coefficients(params, char)
-    even = params.parity == "even"
-    S = S1 = S2 = 0j
-    for nu, c in zip(nus, coeffs):
-        cosv = cmath.cos(nu * theta)
-        sinv = cmath.sin(nu * theta)
-        if even:
-            S += c * cosv
-            S1 += -c * nu * sinv
-            S2 += -c * nu * nu * cosv
-        else:
-            S += c * sinv
-            S1 += c * nu * cosv
-            S2 += -c * nu * nu * sinv
-    if params.q.imag == 0 and abs(complex(theta).imag) == 0:
-        return S.real, S1.real, S2.real
-    return S, S1, S2
+    defining ODE, so residual checks are meaningful), or a list of them at
+    a sequence of theta."""
+    return _series_at(params, char, theta, False)
 
 
 def modified_mathieu(params, char, x):
-    """Angular series at imaginary argument: S(i x).
+    """Angular series at imaginary argument: S(i x), or a list of values at
+    a sequence of x.
 
     Even series give sums of cosh (real for real q); odd series give
     i * sums of sinh. Raises OverflowGuard when the hyperbolic terms
@@ -314,39 +337,14 @@ def modified_mathieu(params, char, x):
     bound: max |term| / |sum| must stay below 1e7, so the coefficient noise
     floor of ~1e-15 stays below 1e-8 of the value).
     """
-    return modified_mathieu_derivatives(params, char, x)[0]
+    vals = _series_at(params, char, x, True)
+    return vals[0] if isinstance(vals, tuple) else [v[0] for v in vals]
 
 
 def modified_mathieu_derivatives(params, char, x):
-    """(M, M', M'') of the modified function at x; M(x) = S(i x) satisfies
-    M'' = (a - 2 q cosh 2x) M."""
-    nus, coeffs = fourier_coefficients(params, char)
-    even = params.parity == "even"
-    xc = complex(x)
-    biggest = nus[-1] * (abs(xc.real) + abs(xc.imag))
-    if biggest > MAX_HYPERBOLIC_ARG:
-        raise OverflowGuard(
-            f"harmonic {nus[-1]} at |x| ~ {abs(xc):.3g} overflows cosh")
-    M = M1 = M2 = 0j
-    tmax = 0.0
-    for nu, c in zip(nus, coeffs):
-        ch = cmath.cosh(nu * xc)
-        sh = cmath.sinh(nu * xc)
-        if even:
-            M += c * ch
-            M1 += c * nu * sh
-            M2 += c * nu * nu * ch
-            tmax = max(tmax, abs(c * ch))
-        else:
-            M += 1j * c * sh
-            M1 += 1j * c * nu * ch
-            M2 += 1j * c * nu * nu * sh
-            tmax = max(tmax, abs(c * sh))
-    if tmax > CANCELLATION_LIMIT * max(1e-300, abs(M)):
-        raise OverflowGuard(
-            f"cancellation ratio {tmax / max(1e-300, abs(M)):.3e} exceeds the "
-            f"series reliability bound {CANCELLATION_LIMIT:.0e}")
-    return M, M1, M2
+    """(M, M', M'') of the modified function at x, or a list of them at a
+    sequence of x; M(x) = S(i x) satisfies M'' = (a - 2 q cosh 2x) M."""
+    return _series_at(params, char, x, True)
 
 
 def basis_functions(q, n_max):

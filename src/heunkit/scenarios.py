@@ -152,6 +152,11 @@ def _linspace(a, b, n):
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
+def _on_grid(derivatives, params, char, xs):
+    """(x, y, y', y'') at every x of a grid, from one Mathieu call."""
+    return [(x, *d) for x, d in zip(xs, derivatives(params, char, xs))]
+
+
 # ---------------------------------------------------------------------------
 # Helmholtz equation in elliptic coordinates
 # ---------------------------------------------------------------------------
@@ -224,11 +229,11 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
                             "characteristic value; solution checks skipped")
         return report
 
-    res_ang = ang.residual((t, *angular_mathieu_derivatives(params, char, t))
-                           for t in _linspace(0.0, 2.0 * math.pi, 50))
+    res_ang = ang.residual(_on_grid(angular_mathieu_derivatives, params, char,
+                                    _linspace(0.0, 2.0 * math.pi, 50)))
     report.residuals["angular"] = res_ang
-    res_rad = rad.residual((mu, *modified_mathieu_derivatives(params, char, mu))
-                           for mu in _linspace(0.0, 2.0, 41))
+    res_rad = rad.residual(_on_grid(modified_mathieu_derivatives, params, char,
+                                    _linspace(0.0, 2.0, 41)))
     report.residuals["radial"] = res_rad
 
     report.claim("angular and radial factors are Mathieu and modified "
@@ -240,10 +245,10 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
     # 2-D product residual on a 20 x 20 grid, series-side derivatives only
     worst2d = 0.0
     rows = []
-    angular = [(t, *angular_mathieu_derivatives(params, char, t))
-               for t in _linspace(0.0, 2.0 * math.pi, 20)]
-    for mu in _linspace(0.0, 2.0, 20):
-        M, M1, M2 = modified_mathieu_derivatives(params, char, mu)
+    angular = _on_grid(angular_mathieu_derivatives, params, char,
+                       _linspace(0.0, 2.0 * math.pi, 20))
+    for mu, M, M1, M2 in _on_grid(modified_mathieu_derivatives, params, char,
+                                  _linspace(0.0, 2.0, 20)):
         for t, S, S1, S2 in angular:
             lap = M2 * S + M * S2
             coup = h2 * (math.cosh(mu) ** 2 - math.cos(t) ** 2) * M * S
@@ -501,16 +506,15 @@ def nutku_angular(a, k, n=2, parity="even"):
                   notes="S'' - (kappa2 cos 2T - nsep) S = 0")
     report.add_ode("angular", ang)
 
-    res = ang.residual((t, *angular_mathieu_derivatives(params, char, t))
-                       for t in _linspace(0.0, 2.0 * math.pi, 50))
+    res = ang.residual(_on_grid(angular_mathieu_derivatives, params, char,
+                                _linspace(0.0, 2.0 * math.pi, 50)))
     report.residuals["angular"] = res
     report.claim_at_most("order-n Mathieu function solves the angular "
                          "equation", res, "1e-8", "residual")
 
-    worst_per = 0.0
-    for t in _linspace(0.0, 2.0 * math.pi, 17):
-        worst_per = max(worst_per, abs(angular_mathieu(params, char, t + 2.0 * math.pi)
-                                       - angular_mathieu(params, char, t)))
+    ts = _linspace(0.0, 2.0 * math.pi, 17)
+    vals = angular_mathieu(params, char, ts + [t + 2.0 * math.pi for t in ts])
+    worst_per = max(abs(v - w) for v, w in zip(vals[:17], vals[17:]))
     report.residuals["periodicity"] = worst_per
     report.claim_at_most("angular solutions are 2pi-periodic (separation "
                          "constant quantized)", worst_per, "1e-12")
@@ -605,9 +609,9 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
         notes="R'' - [A cosh 2x + B sinh 2x - nrad] R = 0")
     report.add_ode("radial", rad)
 
-    res = rad.residual(
-        (x, *modified_mathieu_derivatives(params, char, x + bshift))
-        for x in _linspace(0.0, 2.0, 41))
+    xs = _linspace(0.0, 2.0, 41)
+    res = rad.residual((x, *d) for x, d in zip(
+        xs, modified_mathieu_derivatives(params, char, [x + bshift for x in xs])))
     report.residuals["radial"] = res
     report.claim_at_most("shifted modified Mathieu candidate solves the "
                          "radial equation with the derived (A6, b)", res,

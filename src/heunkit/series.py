@@ -7,9 +7,11 @@ of s**(k+rho-2) gives
     sum_m P_{k-m}(m + rho) h_m = 0,   P_d(x) = a_d x(x-1) + b_{d-1} x + c_{d-2},
 
 so every new term is -(sum of the earlier ones)/pivot, the pivot being the
-first P_d that does not vanish. ``recurrence_terms`` runs that one loop for
-every series in the package, ``sum_until`` is the one rule that ends a sum
-at a point, and ``_horner`` gives every sum's value and derivative:
+first P_d that does not vanish. ``sum_until`` runs that one loop for every
+series in the package and holds the one tail rule that ends a sum at a
+point; ``eval_local`` applies the same rule at rounding level to stop
+Horner at the prefix a point needs, and ``_horner`` gives every sum's value
+and derivative:
 
 * a regular singular point (``frobenius_series``): A, B, C are the
   equation's cached ``LinearODE.cleared`` polynomials shifted to the point
@@ -57,6 +59,7 @@ CLEARANCE_FACTOR = 1e-3
 STEP_FRACTION = 0.5  # step / distance to the nearest finite singular point
 MAX_STEPS = 10_000  # Taylor steps per path
 MAX_TERMS = 400  # series terms per Taylor step
+ROUNDING = 2.0 ** -55  # eval_local's tail rule, relative to the largest term
 
 
 def is_integer(x):
@@ -67,12 +70,14 @@ def is_integer(x):
 @dataclass(frozen=True)
 class LocalSeries:
     """w(z) = (z - center)**exponent * sum coeffs[k] (z - center)**k, with
-    coeffs[0] = 1 and the stated convergence radius."""
+    coeffs[0] = 1 and the stated convergence radius; window is the tail
+    rule's (see sum_until) for the recurrence that made coeffs."""
 
     center: complex
     exponent: complex
     coeffs: tuple
     radius: float
+    window: int = 2
 
 
 class SeriesValue(NamedTuple):
@@ -92,19 +97,32 @@ def recurrence_weights(a, b, c):
     return [(ad, bd - ad, cd) for ad, bd, cd in zip(a, b, c)]
 
 
-def recurrence_terms(weights, lead, rho, cols, pivot_floor=0.0):
-    """Append the next coefficient to every list in ``cols`` and yield its
-    index, once per iteration, forever.
+def _window(weights, lead):
+    return max(2, len(weights) - 1 - lead)
 
-    ``lead`` is the offset d of the pivot: the order of A's root at the
-    center (0 at an ordinary point). All columns share the weights, so
-    carrying a fundamental pair costs little more than one solution.
-    Raises LogarithmicCase when |pivot| <= pivot_floor * max(1, n**2).
+
+def sum_until(weights, lead, rho, cols, r, tol, max_terms, pivot_floor=0.0):
+    """Append the next coefficient to every list in ``cols`` until the tail
+    rule holds at distance r > 0 from the center, or up to index max_terms
+    (always, for a negative tol); return whether the rule held. ``lead`` is
+    the offset d of the pivot: the order of A's root at the center (0 at an
+    ordinary point). All columns share the weights, so carrying a
+    fundamental pair costs little more than one solution. Raises
+    LogarithmicCase when |pivot| <= pivot_floor * max(1, n**2).
+
+    The tail rule: term n is the largest |h_n| r**n over the columns (NaN
+    if any column's is), weighted by max(1, n/r) to bound the derivative's
+    term too; it holds once the last ``window`` terms sum to at most tol,
+    window being the recurrence depth beyond lead and at least 2, so a run
+    of zero coefficients cannot end a sum early.
     """
     pa, pb, pc = weights[lead]
     higher = [(d - lead, w) for d, w in enumerate(weights) if d > lead]
+    window = _window(weights, lead)
     n = len(cols[0])
-    while True:
+    rn = r ** (n - 1)
+    errs = []
+    while n <= max_terms:
         x = n + rho
         pivot = (pa * x + pb) * x + pc
         if abs(pivot) <= pivot_floor * max(1.0, n * n):
@@ -118,35 +136,21 @@ def recurrence_terms(weights, lead, rho, cols, pivot_floor=0.0):
                 break
             y = m + rho
             ws.append((m, (wa * y + wb) * y + wc))
+        big = 0.0
         for h in cols:
             acc = 0j
             for m, wgt in ws:
                 acc += wgt * h[m]
             h.append(-acc / pivot)
-        yield n
-        n += 1
-
-
-def sum_until(weights, lead, rho, cols, r, tol, max_terms, pivot_floor=0.0):
-    """Extend the columns with recurrence_terms until the tail rule holds at
-    distance r > 0 from the center; return whether it did by max_terms.
-
-    Term n is the largest |h_n| r**n over the columns, weighted by
-    max(1, n/r) to bound the derivative's term too. The rule: the last
-    ``window`` terms sum to at most tol, window being the recurrence depth
-    beyond lead and at least 2, so a run of zero coefficients cannot end a
-    sum early.
-    """
-    window = max(2, len(weights) - 1 - lead)
-    rn = r ** (len(cols[0]) - 1)
-    errs = []
-    for n in recurrence_terms(weights, lead, rho, cols, pivot_floor):
+            mag = abs(h[n])
+            if mag > big or mag != mag:
+                big = mag
         rn *= r
-        errs.append(rn * max(1.0, n / r) * max([abs(h[n]) for h in cols]))
-        if n > window and sum(errs[-window:]) <= tol:
+        errs.append(rn * max(1.0, n / r) * big)
+        if errs[-1] <= tol and n > window and sum(errs[-window:]) <= tol:
             return True
-        if n >= max_terms:
-            return False
+        n += 1
+    return False
 
 
 def _horner(h, s):
@@ -296,11 +300,9 @@ def frobenius_series(ode, z0, branch="first", n_terms=60, exponents=None):
     """
     rho, (center, lead, weights, scale) = _branch(ode, z0, branch, exponents)
     h = [1.0 + 0j]
-    terms = recurrence_terms(weights, lead, rho, [h],
-                             pivot_floor=PIVOT_FLOOR * scale)
-    for _ in range(n_terms):
-        next(terms)
-    return LocalSeries(center, rho, tuple(h), convergence_radius(ode, center))
+    sum_until(weights, lead, rho, [h], 1.0, -1.0, n_terms, PIVOT_FLOOR * scale)
+    return LocalSeries(center, rho, tuple(h), convergence_radius(ode, center),
+                       _window(weights, lead))
 
 
 def frobenius_value(ode, z0, branch, z, tol, exponents=None):
@@ -321,7 +323,7 @@ def frobenius_value(ode, z0, branch, z, tol, exponents=None):
     h = [1.0 + 0j]
     floor = PIVOT_FLOOR * scale
     if r == 0.0:
-        next(recurrence_terms(weights, lead, rho, [h], floor))
+        sum_until(weights, lead, rho, [h], 1.0, -1.0, 1, floor)
     else:
         head = abs(_power(s, rho))  # 0 on underflow: any sum is exact enough
         bound = tol * max(1.0, head) / head if head else math.inf
@@ -330,7 +332,7 @@ def frobenius_value(ode, z0, branch, z, tol, exponents=None):
             raise TruncationFailure(
                 f"series at z={z} did not reach tol {tol:.3e} in "
                 f"{MAX_SERIES_TERMS} terms")
-    series = LocalSeries(center, rho, tuple(h), radius)
+    series = LocalSeries(center, rho, tuple(h), radius, _window(weights, lead))
     return eval_local(series, z), series
 
 
@@ -345,27 +347,36 @@ def _power(s, rho):
 def eval_local(series, z):
     """Evaluate a LocalSeries and its derivative at z.
 
+    Horner sums only the prefix that z needs: it ends after the first run
+    of terms |h_k| |s|**k max(1, k/|s|) that meets sum_until's tail rule
+    with tol ROUNDING (a quarter ulp) times the largest term so far.
     Returns SeriesValue(w, dw, tail) where tail, the truncation estimate,
-    is the larger magnitude of the last two retained terms: one coefficient
+    is the larger magnitude of the last two stored terms: one coefficient
     that happens to be near zero does not make the sum look converged.
     Raises OutsideRadius when |z - center| >= radius.
     """
     s = complex(z) - series.center
-    if abs(s) >= series.radius:
+    r = abs(s)
+    if r >= series.radius:
         raise OutsideRadius(
-            f"|z - center| = {abs(s):.6g} >= radius {series.radius:.6g}")
-    S, T = _horner(series.coeffs, s)
-    rho = series.exponent
+            f"|z - center| = {r:.6g} >= radius {series.radius:.6g}")
+    h, rho = series.coeffs, series.exponent
     if s == 0:
         if rho == 0:
-            dw = series.coeffs[1] if len(series.coeffs) > 1 else 0j
-            return SeriesValue(series.coeffs[0], dw, 0.0)
+            return SeriesValue(h[0], h[1] if len(h) > 1 else 0j, 0.0)
         raise OutsideRadius(
             "evaluation exactly at the expansion center needs exponent 0")
+    window, errs, big, lim, rk, k = series.window, [], 0.0, 0.0, 1.0, 0
+    for k, hk in enumerate(h):
+        err = abs(hk) * rk * (k / r if k > r else 1.0)
+        errs.append(err)
+        if err > big:
+            big, lim = err, ROUNDING * err
+        elif err <= lim and k > window and sum(errs[-window:]) <= lim:
+            break
+        rk *= r
+    S, T = _horner(h[:k + 1], s)
     head = _power(s, rho)
-    w = head * S
-    dw = head * (rho * S / s + T)
-    last = max(len(series.coeffs) - 2, 0)
-    tail = max(abs(h) * abs(s) ** k
-               for k, h in enumerate(series.coeffs[last:], last)) * abs(head)
-    return SeriesValue(w, dw, tail)
+    last = max(len(h) - 2, 0)
+    tail = max(abs(c) * r ** j for j, c in enumerate(h[last:], last)) * abs(head)
+    return SeriesValue(head * S, head * (rho * S / s + T), tail)

@@ -430,6 +430,16 @@ def test_cli_parameter_inputs(capsys):
          "unknown confluent form 'nosuch'"),
         (["classify", "--text", "cform kind=spheroidal p=1 q=0.5 g=1"], 2,
          "spheroidal expects parameters ['lam', 'm', 'p']"),
+        # f far from 0 and 1 merges into infinity
+        (["classify", "--text",
+          "heun a=0.31 b=0.77 c=1.23 d=0.85 e=0 f=1e14 q=0.4"], 1,
+         "merges into the point at infinity"),
+        (["heun-eval", "--a", "0.31", "--b", "0.77", "--c", "1.23", "--d",
+          "0.85", "--e", "0", "--f", "1e16", "--q", "0.4", "--z", "0.3"], 1,
+         "merges into the point at infinity"),
+        (["classify", "--text",
+          "heun a=0.31 b=0.77 c=1.23 d=0.85 e=0 f=-1e20 q=0.4"], 1,
+         "merges into the point at infinity"),
     ]
     for argv, code, message in cases:
         status = main(argv)
@@ -539,10 +549,11 @@ print(json.dumps(loaded))
 
 def test_cheap_verbs_do_not_import_numpy():
     """In a fresh interpreter, classify, heun-eval, connect and the stark,
-    h2plus, eguchi-hanson-radial and boundary-dirac scenarios run through
-    cli.main without loading numpy: roots, 2x2 algebra and the eigenvalues
-    of a 2x2 monodromy matrix are pure Python, and numpy is imported only
-    where mathieu and the remaining scenarios use it."""
+    h2plus, eguchi-hanson-radial, boundary-dirac and eguchi-hanson-angular
+    scenarios run through cli.main without loading numpy: roots, 2x2
+    algebra, the eigenvalues of a 2x2 monodromy matrix and the Gauss series
+    are pure Python, and numpy is imported only where mathieu and the
+    remaining scenarios use it."""
     argvs = [
         ["classify", "--text", "heun a=1 b=1 c=1 d=1 e=1 f=2 q=0"],
         ["classify", "--text", "cform kind=spheroidal p=0.7 lam=1.1 m=1"],
@@ -553,6 +564,7 @@ def test_cheap_verbs_do_not_import_numpy():
         ["scenario", "--id", "h2plus"],
         ["scenario", "--id", "eguchi-hanson-radial"],
         ["scenario", "--id", "boundary-dirac"],
+        ["scenario", "--id", "eguchi-hanson-angular"],
     ]
     p = subprocess.run([sys.executable, "-c",
                         _NO_NUMPY_CHILD.format(argvs=argvs)],

@@ -175,10 +175,22 @@ def test_cos_squared_form_conversion():
 
 
 def test_overflow_guard():
+    """At one point, at one point of a grid, at an angular theta whose cosh
+    overflows, and in the two scenarios whose settings reach the guards."""
+    from heunkit.cli import main
+
     ch = characteristic_value(2, 1.0, "even")
     p = MathieuParams(1.0, 2, "even")
     with pytest.raises(OverflowGuard):
         modified_mathieu(p, ch, 40.0)
+    with pytest.raises(OverflowGuard, match="overflows cosh"):
+        modified_mathieu_derivatives(p, ch, [0.0, 1.0, 40.0])
+    with pytest.raises(OverflowGuard, match="overflows cosh"):
+        angular_mathieu(p, ch, [0.5, 0.5 + 40.0j])
+    for argv in (["scenario", "--id", "nutku-radial", "--set",
+                  "Lambda=1.9999999"],
+                 ["scenario", "--id", "helmholtz-elliptic", "--set", "a=30"]):
+        assert main(argv) == 1
 
 
 def test_orthogonality_q_zero_exactly_diagonal():
@@ -433,3 +445,118 @@ def test_angular_matches_scipy_special():
             else:
                 ref = mathieu_sem(n, q, math.degrees(t))[0]
             assert abs(ours - ref) <= 1e-10
+
+
+def _reference_angular(params, char, theta):
+    """The per-point loop that summed the angular series before the grid
+    evaluator: (S, S', S''), real for real q and real theta."""
+    nus, coeffs = fourier_coefficients(params, char)
+    even = params.parity == "even"
+    S = S1 = S2 = 0j
+    for nu, c in zip(nus, coeffs):
+        cosv = cmath.cos(nu * theta)
+        sinv = cmath.sin(nu * theta)
+        if even:
+            S += c * cosv
+            S1 += -c * nu * sinv
+            S2 += -c * nu * nu * cosv
+        else:
+            S += c * sinv
+            S1 += c * nu * cosv
+            S2 += -c * nu * nu * sinv
+    if params.q.imag == 0 and abs(complex(theta).imag) == 0:
+        return S.real, S1.real, S2.real
+    return S, S1, S2
+
+
+def _reference_modified(params, char, x):
+    """The per-point loop that summed the modified series before the grid
+    evaluator: (M, M', M'') as sums of cosh and i sinh (no guards)."""
+    nus, coeffs = fourier_coefficients(params, char)
+    even = params.parity == "even"
+    xc = complex(x)
+    M = M1 = M2 = 0j
+    for nu, c in zip(nus, coeffs):
+        ch = cmath.cosh(nu * xc)
+        sh = cmath.sinh(nu * xc)
+        if even:
+            M += c * ch
+            M1 += c * nu * sh
+            M2 += c * nu * nu * ch
+        else:
+            M += 1j * c * sh
+            M1 += 1j * c * nu * ch
+            M2 += 1j * c * nu * nu * sh
+    return M, M1, M2
+
+
+EPS = 2.0 ** -52
+GRID_CASES = [(1.0, 0, "even"), (1.0, 3, "odd"), (25.0, 2, "even"),
+              (-4.0, 5, "odd"), (0.7 + 0.4j, 2, "even"),
+              (0.7 + 0.4j, 1, "odd"), (2.236j, 0, "even"),
+              (-2.236j, 2, "even"), (2.236j, 2, "odd")]
+
+
+def _absolute_sums(params, char, theta):
+    """Sums of |c| max(|cos|, |sin|)(nu theta) times 1, nu and nu^2: what
+    the rounding of the S, S' and S'' sums scales with."""
+    nus, coeffs = fourier_coefficients(params, char)
+    sums = [0.0, 0.0, 0.0]
+    for nu, c in zip(nus, coeffs):
+        m = abs(c) * max(abs(cmath.cos(nu * theta)), abs(cmath.sin(nu * theta)))
+        sums = [sums[0] + m, sums[1] + m * nu, sums[2] + m * nu * nu]
+    return sums
+
+
+@pytest.mark.parametrize("q, n, parity", GRID_CASES)
+def test_grid_evaluator_matches_per_point_loops(q, n, parity):
+    """The grid evaluator against the loops it replaced, over real and
+    complex theta and x, at 1e-13 relative to max(1, |reference|) plus 4
+    eps times the sum of the terms' magnitudes. That second part is the
+    rounding of either sum where its terms cancel: measured up to 2.4 eps
+    times it, which is 1.6e-9 of M at q = 25, x = 2 (the cancellation
+    guard admits ratios up to 1e7). The types match too: real floats for
+    real q at real theta, complex else."""
+    p, ch = MathieuParams(q, n, parity), characteristic_value(n, q, parity)
+    thetas = list(np.linspace(-1.0, 2 * math.pi + 1.0, 37)) + \
+        [0.3 + 0.5j, 2.0 - 1.2j, -1.1 + 0.05j]
+    xs = [x for x in list(np.linspace(-1.5, 2.0, 29)) + [0.4 + 0.3j,
+                                                         1.2 - 2.0j]
+          if not _cancels(p, ch, x)]
+    assert len(xs) >= 20
+    pairs = [*zip(angular_mathieu_derivatives(p, ch, thetas),
+                  [_reference_angular(p, ch, t) for t in thetas],
+                  [_absolute_sums(p, ch, t) for t in thetas]),
+             *zip(modified_mathieu_derivatives(p, ch, xs),
+                  [_reference_modified(p, ch, x) for x in xs],
+                  [_absolute_sums(p, ch, 1j * x) for x in xs])]
+    for got, want, sums in pairs:
+        assert [type(v) for v in got] == [type(v) for v in want]
+        for g, w, a in zip(got, want, sums):
+            assert abs(g - w) <= 1e-13 * max(1.0, abs(w)) + 4 * EPS * a, \
+                (got, want)
+
+
+def _cancels(params, char, x):
+    """Whether the cancellation guard refuses the modified function at x."""
+    try:
+        modified_mathieu(params, char, x)
+    except OverflowGuard:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("q, n, parity", GRID_CASES[::2])
+def test_scalar_and_sequence_calls_agree_exactly(q, n, parity):
+    p, ch = MathieuParams(q, n, parity), characteristic_value(n, q, parity)
+    pts = [0.0, 0.37, 1.9, 0.2 + 0.1j, 2 * math.pi + 0.37]
+    assert angular_mathieu_derivatives(p, ch, pts) == \
+        [angular_mathieu_derivatives(p, ch, t) for t in pts]
+    assert angular_mathieu(p, ch, pts) == [angular_mathieu(p, ch, t)
+                                           for t in pts]
+    xs = [0.0, 0.37, 1.2, 0.2 + 0.1j, -0.8]
+    assert modified_mathieu_derivatives(p, ch, xs) == \
+        [modified_mathieu_derivatives(p, ch, x) for x in xs]
+    assert modified_mathieu(p, ch, xs) == [modified_mathieu(p, ch, x)
+                                           for x in xs]
+    assert angular_mathieu(p, ch, []) == modified_mathieu(p, ch, []) == []

@@ -106,13 +106,12 @@ def test_recurrence_at_an_ordinary_point_is_taylor():
     # w'' + w = 0 at z = 0: lead 0, rho 0; columns cos and sin
     from math import factorial
 
-    from heunkit.series import recurrence_terms, recurrence_weights
+    from heunkit.series import recurrence_weights, sum_until
 
     cols = [[1.0, 0.0], [0.0, 1.0]]
-    terms = recurrence_terms(recurrence_weights((1.0,), (0.0,), (1.0,)),
-                             0, 0j, cols)
-    for _ in range(10):
-        next(terms)
+    # a negative tol never holds: ten terms, orders 2 to 11
+    assert not sum_until(recurrence_weights((1.0,), (0.0,), (1.0,)),
+                         0, 0j, cols, 1.0, -1.0, 11)
     for k in range(12):
         cos_k = 0.0 if k % 2 else (-1) ** (k // 2) / factorial(k)
         sin_k = (-1) ** (k // 2) / factorial(k) if k % 2 else 0.0
@@ -165,3 +164,52 @@ def test_helicoid_point_against_mpmath_recurrence():
             biggest = max(abs(x) for x in h)
             err = max(abs(x - complex(y)) for x, y in zip(ser.coeffs, h))
             assert err <= 1e-13 * float(biggest), (branch, err / biggest)
+
+
+def test_eval_local_sums_the_prefix_a_point_needs(monkeypatch):
+    """A Gauss series summed for s = 0.95 (about 600 terms) and evaluated
+    nearer its centre: the prefix Horner stops at gives w and w' within
+    1e-15 of the full Horner sum, relative to max(1, |full|), in far fewer
+    terms, and tail is still the last two stored terms at s."""
+    import math
+
+    import heunkit.series as series
+    from heunkit.scenarios import _gauss_series
+
+    ser = _gauss_series((1 + math.sqrt(3)) / 2, (1 - math.sqrt(3)) / 2, 1.0,
+                        0.95)
+    assert len(ser.coeffs) > 500
+    used = []
+    horner = series._horner
+
+    def spy(h, s):
+        used.append(len(h))
+        return horner(h, s)
+
+    monkeypatch.setattr(series, "_horner", spy)
+    for s, most in ((0.05, 30), (0.5, 100), (0.9, len(ser.coeffs))):
+        val = eval_local(ser, s)
+        assert used.pop() <= most
+        w, dw = horner(ser.coeffs, s)
+        assert abs(val.w - w) <= 1e-15 * max(1.0, abs(w))
+        assert abs(val.dw - dw) <= 1e-15 * max(1.0, abs(dw))
+        assert val.tail == max(abs(h) * s ** k for k, h in
+                               enumerate(ser.coeffs[-2:], len(ser.coeffs) - 2))
+
+
+def test_a_nan_column_never_meets_the_tail_rule():
+    """w'' + w = 0 with a second column that is NaN from its first term: the
+    sum over both columns never ends by the tail rule (the largest term of
+    the two is NaN, not the first column's), so a Taylor step raises the
+    typed StepUnderflow instead of returning NaN."""
+    from heunkit.errors import StepUnderflow
+    from heunkit.series import recurrence_weights, sum_until, transport
+
+    nan = float("nan")
+    cols = [[1.0, 0.0], [nan, 0.0]]
+    assert not sum_until(recurrence_weights((1.0,), (0.0,), (1.0,)),
+                         0, 0j, cols, 0.5, 1e-12, 60)
+    ode = LinearODE.from_polynomials([1.0], [0j], [1.0])
+    with pytest.raises(StepUnderflow):
+        transport(ode.cleared(), [0j, 0.5 + 0j], [(1.0, 0.0), (0.0, nan)],
+                  1e-12)
