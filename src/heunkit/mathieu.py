@@ -23,8 +23,8 @@ Fourier coefficients are generated by backward recurrence from above the
 last significant mode (the coefficient sequence is the minimal solution of
 the three-term relation, so downward recursion is componentwise accurate;
 this matters for the modified functions, where noise in coefficient k is
-amplified by cosh(k x)). One numpy pass sums a series over a whole grid;
-the Gram matrix sums its own nodes. No run-time path loads scipy.
+amplified by cosh(k x)). One numpy pass sums a series over a whole grid.
+No run-time path loads scipy.
 """
 
 from __future__ import annotations
@@ -248,17 +248,25 @@ def _coefficients_cached(n, q, parity, truncation, value):
             s = 1.0 / mag
             for i in range(j - 1, M):
                 coeffs[i] *= s
-    return tuple(nus), tuple(_normalize(fam, coeffs, n))
+    # at large q the largest coefficient can stay so near the 1e-280 start
+    # that its square underflows: a power of 2 brings it to [0.5, 1) exactly
+    s = math.ldexp(1.0, -math.frexp(max(abs(c) for c in coeffs))[1])
+    return tuple(nus), tuple(_normalize(fam, [c * s for c in coeffs], n))
+
+
+def _parseval(fam, u, v):
+    """1/pi times the integral over [0, 2pi] of two series of family fam:
+    sum of u_k v_k over the shared prefix, the A_0 product counted twice in
+    the even-pi family (DLMF 28.4.13 - 28.4.16)."""
+    if fam == "even-pi":
+        return 2.0 * u[0] * v[0] + sum(a * b for a, b in zip(u[1:], v[1:]))
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _normalize(fam, coeffs, n):
     """Apply the period-pi normalization (integral of S^2 = pi) and fix the
     overall sign by the native harmonic."""
-    if fam == "even-pi":
-        norm2 = 2.0 * coeffs[0] * coeffs[0] + sum(c * c for c in coeffs[1:])
-    else:
-        norm2 = sum(c * c for c in coeffs)
-    scale = 1.0 / cmath.sqrt(norm2)
+    scale = 1.0 / cmath.sqrt(_parseval(fam, coeffs, coeffs))
     coeffs = [c * scale for c in coeffs]
     anchor = coeffs[(n - _START[fam]) // 2]
     if anchor.real < 0 or (anchor.real == 0 and anchor.imag < 0):
@@ -355,26 +363,15 @@ def basis_functions(q, n_max):
             for n, parity in orders]
 
 
-def orthogonality_matrix(q, n_max):
-    """Gram matrix of the angular functions with orders <= n_max (both
-    parities): the integrals of S_i S_j over [0, 2pi] by the trapezoid rule.
-
-    V holds each Fourier series (the one angular_mathieu sums) at N
-    equispaced nodes and G = (2pi/N) V V^T, with the plain transpose (the
-    square, not |S|^2, for complex q). S_i S_j is a trigonometric
-    polynomial of degree <= 2 nu_max, the largest retained harmonic, and
-    the N-point rule is exact below degree N (Trefethen and Weideman, SIAM
-    Review 56 (2014)), so N = 2 nu_max + 2 is exact up to rounding. Real
-    for real q; the diagonal is pi, off-diagonal entries vanish. No scipy.
-    """
-    import numpy as np
-    funcs = basis_functions(q, n_max)
-    series = [fourier_coefficients(p, c) for p, c in funcs]
-    nu_max = max(nus[-1] for nus, _ in series)
-    N = 2 * nu_max + 2
-    part = np.real if complex(q).imag == 0 else np.asarray
-    # reduce nu k mod N first, so each angle is rounded once, not nu-fold
-    V = np.array([(np.cos if p.parity == "even" else np.sin)(
-        2.0 * math.pi / N * (np.outer(np.arange(N), nus) % N)) @ part(c)
-        for (p, _), (nus, c) in zip(funcs, series)])
-    return 2.0 * math.pi / N * (V @ V.T)
+def orthogonality_matrix(funcs):
+    """Gram matrix, as a list of rows, of the (params, char) pairs funcs from
+    basis_functions: the integrals of S_i S_j over [0, 2pi], pi times the
+    Parseval sum within a family (DLMF 28.4.13 - 28.4.16; the square, not
+    |S|^2, for complex q) and exactly 0 across families. Floats for real
+    q, complex otherwise; the diagonal is pi by the normalization."""
+    series = [(_family(p.n, p.parity), fourier_coefficients(p, c)[1])
+              for p, c in funcs]
+    rows = [[math.pi * _parseval(f, u, v) if f == g else 0j
+             for g, v in series] for f, u in series]
+    return rows if any(p.q.imag for p, _ in funcs) else \
+        [[x.real for x in row] for row in rows]

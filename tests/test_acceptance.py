@@ -21,7 +21,8 @@ from heunkit.errors import FuchsViolation
 from heunkit.heun import GeneralHeunParams, general_heun, heun_series, \
     heun_value
 from heunkit.mathieu import (MathieuParams, angular_mathieu_derivatives,
-                             characteristic_value, modified_mathieu_derivatives,
+                             basis_functions, characteristic_value,
+                             modified_mathieu_derivatives,
                              orthogonality_matrix, trig_form_b,
                              _family, _family_matrix)
 from heunkit.ode import classify_singularities, singularity_signature
@@ -182,7 +183,7 @@ def test_criterion_5_mathieu_suite():
                 ours = characteristic_value(n, q, parity).value
                 assert abs(ours - oracle) <= 1e-10, (n, q, parity)
     # (c) Gram off-diagonals
-    G = orthogonality_matrix(2.0, 6)
+    G = orthogonality_matrix(basis_functions(2.0, 6))
     assert np.max(np.abs(G - np.diag(np.diag(G)))) <= 1e-9
     # (d) residuals of the angular equation, its cos^2 form, and the
     # hyperbolic (radial) form

@@ -372,6 +372,8 @@ def test_cli_parameter_inputs(capsys):
         (["scenario", "--id", "nutku-radial", "--set", "n=inf"], 2,
          "n expects a finite number"),
         (["scenario", "--id", "nutku-radial", "--set", "n=2.0"], 0, ""),
+        # q = 100: the Fourier coefficients start near 1e-280
+        (["scenario", "--id", "nutku-angular", "--set", "k=20"], 0, ""),
         (["mathieu-table", "--q-values", "inf"], 2,
          "--q-values expects a finite number"),
         (["mathieu-table", "--q-values", "1,nan"], 2,

@@ -194,21 +194,21 @@ def test_overflow_guard():
 
 
 def test_orthogonality_q_zero_exactly_diagonal():
-    G = orthogonality_matrix(0.0, 4)
+    G = orthogonality_matrix(basis_functions(0.0, 4))
     off = np.max(np.abs(G - np.diag(np.diag(G))))
     assert off <= 1e-12
     assert np.allclose(np.diag(G), math.pi, atol=1e-12)
 
 
 def test_orthogonality_moderate_q():
-    G = orthogonality_matrix(2.0, 6)
+    G = orthogonality_matrix(basis_functions(2.0, 6))
     off = np.max(np.abs(G - np.diag(np.diag(G))))
     assert off <= 1e-9
     assert np.allclose(np.diag(G), math.pi, atol=1e-9)
 
 
 def test_orthogonality_large_q():
-    G = orthogonality_matrix(10.0, 10)
+    G = orthogonality_matrix(basis_functions(10.0, 10))
     off = np.max(np.abs(G - np.diag(np.diag(G))))
     assert off <= 1e-9
 
@@ -232,30 +232,53 @@ def quad_gram(q, n_max):
     return G
 
 
+def doubled_trapezoid_gram(funcs):
+    """Trapezoid rule for the Gram matrix on 2 (2 nu_max + 2) nodes, each
+    value summed by angular_mathieu: S_i S_j has degree <= 2 nu_max, so
+    the rule is exact up to rounding."""
+    nu_max = max(fourier_coefficients(p, c)[0][-1] for p, c in funcs)
+    N = 2 * (2 * nu_max + 2)
+    V = np.array([angular_mathieu(p, c, [2 * math.pi * k / N
+                                         for k in range(N)])
+                  for p, c in funcs])
+    return 2 * math.pi / N * V @ V.T
+
+
 @pytest.mark.parametrize("q, n_max", [(0.0, 4), (1.0, 3), (2.0, 6),
                                       (10.0, 10)])
 def test_orthogonality_matches_adaptive_quadrature(q, n_max):
-    G = orthogonality_matrix(q, n_max)
-    assert G.dtype == np.float64
-    assert np.max(np.abs(G - quad_gram(q, n_max))) <= 1e-13
-    # the rule on 2 nu_max + 2 nodes is exact: the trapezoid rule on twice
-    # as many nodes, summed by angular_mathieu, gives the same matrix
     funcs = basis_functions(q, n_max)
-    nu_max = max(fourier_coefficients(p, c)[0][-1] for p, c in funcs)
-    N = 2 * (2 * nu_max + 2)
-    V = np.array([[angular_mathieu(p, c, 2 * math.pi * k / N)
-                   for k in range(N)] for p, c in funcs])
-    assert np.max(np.abs(2 * math.pi / N * V @ V.T - G)) <= 1e-14
+    G = orthogonality_matrix(funcs)
+    assert np.asarray(G).dtype == np.float64
+    assert np.max(np.abs(G - quad_gram(q, n_max))) <= 1e-13
+    # the doubled trapezoid sum is an independent check of the Parseval sum
+    assert np.max(np.abs(doubled_trapezoid_gram(funcs) - G)) <= 1e-14
 
 
-@pytest.mark.parametrize("q", [1.0 + 0.5j, 5.0 + 3.0j])
+@pytest.mark.parametrize("q", [1.0 + 0.5j, 5.0 + 3.0j, 0.7 + 0.4j, 2.236j])
 def test_orthogonality_complex_q_bilinear(q):
     """For complex q the Gram matrix is complex and uses the square, not
-    |S|^2: the diagonal is pi and distinct orders are orthogonal."""
-    G = orthogonality_matrix(q, 3)
-    assert G.dtype == np.complex128
+    |S|^2: the diagonal is pi, distinct orders are orthogonal, and the
+    doubled trapezoid sum agrees."""
+    funcs = basis_functions(q, 3)
+    G = orthogonality_matrix(funcs)
+    assert np.asarray(G).dtype == np.complex128
     assert np.max(np.abs(np.diag(G) - math.pi)) <= 1e-9
     assert np.max(np.abs(G - np.diag(np.diag(G)))) <= 1e-9
+    assert np.max(np.abs(doubled_trapezoid_gram(funcs) - G)) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [50.0, 100.0, 400.0, 60j])
+def test_large_q_coefficients_are_finite(q):
+    """The backward recurrence starts at 1e-280, and at large q its largest
+    coefficient can stay so small that its square underflows unless it is
+    rescaled. Finite values only: accuracy at n >= 8 is not claimed."""
+    for parity in ("even", "odd"):
+        for n in range(0 if parity == "even" else 1, 21):
+            params = MathieuParams(q, n, parity)
+            _, c = fourier_coefficients(
+                params, characteristic_value(n, q, parity))
+            assert all(cmath.isfinite(x) for x in c), (n, parity)
 
 
 def test_mixed_parity_blocks_vanish():
