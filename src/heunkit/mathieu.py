@@ -19,12 +19,13 @@ eigvalsh (real q) or eigvals (complex q) on the dense matrix. The label
 rule for complex q and the stop rule near a branch point are stated in
 characteristic_value.
 
-Fourier coefficients are generated by backward recurrence from above the
-last significant mode (the coefficient sequence is the minimal solution of
-the three-term relation, so downward recursion is componentwise accurate;
-this matters for the modified functions, where noise in coefficient k is
-amplified by cosh(k x)). One numpy pass sums a series over a whole grid.
-No run-time path loads scipy.
+Fourier coefficients are that matrix's eigenvector at the characteristic
+value, built outward from the order's own harmonic by two continued
+fractions, each run in its stable direction: down from the top above it,
+up from the first row below it (Gautschi, SIAM Rev. 9 (1967) 24; DLMF
+28.34). They are componentwise accurate, which the modified functions need:
+there noise in coefficient k is amplified by cosh(k x). One numpy pass sums
+a series over a whole grid. No run-time path loads scipy.
 """
 
 from __future__ import annotations
@@ -112,11 +113,12 @@ def _eig_index(n, parity):
 
 
 def _family_matrix(family, q, M):
-    """Symmetric tridiagonal truncation (diag, offdiag) of the Fourier-mode
-    operator for y'' + (a - 2q cos 2t) y = 0, as complex arrays."""
-    import numpy as np
-    d = np.array(_harmonics(family, M), dtype=complex) ** 2
-    e = np.full(M - 1, complex(q))
+    """Symmetric tridiagonal truncation (diag, offdiag), as lists, of the
+    Fourier-mode operator for y'' + (a - 2q cos 2t) y = 0 (DLMF 28.4.5 -
+    28.4.8): row j reads e[j-1] x[j-1] + d[j] x[j] + e[j] x[j+1] = a x[j],
+    x[j] the harmonic j coefficient, but x[0] = sqrt(2) A_0 if even-pi."""
+    d = [complex(h * h) for h in _harmonics(family, M)]
+    e = [complex(q)] * (M - 1)
     if family == "even-pi":
         e[0] = math.sqrt(2.0) * q
     elif family == "even-2pi":
@@ -227,31 +229,28 @@ def characteristic_value_at(n, q, parity, truncation):
 
 @lru_cache(maxsize=256)
 def _coefficients_cached(n, q, parity, truncation, value):
-    fam = _family(n, parity)
-    M = max(truncation, _eig_index(n, parity) + 10) + 8
-    nus = _harmonics(fam, M)
-    a = complex(value)
-    q = complex(q)
-    if q == 0:
-        coeffs = [0j] * M
-        coeffs[_eig_index(n, parity)] = 1.0 + 0j
-        return tuple(nus), tuple(_normalize(fam, coeffs, n))
-    # backward recurrence: A_{j-1} = [(a - nu_j^2) A_j - q A_{j+1}] / (q w_j)
-    coeffs = [0j] * M
-    coeffs[M - 1] = 1e-280
-    for j in range(M - 1, 0, -1):
-        w = 2.0 if (fam == "even-pi" and j == 1) else 1.0
-        upper = coeffs[j + 1] if j + 1 < M else 0j
-        coeffs[j - 1] = ((a - nus[j] ** 2) * coeffs[j] - q * upper) / (q * w)
-        mag = abs(coeffs[j - 1])
-        if mag > 1e200:
-            s = 1.0 / mag
-            for i in range(j - 1, M):
-                coeffs[i] *= s
-    # at large q the largest coefficient can stay so near the 1e-280 start
-    # that its square underflows: a power of 2 brings it to [0.5, 1) exactly
-    s = math.ldexp(1.0, -math.frexp(max(abs(c) for c in coeffs))[1])
-    return tuple(nus), tuple(_normalize(fam, [c * s for c in coeffs], n))
+    """(harmonics, coefficients) from the family matrix's eigenvector x at
+    a = value with x[idx] = 1. Each x[j] first holds its ratio to the next
+    entry toward idx, a continued fraction run from x[M] = 0 above idx and
+    from row 0 below it."""
+    fam, idx = _family(n, parity), _eig_index(n, parity)
+    M = max(truncation, idx + 10) + 8
+    d, e = _family_matrix(fam, q, M)
+    e = [0j, *e, 0j]  # e[j] now couples rows j - 1 and j
+    a, x, r = complex(value), [0j] * M, 0j
+    for j in range(M - 1, idx, -1):
+        r = x[j] = -e[j] / (d[j] - a + e[j + 1] * r)
+    r = 0j
+    for j in range(idx):
+        r = x[j] = -e[j + 1] / (d[j] - a + e[j] * r)
+    x[idx] = 1.0 + 0j
+    for j in range(idx + 1, M):
+        x[j] *= x[j - 1]
+    for j in range(idx - 1, -1, -1):
+        x[j] *= x[j + 1]
+    if fam == "even-pi":
+        x[0] /= math.sqrt(2.0)
+    return tuple(_harmonics(fam, M)), tuple(_normalize(fam, x, n))
 
 
 def _parseval(fam, u, v):

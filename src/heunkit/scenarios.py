@@ -244,8 +244,8 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
                  res_ang <= 1e-7 and res_rad <= 1e-7)
 
     # 2-D product residual on a 20 x 20 grid, series-side derivatives only
-    worst2d = 0.0
-    rows = []
+    # odd M = S(i mu) = i sum B_k sinh(nu_k mu): psi takes the real -i M
+    worst2d, rows, unit = 0.0, [], -1j if parity == "odd" else 1.0
     angular = _on_grid(angular_mathieu_derivatives, params, char,
                        _linspace(0.0, 2.0 * math.pi, 20))
     for mu, M, M1, M2 in _on_grid(modified_mathieu_derivatives, params, char,
@@ -255,8 +255,7 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
             coup = h2 * (math.cosh(mu) ** 2 - math.cos(t) ** 2) * M * S
             res = abs(lap + coup) / max(1.0, abs(M2 * S), abs(M * S2), abs(coup))
             worst2d = max(worst2d, res)
-            rows.append([mu, t, float((M * S).real if isinstance(M * S, complex)
-                                      else M * S), res])
+            rows.append([mu, t, (unit * M * S).real, res])
     report.residuals["product_2d"] = worst2d
     report.data["grid"] = {"columns": ["mu", "theta", "psi", "residual"],
                            "rows": rows}

@@ -102,8 +102,6 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalars
-        return to_jsonable(obj.item())
     raise TypeError(f"cannot convert {type(obj).__name__}")
 
 

@@ -372,8 +372,11 @@ def test_cli_parameter_inputs(capsys):
         (["scenario", "--id", "nutku-radial", "--set", "n=inf"], 2,
          "n expects a finite number"),
         (["scenario", "--id", "nutku-radial", "--set", "n=2.0"], 0, ""),
-        # q = 100: the Fourier coefficients start near 1e-280
+        # q = 100 and orders past 7 pass their claims with the same gates
         (["scenario", "--id", "nutku-angular", "--set", "k=20"], 0, ""),
+        (["scenario", "--id", "helmholtz-elliptic", "--set", "n=8"], 0, ""),
+        (["scenario", "--id", "helmholtz-elliptic", "--set", "n=10"], 0, ""),
+        (["scenario", "--id", "nutku-angular", "--set", "n=10"], 0, ""),
         (["mathieu-table", "--q-values", "inf"], 2,
          "--q-values expects a finite number"),
         (["mathieu-table", "--q-values", "1,nan"], 2,

@@ -268,17 +268,23 @@ def test_orthogonality_complex_q_bilinear(q):
     assert np.max(np.abs(doubled_trapezoid_gram(funcs) - G)) <= 1e-14
 
 
-@pytest.mark.parametrize("q", [50.0, 100.0, 400.0, 60j])
-def test_large_q_coefficients_are_finite(q):
-    """The backward recurrence starts at 1e-280, and at large q its largest
-    coefficient can stay so small that its square underflows unless it is
-    rescaled. Finite values only: accuracy at n >= 8 is not claimed."""
+@pytest.mark.parametrize("q", [0.1, 1.0, 5.0, 25.0, 50.0, 100.0, 400.0,
+                               0.7 + 0.4j, 2.236j, 5 + 3j, 60j])
+def test_coefficients_at_every_order(q):
+    """Every order n <= 20 of both parities: finite coefficients, and the
+    series solves the equation at 30 points, |S'' + (a - 2q cos 2t) S| /
+    max(1, |a|) <= 1e-11, with S'' summed term by term."""
+    thetas = [2 * math.pi * k / 30 for k in range(30)]
     for parity in ("even", "odd"):
         for n in range(0 if parity == "even" else 1, 21):
             params = MathieuParams(q, n, parity)
-            _, c = fourier_coefficients(
-                params, characteristic_value(n, q, parity))
+            ch = characteristic_value(n, q, parity)
+            _, c = fourier_coefficients(params, ch)
             assert all(cmath.isfinite(x) for x in c), (n, parity)
+            rows = angular_mathieu_derivatives(params, ch, thetas)
+            worst = max(abs(S2 + (ch.value - 2 * q * cmath.cos(2 * t)) * S)
+                        for t, (S, _, S2) in zip(thetas, rows))
+            assert worst <= 1e-11 * max(1.0, abs(ch.value)), (n, parity)
 
 
 def test_mixed_parity_blocks_vanish():
@@ -456,18 +462,16 @@ def test_angular_matches_scipy_special():
     values and the coefficient recurrence."""
     from scipy.special import mathieu_cem, mathieu_sem
 
-    q = 1.5
-    for n, parity in ((0, "even"), (2, "even"), (3, "even"),
-                      (1, "odd"), (2, "odd")):
-        ch = characteristic_value(n, q, parity)
-        p = MathieuParams(q, n, parity)
-        for t in (0.3, 0.7, 2.4, 5.1):
-            ours = angular_mathieu(p, ch, t)
-            if parity == "even":
-                ref = mathieu_cem(n, q, math.degrees(t))[0]
-            else:
-                ref = mathieu_sem(n, q, math.degrees(t))[0]
-            assert abs(ours - ref) <= 1e-10
+    # no further in n or q: scipy's mathieu_b(40, 1000) is wrong
+    for q in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
+        for parity, ref in (("even", mathieu_cem), ("odd", mathieu_sem)):
+            for n in range(0 if parity == "even" else 1, 17):
+                ch = characteristic_value(n, q, parity)
+                p = MathieuParams(q, n, parity)
+                for t in (0.3, 0.7, 2.4, 5.1):
+                    want = ref(n, q, math.degrees(t))[0]
+                    assert abs(angular_mathieu(p, ch, t) - want) <= 1e-12, \
+                        (q, n, parity, t)
 
 
 def _reference_angular(params, char, theta):

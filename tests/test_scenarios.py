@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from heunkit.errors import DegenerateShift, ParameterPole
+from heunkit.mathieu import (MathieuParams, angular_mathieu,
+                             characteristic_value, fourier_coefficients)
 from heunkit.ode import LinearODE, ode_residual
 from heunkit.series import eval_local
 from heunkit.scenarios import (SCENARIOS, ScenarioReport, TrigODE,
@@ -30,6 +32,22 @@ def test_helmholtz_zero_wavenumber():
     assert rep.all_passed(), failing(rep)
     assert rep.residuals["angular"] <= 1e-10
     assert rep.residuals["radial"] <= 1e-10
+
+
+def test_helmholtz_odd_grid_is_the_real_product():
+    """For odd parity M(mu) = S(i mu) = i sum B_k sinh(nu_k mu), so the
+    grid's psi is S(theta) times the real factor sum B_k sinh(nu_k mu)."""
+    rep = helmholtz_elliptic(2.0, 1.0, n=1, parity="odd")
+    q = rep.data["mathieu_q"]
+    params, char = MathieuParams(q, 1, "odd"), characteristic_value(1, q, "odd")
+    nus, coeffs = fourier_coefficients(params, char)
+    rows = rep.data["grid"]["rows"]
+    want = [angular_mathieu(params, char, t)
+            * sum(c.real * math.sinh(nu * mu) for nu, c in zip(nus, coeffs))
+            for mu, t, _, _ in rows]
+    scale = max(abs(w) for w in want)
+    assert scale > 1.0
+    assert max(abs(row[2] - w) for row, w in zip(rows, want)) <= 1e-12 * scale
 
 
 def test_helmholtz_explicit_b_matching():
