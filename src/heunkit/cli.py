@@ -9,26 +9,24 @@ Verbs:
   connect       numerical connection matrix between two Frobenius bases
 
 Global options: --format (the formats a verb renders, default first, are
-in its VERBS entry), --output PATH. The environment variable HEUNKIT_TOL
-overrides the default integration tolerance 1e-10, and connect's --tol
-overrides both; a tolerance must be a finite number in (0, 1), and one
+in its VERBS entry), --output PATH. connect's --tol sets the integration
+tolerance (default 1e-10); it must be a finite number in (0, 1), and one
 below 100 machine epsilons is raised to that floor.
 Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
 option, a --format the verb does not render, a heun-eval --branch other
 than first or second, malformed equation, parameter-line (cform kind and
 parameter names included) or config text, a malformed or non-finite
-number, an invalid tolerance, a center that is none of 0, 1, f, an
-unknown scenario, scenario parameter, corpus entry or parity, a --set
-without key=value, a scenario parameter outside its domain or not an
-integer where one is expected, an empty --q-values item, --q-values
-given with --q-min, --q-max or --q-count, a --q-count below 1 or an
---n-max below 0). Output is deterministic: fixed key order, 17 significant digits.
+number, an invalid tolerance, a center that is neither f nor a number
+near 0, 1 or f, an unknown scenario, scenario parameter, corpus entry or
+parity, a --set without key=value, a scenario parameter outside its
+domain or not an integer where one is expected, an empty --q-values item
+or an --n-max below 0). Output is deterministic: fixed key order, 17
+significant digits.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -38,7 +36,7 @@ from .errors import GrammarError, HeunkitError, InvalidParameter, \
     InvalidTolerance, MalformedComplex, MissingOption, UnknownCenter, \
     UnknownKind, UnknownVerb
 from .grammar import format_complex, parse_complex, parse_ode
-from .heun import GeneralHeunParams, heun_center, heun_value
+from .heun import GeneralHeunParams, heun_value
 from .mathieu import characteristic_value
 from .ode import classify_singularities
 from .scenarios import SCENARIOS, run_scenario
@@ -55,17 +53,6 @@ def _finite_float(raw, label):
     if not math.isfinite(value):
         raise MalformedComplex(f"{label} expects a finite number, got {raw!r}")
     return value
-
-
-def _tolerance(options):
-    """--tol, else HEUNKIT_TOL, else DEFAULT_TOL; a given value goes through
-    the engine's check (InvalidTolerance, a usage error)."""
-    if "tol" in options:
-        return check_tolerance(options["tol"], "--tol")
-    raw = os.environ.get("HEUNKIT_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    return check_tolerance(raw, "HEUNKIT_TOL")
 
 
 @dataclass
@@ -103,10 +90,7 @@ VERBS = {
         "output": ("str", False, None),
     },
     "mathieu-table": {
-        "q-values": ("str", False, None),
-        "q-min": ("float", False, None),
-        "q-max": ("float", False, None),
-        "q-count": ("int", False, None),
+        "q-values": ("str", True, None),
         "n-max": ("int", False, 5),
         "parity": ("str", False, "both"),
         "format": _formats("csv", "json"),
@@ -124,7 +108,7 @@ VERBS = {
         **_HEUN_FLAGS,
         "from": ("str", True, None),
         "to": ("str", True, None),
-        "tol": ("float", False, None),
+        "tol": ("float", False, DEFAULT_TOL),
         "format": _formats("json", "text"),
         "output": ("str", False, None),
     },
@@ -254,21 +238,11 @@ def _run_classify(cmd):
     return 0
 
 
-def _center(params, raw):
-    """The point 0, 1 or f that an option names: a label of heun_center
-    (0/zero, 1/one, f/2), else a number ``near`` one of them."""
-    try:
-        return heun_center(params, raw)[1]
-    except UnknownCenter:
-        return heun_center(params, parse_complex(raw))[1]
-
-
 def _run_heun_eval(cmd):
     o = cmd.options
     params = GeneralHeunParams(o["a"], o["b"], o["c"], o["d"], o["e"],
                                o["f"], o["q"])
-    val, series = heun_value(params, _center(params, o["center"]),
-                             o["branch"], o["z"])
+    val, series = heun_value(params, o["center"], o["branch"], o["z"])
     payload = {
         "schema": 1,
         "center": to_jsonable(series.center),
@@ -296,29 +270,12 @@ def _run_heun_eval(cmd):
     return 0
 
 
-def _mathieu_grid(o):
-    if o.get("q-values") is not None:
-        if any(o.get(k) is not None for k in ("q-min", "q-max", "q-count")):
-            raise MissingOption("mathieu-table needs exactly one of "
-                                "--q-values, --q-min/--q-max/--q-count")
-        return [_finite_float(tok, "--q-values")
-                for tok in o["q-values"].split(",")]
-    if o.get("q-min") is None or o.get("q-max") is None:
-        raise MissingOption("mathieu-table needs --q-values or --q-min/--q-max")
-    count = o.get("q-count", 5)
-    if count < 1:
-        raise InvalidParameter(f"--q-count must be at least 1, got {count}")
-    lo, hi = o["q-min"], o["q-max"]
-    if count == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-
-
 def _run_mathieu_table(cmd):
     o = cmd.options
     if o["n-max"] < 0:
         raise InvalidParameter(f"--n-max must be at least 0, got {o['n-max']}")
-    grid = _mathieu_grid(o)
+    grid = [_finite_float(tok, "--q-values")
+            for tok in o["q-values"].split(",")]
     parities = {"both": ("even", "odd"), "even": ("even",),
                 "odd": ("odd",)}.get(o["parity"])
     if parities is None:
@@ -363,19 +320,14 @@ def _load_config(path):
 
 def _coerce_scenario_params(scenario_id, raw):
     """Parameter strings typed like the scenario's defaults. Numbers must be
-    finite literals; a malformed one raises InvalidParameter."""
-    _, defaults = SCENARIOS[scenario_id]
+    finite literals; a malformed one raises InvalidParameter. A name the
+    scenario lacks stays a string, for run_scenario to refuse."""
+    defaults = SCENARIOS.get(scenario_id, (None, {}))[1]
     out = {}
     for key, val in raw.items():
-        if key not in defaults:
-            raise InvalidParameter(f"scenario {scenario_id!r} has no "
-                                   f"parameter {key!r}; expects "
-                                   f"{sorted(defaults)}")
-        ref = defaults[key]
+        ref = defaults.get(key, val)
         try:
-            if isinstance(ref, bool):
-                out[key] = val.lower() in ("1", "true", "yes")
-            elif isinstance(ref, int):
+            if isinstance(ref, int):
                 number = _finite_float(val, key)
                 if number != int(number):
                     raise MalformedComplex(f"{key} expects an integer, "
@@ -409,9 +361,6 @@ def _run_scenario(cmd):
     if not scenario_id:
         raise MissingOption("scenario needs --id or a config with a "
                             "'scenario' key")
-    if scenario_id not in SCENARIOS:
-        raise InvalidParameter(f"unknown scenario {scenario_id!r}; known: "
-                               + ", ".join(sorted(SCENARIOS)))
     overrides = _coerce_scenario_params(scenario_id, raw)
     report = run_scenario(scenario_id, overrides)
     if o.get("grid-out"):
@@ -444,9 +393,8 @@ def _run_connect(cmd):
     o = cmd.options
     params = GeneralHeunParams(o["a"], o["b"], o["c"], o["d"], o["e"],
                                o["f"], o["q"])
-    tol = _tolerance(o)
-    C = connection_matrix(params, _center(params, o["from"]),
-                          _center(params, o["to"]), tol=tol)
+    tol = check_tolerance(o["tol"], "--tol")
+    C = connection_matrix(params, o["from"], o["to"], tol=tol)
     payload = {
         "schema": 1,
         "from": o["from"],

@@ -267,7 +267,7 @@ def connection_matrix(params, frm, to, path=None, tol=DEFAULT_TOL):
     source disk, carried together along `path` (default: _default_path)
     and matched against the two branch series at `to` at the path's last
     vertex. Returns C with (u1, u2)^T = C (v1, v2)^T near the matching
-    region. `frm` and `to` are locations or the labels of heun_center.
+    region. `frm` and `to` are centers as heun_center reads them.
     Raises LogarithmicCase for resonant exponents and IllConditioned when
     the target basis is numerically degenerate at the matching point.
     """

@@ -52,6 +52,7 @@ from .errors import (
     CollidingSingularities,
     DegenerateReduction,
     FuchsViolation,
+    MalformedComplex,
     NotReducible,
     UnknownCenter,
     UnknownKind,
@@ -146,22 +147,22 @@ def general_heun(params):
     return cached
 
 
-_CENTER_LABELS = {"0": 0, "zero": 0, "1": 1, "one": 1, "f": 2, "2": 2}
-
-
 def heun_center(params, center):
     """(index, location) of one of the finite singular points 0, 1, f.
 
-    ``center`` is a number ``poly.near`` the point, or one of the labels
-    "0"/"zero", "1"/"one", "f"/"2". Raises UnknownCenter.
+    ``center`` is "f", a number, or a complex literal such as "1" or
+    "2.5"; a number names the point it is ``poly.near``. Raises
+    UnknownCenter, with the literal's message for a malformed string.
     """
-    centers = (0j, 1.0 + 0j, params.f)
     if isinstance(center, str):
-        idx = _CENTER_LABELS.get(center.strip().lower())
-        if idx is None:
-            raise UnknownCenter(f"unknown center label {center!r}")
-        return idx, centers[idx]
-    for idx, loc in enumerate(centers):
+        if center.strip() == "f":
+            return 2, params.f
+        from .grammar import parse_complex
+        try:
+            center = parse_complex(center)
+        except MalformedComplex as exc:
+            raise UnknownCenter(str(exc)) from None
+    for idx, loc in enumerate((0j, 1.0 + 0j, params.f)):
         if near(complex(center), loc):
             return idx, loc
     raise UnknownCenter(f"center {center} is not one of 0, 1, f={params.f}")
@@ -328,8 +329,6 @@ def build_confluent_form(cf):
         A = Polynomial((1.0,))
         B = Polynomial((0j,))
         C = Polynomial((P["A0"], P["A1"], P["A2"], 0j, -2.25))
-    else:
-        raise UnknownKind(f"unknown confluent form {kind!r}")
     return LinearODE.from_polynomials(A, B, C)
 
 

@@ -90,9 +90,9 @@ class ScenarioReport:
     notes: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
 
-    def add_ode(self, label, ode, classify=True):
+    def add_ode(self, label, ode):
         self.odes.append((label, ode))
-        if classify and isinstance(ode, LinearODE):
+        if isinstance(ode, LinearODE):
             self.classifications[label] = classify_singularities(ode)
 
     def claim(self, description, expected, observed, passed):
@@ -243,17 +243,21 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
                  f"angular {res_ang:.3e}, radial {res_rad:.3e}",
                  res_ang <= 1e-7 and res_rad <= 1e-7)
 
-    # 2-D product residual on a 20 x 20 grid, series-side derivatives only
+    # 2-D product residual on a 20 x 20 grid, series-side derivatives only;
+    # lap + coup = M (S'' + q_ang S) + S (M'' + q_rad M) is scaled by the
+    # 1-D residuals' terms times |M| and |S|
     # odd M = S(i mu) = i sum B_k sinh(nu_k mu): psi takes the real -i M
     worst2d, rows, unit = 0.0, [], -1j if parity == "odd" else 1.0
-    angular = _on_grid(angular_mathieu_derivatives, params, char,
-                       _linspace(0.0, 2.0 * math.pi, 20))
-    for mu, M, M1, M2 in _on_grid(modified_mathieu_derivatives, params, char,
-                                  _linspace(0.0, 2.0, 20)):
-        for t, S, S1, S2 in angular:
+    angular = [(t, S, S2, max(1.0, abs(S2), abs(ang.q(t) * S))) for t, S, _, S2
+               in _on_grid(angular_mathieu_derivatives, params, char,
+                           _linspace(0.0, 2.0 * math.pi, 20))]
+    for mu, M, _, M2 in _on_grid(modified_mathieu_derivatives, params, char,
+                                 _linspace(0.0, 2.0, 20)):
+        rad_scale = max(1.0, abs(M2), abs(rad.q(mu) * M))
+        for t, S, S2, ang_scale in angular:
             lap = M2 * S + M * S2
             coup = h2 * (math.cosh(mu) ** 2 - math.cos(t) ** 2) * M * S
-            res = abs(lap + coup) / max(1.0, abs(M2 * S), abs(M * S2), abs(coup))
+            res = abs(lap + coup) / max(1.0, abs(M) * ang_scale + abs(S) * rad_scale)
             worst2d = max(worst2d, res)
             rows.append([mu, t, (unit * M * S).real, res])
     report.residuals["product_2d"] = worst2d
@@ -1082,15 +1086,16 @@ SCENARIOS = {
 
 
 def run_scenario(scenario_id, overrides=None):
-    """Run a registered scenario with its defaults plus overrides."""
+    """Run a registered scenario with its defaults plus overrides. Raises
+    InvalidParameter for an unknown scenario or parameter name."""
     if scenario_id not in SCENARIOS:
-        raise KeyError(f"unknown scenario {scenario_id!r}; known: "
-                       + ", ".join(sorted(SCENARIOS)))
+        raise InvalidParameter(f"unknown scenario {scenario_id!r}; known: "
+                               + ", ".join(sorted(SCENARIOS)))
     fn, defaults = SCENARIOS[scenario_id]
     args = dict(defaults)
     for key, val in (overrides or {}).items():
         if key not in args:
-            raise KeyError(f"scenario {scenario_id!r} has no parameter "
-                           f"{key!r}; expects {sorted(args)}")
+            raise InvalidParameter(f"scenario {scenario_id!r} has no parameter "
+                                   f"{key!r}; expects {sorted(args)}")
         args[key] = val
     return fn(**args)

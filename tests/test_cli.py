@@ -230,8 +230,8 @@ def test_heun_eval_at_gauss_degeneration(capsys):
 
 
 def test_heun_eval_center_labels(capsys):
-    """--center takes the labels of heun_center: f (or 2) is the point f,
-    one is 1."""
+    """--center takes the label f or a number near 0, 1 or f: at f = 2.5,
+    f is the point 2.5, and 2 is the number 2, none of the three."""
     from heunkit.cli import main
 
     heun = ["--a", "0.31", "--b", "0.77", "--c", "1.23", "--d", "0.62",
@@ -242,8 +242,9 @@ def test_heun_eval_center_labels(capsys):
         return capsys.readouterr().out
 
     at_f = run("2.5", "2.2+0.1i")
-    assert run("f", "2.2+0.1i") == run("2", "2.2+0.1i") == at_f
-    assert run("one", "0.9+0.2i") == run("1", "0.9+0.2i")
+    assert run("f", "2.2+0.1i") == at_f
+    assert main(["heun-eval", *heun, "--center", "2", "--z", "2.2+0.1i"]) == 2
+    assert "is not one of 0, 1, f" in capsys.readouterr().err
 
 
 def test_cli_determinism_repeated_runs():
@@ -251,17 +252,6 @@ def test_cli_determinism_repeated_runs():
     b = run_cli("scenario", "--id", "stark")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
-
-
-def test_cli_tolerance_env(tmp_path: Path):
-    env = {"HEUNKIT_TOL": "1e-9"}
-    import os
-    full = dict(os.environ, **env)
-    p = run_cli("connect", "--a", "0.31", "--b", "0.77", "--c", "1.23",
-                "--d", "0.62", "--e", "0.23", "--f", "2.5", "--q", "0.1",
-                "--from", "0", "--to", "1", env=full)
-    assert p.returncode == 0
-    assert json.loads(p.stdout)["tol"] == 1e-9
 
 
 def test_cli_classify_heun_and_cform_lines(tmp_path: Path):
@@ -299,37 +289,29 @@ CONNECT_01 = ["connect", "--a", "0.31", "--b", "0.77", "--c", "1.23",
               "--from", "0", "--to", "1"]
 
 
-def test_cli_transport_inputs(monkeypatch, capsys):
+def test_cli_transport_inputs(capsys):
     """Every bad transport input ends in a typed error and its exit code:
-    (extra argv, HEUNKIT_TOL, exit status, text on stderr)."""
+    (extra argv, exit status, text on stderr)."""
     from heunkit.cli import main
     from heunkit.engine import MIN_TOL
 
     cases = [
-        (["--tol", "nan"], None, 2, "finite number"),
-        (["--tol", "inf"], None, 2, "finite number"),
-        (["--tol", "-1"], None, 2, "in (0, 1)"),
-        (["--tol", "0"], None, 2, "in (0, 1)"),
-        (["--tol", "1"], None, 2, "in (0, 1)"),
-        (["--q", "1e400"], None, 2, "not finite"),
-        (["--a", "1e400i"], None, 2, "not finite"),
-        ([], "nan", 2, "HEUNKIT_TOL must be"),
-        ([], "0", 2, "HEUNKIT_TOL must be"),
-        ([], "abc", 2, "HEUNKIT_TOL is not a number"),
-        (["--tol", "0"], "1e-9", 2, "--tol must be"),
-        (["--to", "x"], None, 2, "bad complex literal 'x'"),
-        (["--from", "0.5"], None, 2, "center (0.5+0j) is not one of 0, 1"),
-        (["--tol", "1e-30"], None, 0, ""),
+        (["--tol", "nan"], 2, "finite number"),
+        (["--tol", "inf"], 2, "finite number"),
+        (["--tol", "-1"], 2, "in (0, 1)"),
+        (["--tol", "0"], 2, "--tol must be a finite number in (0, 1)"),
+        (["--tol", "1"], 2, "in (0, 1)"),
+        (["--q", "1e400"], 2, "not finite"),
+        (["--a", "1e400i"], 2, "not finite"),
+        (["--to", "x"], 2, "bad complex literal 'x'"),
+        (["--from", "0.5"], 2, "center (0.5+0j) is not one of 0, 1"),
+        (["--tol", "1e-30"], 0, ""),
     ]
-    for extra, env, code, message in cases:
-        if env is None:
-            monkeypatch.delenv("HEUNKIT_TOL", raising=False)
-        else:
-            monkeypatch.setenv("HEUNKIT_TOL", env)
+    for extra, code, message in cases:
         status = main(CONNECT_01 + extra)
         out, err = capsys.readouterr()
-        assert status == code, (extra, env, err)
-        assert message in err, (extra, env, err)
+        assert status == code, (extra, err)
+        assert message in err, (extra, err)
         assert "Traceback" not in err
         if code == 0:
             assert json.loads(out)["tol"] == MIN_TOL
@@ -377,6 +359,12 @@ def test_cli_parameter_inputs(capsys):
         (["scenario", "--id", "helmholtz-elliptic", "--set", "n=8"], 0, ""),
         (["scenario", "--id", "helmholtz-elliptic", "--set", "n=10"], 0, ""),
         (["scenario", "--id", "nutku-angular", "--set", "n=10"], 0, ""),
+        (["scenario", "--id", "helmholtz-elliptic", "--set", "n=9",
+          "--set", "parity=odd"], 0, ""),
+        (["scenario", "--id", "helmholtz-elliptic", "--set", "n=11",
+          "--set", "parity=odd"], 0, ""),
+        (["scenario", "--id", "helmholtz-elliptic", "--set", "n=13",
+          "--set", "parity=odd"], 0, ""),
         (["mathieu-table", "--q-values", "inf"], 2,
          "--q-values expects a finite number"),
         (["mathieu-table", "--q-values", "1,nan"], 2,
@@ -390,16 +378,10 @@ def test_cli_parameter_inputs(capsys):
          "--q-values expects a number, got ''"),
         (["mathieu-table", "--q-values", "1, ,2"], 2,
          "--q-values expects a number, got ' '"),
-        (["mathieu-table", "--q-values", "1", "--q-min", "0", "--q-max", "2"],
-         2, "exactly one of --q-values, --q-min/--q-max/--q-count"),
-        (["mathieu-table", "--q-values", "1", "--q-count", "7"], 2,
-         "exactly one of --q-values, --q-min/--q-max/--q-count"),
-        (["mathieu-table", "--q-min", "0", "--q-max", "1", "--q-count", "0"],
-         2, "--q-count must be at least 1"),
+        (["mathieu-table", "--n-max", "1"], 2,
+         "verb mathieu-table requires --q-values"),
         (["mathieu-table", "--q-values", "1", "--n-max", "-1"], 2,
          "--n-max must be at least 0"),
-        (["mathieu-table", "--q-min", "0", "--q-max", "1", "--q-count", "1",
-          "--n-max", "0", "--parity", "even"], 0, ""),
         (["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
           "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--n-terms", "60"],
          2, "unknown option --n-terms for verb heun-eval"),
@@ -455,11 +437,6 @@ def test_cli_parameter_inputs(capsys):
         if code == 2:
             assert err.startswith("usage error:"), (argv, err)
             assert out == ""
-    # a single grid point is q-min itself
-    assert main(["mathieu-table", "--q-min", "0.5", "--q-max", "1",
-                 "--q-count", "1", "--n-max", "0", "--parity", "even"]) == 0
-    rows = capsys.readouterr().out.strip().splitlines()[1:]
-    assert [row.split(",")[2] for row in rows] == ["0.5"]
 
 
 def test_cli_nutku_radial_on_imaginary_axis(capsys):

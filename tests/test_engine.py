@@ -330,10 +330,10 @@ def test_one_pass_matches_single_solutions():
 
 def test_center_labels_and_unknown_center():
     params = heun_test_params(10)
-    by_label = connection_matrix(params, "zero", "f", tol=1e-11).as_array()
+    by_label = connection_matrix(params, "0", "f", tol=1e-11).as_array()
     by_value = connection_matrix(params, 0, params.f, tol=1e-11).as_array()
     assert np.array_equal(by_label, by_value)
-    for bad in ("x", 0.5):
+    for bad in ("x", 0.5, "zero", "one"):
         with pytest.raises(UnknownCenter):
             connection_matrix(params, bad, 1)
     assert issubclass(UnknownCenter, ValueError)

@@ -1,7 +1,8 @@
 """The README's examples run as written: every command of its "Command line"
 block through ``python -m heunkit``, with the config file from its ini block
 and a small ODE file (a ``--grid-out`` file must exist and start with the
-grid header), and its "Library example" as a script."""
+grid header), and its "Library example" as a script. Its "Command line"
+section names every option of ``cli.VERBS`` and no other."""
 
 import os
 import re
@@ -11,16 +12,21 @@ import sys
 from pathlib import Path
 
 import heunkit
+from heunkit.cli import VERBS
 
 ROOT = Path(__file__).resolve().parents[1]
 ODE_LINE = "ode p_num=[1] p_den=[0,1] q_num=[1] q_den=[0,0,1]\n"
 
 
+def _section(heading):
+    """The text of the README section with this heading."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _blocks(section, lang):
     """The ```lang code blocks of the README section with this heading."""
-    text = (ROOT / "README.md").read_text()
-    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(rf"```{lang}\n(.*?)```", body, re.S)
+    return re.findall(rf"```{lang}\n(.*?)```", _section(section), re.S)
 
 
 def _run(argv, cwd):
@@ -53,3 +59,9 @@ def test_readme_library_example(tmp_path):
     p = _run([sys.executable, "-c", script], tmp_path)
     assert p.returncode == 0, p.stderr
     assert "SingularPoint(" in p.stdout
+
+
+def test_readme_names_every_option():
+    named = set(re.findall(r"(?<![\w-])--([a-z][a-z-]*)",
+                           _section("Command line")))
+    assert named == {name for options in VERBS.values() for name in options}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heunkit.errors import DegenerateShift, ParameterPole
+from heunkit.errors import DegenerateShift, InvalidParameter, ParameterPole
 from heunkit.mathieu import (MathieuParams, angular_mathieu,
                              characteristic_value, fourier_coefficients)
 from heunkit.ode import LinearODE, ode_residual
@@ -268,9 +268,9 @@ def test_registry_runs_all_defaults():
 
 
 def test_registry_rejects_unknowns():
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidParameter, match="unknown scenario 'black-hole'"):
         run_scenario("black-hole")
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidParameter, match="has no parameter 'bogus'"):
         run_scenario("stark", {"bogus": 1.0})
 
 
