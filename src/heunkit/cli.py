@@ -270,12 +270,22 @@ def _run_heun_eval(cmd):
     return 0
 
 
+def _mathieu_q(raw):
+    """One --q-values token: a finite real number, or a complex literal
+    such as 0.7+0.4i."""
+    try:
+        return _finite_float(raw, "--q-values")
+    except MalformedComplex:
+        if not raw.strip().endswith("i"):
+            raise
+        return parse_complex(raw)
+
+
 def _run_mathieu_table(cmd):
     o = cmd.options
     if o["n-max"] < 0:
         raise InvalidParameter(f"--n-max must be at least 0, got {o['n-max']}")
-    grid = [_finite_float(tok, "--q-values")
-            for tok in o["q-values"].split(",")]
+    grid = [_mathieu_q(tok) for tok in o["q-values"].split(",")]
     parities = {"both": ("even", "odd"), "even": ("even",),
                 "odd": ("odd",)}.get(o["parity"])
     if parities is None:

@@ -14,8 +14,11 @@ Conventions (fixed here, used everywhere else):
   i * sums of sinh for odd ones, solving y'' = (a - 2 q cosh 2x) y.
 
 Characteristic values are eigenvalues of the tridiagonal Fourier-mode
-matrices, truncated and doubled until the value is stable, from numpy's
-eigvalsh (real q) or eigvals (complex q) on the dense matrix. The label
+matrices, truncated and doubled until the value is stable, all in plain
+Python from one determinant recurrence (_det_ratios). Real q: Sturm counts
+bisect to the order's eigenvalue, named by its index from the bottom, and
+Newton on p'/p refines it. Complex q: Ehrlich-Aberth sweeps (poly's) on
+the same recurrence follow the spectrum from the real axis. The label
 rule for complex q and the stop rule near a branch point are stated in
 characteristic_value.
 
@@ -24,8 +27,9 @@ value, built outward from the order's own harmonic by two continued
 fractions, each run in its stable direction: down from the top above it,
 up from the first row below it (Gautschi, SIAM Rev. 9 (1967) 24; DLMF
 28.34). They are componentwise accurate, which the modified functions need:
-there noise in coefficient k is amplified by cosh(k x). One numpy pass sums
-a series over a whole grid. No run-time path loads scipy.
+there noise in coefficient k is amplified by cosh(k x). Each point of a
+grid sums the prefix of harmonics it needs, with math or cmath per
+harmonic. No run-time path loads numpy or scipy.
 """
 
 from __future__ import annotations
@@ -36,14 +40,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidParameter, NonConvergence, OverflowGuard
+from .poly import _EPS, _aberth
+from .series import ROUNDING
 
 MAX_TRUNCATION = 2048
 CONVERGENCE_TOL = 1e-13
 STALL_TOL = 1e-10
 LABEL_OFFSET = 1e-2
 SEPARATION = 0.25
+GUESS_WIDTH = 1e-8
+MAX_BISECTIONS = 200  # halvings of a double interval, with room
 MAX_HYPERBOLIC_ARG = 690.0
 CANCELLATION_LIMIT = 1e7
+WINDOW = 2  # quiet terms that end a point's prefix (_prefix)
 
 
 def quad(*args, **kwargs):
@@ -128,59 +137,164 @@ def _family_matrix(family, q, M):
     return d, e
 
 
-@lru_cache(maxsize=1024)
-def _eigenvalues(family, q, M):
-    """Eigenvalues of the order-M truncation, ascending for real q, read-only.
-    Label continuation meets the same spectra at every order of a family;
-    the cache holds two families' 241 steps at q = 60i."""
-    import numpy as np
+def _det_ratios(d, e2, x):
+    """(count, g, small) at x for p(x) = det(T - x), T the tridiagonal with
+    diagonal d and squared couplings e2 (e2[0] = 0), from one pass over the
+    pivots r_k = p_k / p_{k-1}, which cannot overflow (Bini, Gemignani &
+    Tisseur, SIAM J. Matrix Anal. Appl. 27 (2005) 153). count is the number
+    of negative pivots: for real symmetric T, the eigenvalues below x
+    (Sturm). g = p'/p is the sum of r_k'/r_k. small = |p| / beta, beta the
+    same recurrence in absolute values, which bounds p's rounding: p(x) is
+    rounding alone once small <= eps. An exact zero pivot becomes eps times
+    its row's scale."""
+    count, g, small, r, dr, rho = 0, 0.0, 1.0, 1.0, 0.0, 1.0
+    for dk, ek2 in zip(d, e2):
+        u, dkx = ek2 / r, dk - x
+        dr = u * dr / r - 1.0
+        r = dkx - u
+        rho = abs(dkx) + abs(ek2) / rho
+        if not r:
+            r = _EPS * (abs(dk) + abs(x) + 1.0)
+            rho = max(rho, abs(r))
+        count += r.real < 0
+        g += dr / r
+        small *= abs(r) / rho
+    return count, g, small
+
+
+def _matrix(family, q, M):
+    """(d, e2) of _family_matrix with e2 = [0, e_0^2, ...], in real
+    arithmetic for real q."""
     d, e = _family_matrix(family, q, M)
-    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    vals = np.linalg.eigvalsh(T.real) if q.imag == 0 else np.linalg.eigvals(T)
-    vals.flags.writeable = False
-    return vals
+    if not q.imag:
+        d, e = [x.real for x in d], [x.real for x in e]
+    return d, [0.0, *(x * x for x in e)]
+
+
+def _real_eigenvalue(d, e2, idx, guess=None):
+    """Eigenvalue idx, from the bottom, of the real symmetric tridiagonal
+    (d, e2): Sturm-count bisection until it is the only one in the bracket,
+    then Newton on p'/p, bisecting whenever a step would leave the bracket.
+    A guess within GUESS_WIDTH of the value skips the bisection."""
+    w = 0.0 if guess is None else GUESS_WIDTH * max(1.0, abs(guess))
+    if w and _det_ratios(d, e2, guess - w)[0] == idx and \
+            _det_ratios(d, e2, guess + w)[0] == idx + 1:
+        lo, hi, clo, chi, x = guess - w, guess + w, idx, idx + 1, guess
+    else:
+        e = [math.sqrt(v) for v in e2[1:]] + [0.0]
+        radius = [a + b for a, b in zip([0.0, *e], e)]  # Gershgorin
+        lo = min(dk - rk for dk, rk in zip(d, radius))
+        hi = max(dk + rk for dk, rk in zip(d[:idx + 1], radius))
+        clo, chi, x = 0, _det_ratios(d, e2, hi)[0], 0.5 * (lo + hi)
+    last = math.inf
+    for _ in range(MAX_BISECTIONS):
+        if hi - lo <= _EPS * max(1.0, abs(lo), abs(hi)):
+            break
+        c, g, _ = _det_ratios(d, e2, x)
+        if c <= idx:
+            lo, clo = x, c
+        else:
+            hi, chi = x, c
+        if clo == idx and chi == idx + 1 and g:
+            step = -1.0 / g
+            # converged, or no longer shrinking within STALL_TOL: the
+            # rounding of p'/p
+            if abs(step) <= 2.0 * _EPS * max(1.0, abs(x)) or \
+                    abs(step) >= last and abs(step) <= STALL_TOL * max(1.0, abs(x)):
+                return x + step if lo <= x + step <= hi else x
+            last = abs(step)
+            if lo < x + step < hi:
+                x += step
+                continue
+        x = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def _real_spectrum(family, q, M):
+    d, e2 = _matrix(family, q, M)
+    return [_real_eigenvalue(d, e2, i) for i in range(M)]
+
+
+def _aberth_on(family, q, M, start):
+    """Eigenvalues of the order-M truncation at complex q by Ehrlich-Aberth
+    sweeps from the approximations start (poly's sweep, with p'/p from the
+    determinant's pivots); one start point gives Newton's method."""
+    d, e2 = _matrix(family, q, M)
+
+    def newton(x):
+        _, g, small = _det_ratios(d, e2, x)
+        return None if small <= _EPS else (1.0, g)
+    return _aberth(list(start), newton)
+
+
+def _path_steps(q):
+    """(Re q of the path, number of steps N) for the label rule."""
+    re = q.real if abs(q.real) >= LABEL_OFFSET else \
+        (LABEL_OFFSET if q.real >= 0 else -LABEL_OFFSET)
+    return re, max(2, int(4 * abs(q.imag)) + 1)
+
+
+@lru_cache(maxsize=64)
+def _path_spectra(family, q, M):
+    """Spectra at the N + 1 points re + i Im q k/N of the label path, each
+    by Aberth from the one before (from the Sturm spectrum at k = 0), then
+    at q itself when re != Re q. Every order of a family walks this path,
+    so each is solved once; the label walk reads them."""
+    re, N = _path_steps(q)
+    spectra = [_real_spectrum(family, complex(re), M)]
+    for k in range(1, N + 1):
+        spectra.append(_aberth_on(family, complex(re, q.imag * k / N), M,
+                                  spectra[-1]))
+    if re != q.real:
+        spectra.append(_aberth_on(family, q, M, spectra[-1]))
+    return tuple(tuple(v) for v in spectra)
 
 
 def _nearest(vals, target):
-    return complex(vals[abs(vals - target).argmin()])
+    return min(vals, key=lambda v: abs(v - target))
 
 
 def _continue_label(family, idx, q, M):
     """Label idx followed up to complex q (see characteristic_value)."""
-    re = q.real if abs(q.real) >= LABEL_OFFSET else \
-        (LABEL_OFFSET if q.real >= 0 else -LABEL_OFFSET)
-    lam = complex(_eigenvalues(family, complex(re), M)[idx])
+    re, N0 = _path_steps(q)
+    path = _path_spectra(family, q, M)
+    vals = path[0]
+    lam = vals[idx]
     # the path is split into N equal steps, k of them done; a halved step
-    # doubles again after each accepted step
-    k, N = 0, max(2, int(4 * abs(q.imag)) + 1)
-    N0 = N
+    # doubles again after each accepted step. Points of the N0-step path
+    # read its spectra, the others start Aberth from the last accepted one
+    k, N = 0, N0
     while k < N:
-        vals = _eigenvalues(family, complex(re, q.imag * (k + 1) / N), M)
-        near, second = sorted(abs(vals - lam))[:2]
+        if (k + 1) * N0 % N == 0:
+            new = path[(k + 1) * N0 // N]
+        else:
+            new = _aberth_on(family, complex(re, q.imag * (k + 1) / N), M, vals)
+        near, second = sorted(abs(v - lam) for v in new)[:2]
         if near > SEPARATION * second:
             k, N = 2 * k, 2 * N
             continue
-        lam = _nearest(vals, lam)
+        vals, lam = new, _nearest(new, lam)
         k += 1
         if k % 2 == 0 and N > N0:
             k, N = k // 2, N // 2
-    return lam if re == q.real else _nearest(_eigenvalues(family, q, M), lam)
+    return lam if re == q.real else _nearest(path[-1], lam)
 
 
 def _value_at(n, q, parity, M, prev=None):
-    """(value, truncation used) at M, or at index + 8 if M <= index + 4; for
-    complex q and a given prev, the eigenvalue nearest prev."""
+    """(value, truncation used) at M, or at index + 8 if M <= index + 4; a
+    given prev starts the solve: for complex q, Newton from prev."""
     fam, idx = _family(n, parity), _eig_index(n, parity)
     if M <= idx + 4:
         M = idx + 8
-        if M > MAX_TRUNCATION:  # dense matrices: memory grows as M^2
+        if M > MAX_TRUNCATION:
             raise InvalidParameter(f"order {n} needs a truncation above "
                                    f"{MAX_TRUNCATION}")
     if q.imag == 0:
-        return complex(_eigenvalues(fam, q, M)[idx]), M
+        guess = None if prev is None else prev.real
+        return complex(_real_eigenvalue(*_matrix(fam, q, M), idx, guess)), M
     if prev is None:
         return _continue_label(fam, idx, q, M), M
-    return _nearest(_eigenvalues(fam, q, M), prev), M
+    return _aberth_on(fam, q, M, [prev])[0], M
 
 
 def characteristic_value(n, q, parity):
@@ -206,17 +320,23 @@ def characteristic_value(n, q, parity):
     a_0(2i) = 2.16256 - 1.86749i, and a_2(2i) is its conjugate.
     """
     params = MathieuParams(q, n, parity)
-    q = params.q
+    return CharacteristicValue(params, *_solve(params.n, params.q, parity))
+
+
+@lru_cache(maxsize=1024)
+def _solve(n, q, parity):
+    """(value, truncation) of characteristic_value; cached, since scenarios
+    ask for the same values again."""
     if q == 0:
-        return CharacteristicValue(params, complex(n * n), 32)
+        return complex(n * n), 32
     prev, prev_err, M = None, math.inf, 32
     while True:
-        val, M = _value_at(params.n, q, parity, M, prev)
+        val, M = _value_at(n, q, parity, M, prev)
         if prev is not None:
             err, scale = abs(val - prev), max(1.0, abs(val))
             if err <= CONVERGENCE_TOL * scale or \
                     prev_err <= err <= STALL_TOL * scale:
-                return CharacteristicValue(params, val, M)
+                return val, M
             prev_err = err
         prev = val
         if M >= MAX_TRUNCATION:
@@ -287,38 +407,106 @@ def fourier_coefficients(params, char):
                                 char.truncation, char.value)
 
 
+def _prefix(nus, sizes, reach):
+    """Number of leading harmonics a point of this reach sums, by
+    series.eval_local's rule: it ends after WINDOW terms in a row, counted
+    from the first non-zero coefficient, whose weight sizes[k] e^(nu reach)
+    (sizes[k] = |c| max(1, nu^2)) is below ROUNDING times the largest so
+    far."""
+    grow, scale = math.exp(2.0 * reach), math.exp(nus[0] * reach)
+    big = lim = 0.0
+    quiet = 0
+    for k, size in enumerate(sizes):
+        w = size * scale
+        if w > big:
+            big, lim, quiet = w, ROUNDING * w, 0
+        elif big and w <= lim:
+            quiet += 1
+            if quiet == WINDOW:
+                return k + 1
+        else:
+            quiet = 0
+        scale *= grow
+    return len(sizes)
+
+
+def _sum_real(nus, cs, t, even, modified):
+    """(S, S', S'') at real theta = t, or (M, M', M'') at theta = i t
+    divided by i for odd series (sums of cosh and sinh), in real
+    arithmetic, and the largest |term|."""
+    base, other = (math.cosh, math.sinh) if modified else (math.cos, math.sin)
+    if not even:
+        base, other = other, base
+    S = S1 = S2 = big = 0.0
+    for nu, c in zip(nus, cs):
+        term = c * base(nu * t)
+        S += term
+        S1 += nu * c * other(nu * t)
+        S2 += nu * nu * term
+        if abs(term) > big:
+            big = abs(term)
+    if modified:
+        return S, S1, S2, big
+    return S, -S1 if even else S1, -S2, big
+
+
+def _sum_complex(nus, cs, th, even):
+    """(S, S', S'') at complex theta and the largest |term|."""
+    S = S1 = S2 = 0j
+    big = 0.0
+    for nu, c in zip(nus, cs):
+        cv, sv = cmath.cos(nu * th), cmath.sin(nu * th)
+        term, other = (c * cv, -c * sv) if even else (c * sv, c * cv)
+        S += term
+        S1 += nu * other
+        S2 -= nu * nu * term
+        big = max(big, abs(term))
+    return S, S1, S2, big
+
+
 def _series_at(params, char, x, modified):
     """(S, S', S'') of the angular series, term by term, at x or, when
     modified, (M, M', M'') = (S(ix), i S'(ix), -S''(ix)); a tuple at a
-    number x, a list at a sequence. One numpy pass over all points with
-    .sum(axis=1), no BLAS call; modified_mathieu's guards hold per point,
+    number x, a list at a sequence. Each point sums its own prefix of the
+    harmonics (_prefix), with math's cos/sin or cosh/sinh when q and the
+    point are real and cmath's otherwise; so a point's value does not
+    depend on the grid around it. modified_mathieu's guards hold per point,
     in order, and an angular theta whose cosh overflows raises too."""
-    import numpy as np
-    one = np.ndim(x) == 0
-    xs = np.array([x] if one else list(x), dtype=complex)
-    nu, c = (np.array(v) for v in fourier_coefficients(params, char))
-    reach = np.abs(xs.imag) + (np.abs(xs.real) if modified else 0.0)
-    over = np.flatnonzero(nu[-1] * reach > MAX_HYPERBOLIC_ARG)
-    th = (1j * xs if modified else xs)[:over[0] if over.size else None]
-    arg = np.multiply.outer(th, nu)
-    base, other = (np.cos(arg), -np.sin(arg)) if params.parity == "even" \
-        else (np.sin(arg), np.cos(arg))
-    terms = c * base
-    sums = zip(terms.sum(axis=1).tolist(), (c * nu * other).sum(axis=1).tolist(),
-               (-nu * nu * terms).sum(axis=1).tolist(),
-               np.abs(terms).max(axis=1, initial=0.0).tolist(), th.tolist())
-    rows = []
-    for S, S1, S2, big, t in sums:
+    try:
+        points, one = list(x), False
+    except TypeError:
+        points, one = [x], True
+    nus, cs = fourier_coefficients(params, char)
+    sizes = [abs(c) * max(1, nu * nu) for nu, c in zip(nus, cs)]
+    real_q, even = not params.q.imag, params.parity == "even"
+    prefixes, rows = {}, []
+    for point in points:
+        t = complex(point)
+        reach = abs(t.imag) + (abs(t.real) if modified else 0.0)
+        if nus[-1] * reach > MAX_HYPERBOLIC_ARG:
+            raise OverflowGuard(f"harmonic {nus[-1]} at |x| ~ {abs(t):.3g} "
+                                f"overflows cosh")
+        if reach not in prefixes:
+            k = _prefix(nus, sizes, reach)
+            prefixes[reach] = (nus[:k], cs[:k],
+                               [c.real for c in cs[:k]] if real_q else None)
+        head, coeffs, real_coeffs = prefixes[reach]
+        if real_q and not t.imag:
+            S, S1, S2, big = _sum_real(head, real_coeffs, t.real, even,
+                                       modified)
+            if modified:  # odd: i times sums of sinh and cosh
+                S, S1, S2 = (complex(v) if even else complex(0.0, v)
+                             for v in (S, S1, S2))
+        else:
+            S, S1, S2, big = _sum_complex(head, coeffs,
+                                          1j * t if modified else t, even)
+            if modified:
+                S, S1, S2 = S, 1j * S1, -S2
         if modified and big > CANCELLATION_LIMIT * max(1e-300, abs(S)):
             raise OverflowGuard(
                 f"cancellation ratio {big / max(1e-300, abs(S)):.3e} exceeds "
                 f"the series reliability bound {CANCELLATION_LIMIT:.0e}")
-        rows.append((S, 1j * S1, -S2) if modified else
-                    (S, S1, S2) if params.q.imag or t.imag else
-                    (S.real, S1.real, S2.real))
-    if over.size:
-        raise OverflowGuard(f"harmonic {nu[-1]} at |x| ~ "
-                            f"{abs(xs[over[0]]):.3g} overflows cosh")
+        rows.append((S, S1, S2))
     return rows[0] if one else rows
 
 

@@ -155,7 +155,7 @@ class Polynomial:
         zeros = next((k for k, a in enumerate(self.coeffs) if a != 0), self.degree)
         c = self.coeffs[zeros:]
         if len(c) > 3:
-            found = _aberth(c)
+            found = _aberth(_start_points(c), lambda z: _horner_newton(c, z))
         elif len(c) == 3:  # the quadratic formula without cancellation
             sq = cmath.sqrt(c[1] * c[1] - 4.0 * c[2] * c[0])
             half = -0.5 * (c[1] + (sq if (c[1].conjugate() * sq).real >= 0 else -sq))
@@ -207,22 +207,32 @@ def _start_points(c):
             for (i, yi), (j, yj) in zip(hull, hull[1:]) for m in range(j - i)]
 
 
-def _aberth(c):
-    """Roots of ascending c, c[0] != 0, by Ehrlich-Aberth sweeps that update
-    each root in place. A root stops when its correction is below eps |z|,
-    or when |P(z)| <= eps sum |c_k| |z|**k: its Newton correction |P/P'| is
-    then within what rounding the coefficients could cause."""
-    z = _start_points(c)
+def _horner_newton(c, z):
+    """(P(z), P'(z)) by Horner for ascending c, or None when |P(z)| <= eps
+    sum |c_k| |z|**k: its Newton correction |P/P'| is then within what
+    rounding the coefficients could cause."""
+    r = abs(z)
+    p, dp, bound = c[-1], 0j, abs(c[-1])
+    for a in c[-2::-1]:
+        p, dp, bound = p * z + a, dp * z + p, bound * r + abs(a)
+    return None if abs(p) <= _EPS * bound else (p, dp)
+
+
+def _aberth(z, newton):
+    """Ehrlich-Aberth sweeps that update each approximation in z in place
+    and return z. newton(z) gives (P(z), P'(z)), or any common multiple of
+    the two, or None once P(z) is within its rounding, which stops that
+    approximation; so does a correction below eps |z|. A single
+    approximation makes the sweep Newton's method."""
     live = range(len(z))
     for _ in range(MAX_ABERTH):
         moving = []
         for i in live:
-            zi, r = z[i], abs(z[i])
-            p, dp, bound = c[-1], 0j, abs(c[-1])
-            for a in c[-2::-1]:
-                p, dp, bound = p * zi + a, dp * zi + p, bound * r + abs(a)
-            if abs(p) <= _EPS * bound:
+            zi = z[i]
+            pd = newton(zi)
+            if pd is None:
                 continue
+            p, dp = pd
             den = dp - p * sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
             if den:
                 z[i] = zi - p / den

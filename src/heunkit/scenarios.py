@@ -1087,7 +1087,8 @@ SCENARIOS = {
 
 def run_scenario(scenario_id, overrides=None):
     """Run a registered scenario with its defaults plus overrides. Raises
-    InvalidParameter for an unknown scenario or parameter name."""
+    InvalidParameter for an unknown scenario or parameter name, or for a
+    value that cannot take its default's type (_typed_like)."""
     if scenario_id not in SCENARIOS:
         raise InvalidParameter(f"unknown scenario {scenario_id!r}; known: "
                                + ", ".join(sorted(SCENARIOS)))
@@ -1097,5 +1098,32 @@ def run_scenario(scenario_id, overrides=None):
         if key not in args:
             raise InvalidParameter(f"scenario {scenario_id!r} has no parameter "
                                    f"{key!r}; expects {sorted(args)}")
-        args[key] = val
+        args[key] = _typed_like(scenario_id, key, val, args[key])
     return fn(**args)
+
+
+def _typed_like(scenario_id, key, val, ref):
+    """val with the type of its default ref: an int, a finite float, None
+    or a finite complex (ref None), a str; InvalidParameter when it cannot
+    take that type."""
+    try:
+        if isinstance(ref, str):
+            typed, ok = val, isinstance(val, str)
+        elif isinstance(ref, int):
+            typed = val if isinstance(val, int) else int(float(val))
+            ok = typed == float(val)
+        elif isinstance(ref, float):
+            typed = float(val)
+            ok = math.isfinite(typed)
+        else:
+            typed = None if val is None else complex(val)
+            ok = typed is None or cmath.isfinite(typed)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        kind = {str: "a string", int: "an integer", float: "a finite number"}
+        raise InvalidParameter(
+            f"scenario {scenario_id!r}: parameter {key!r} expects "
+            f"{kind.get(type(ref), 'None or a finite complex number')}, "
+            f"got {val!r}")
+    return typed

@@ -163,9 +163,9 @@ def test_criterion_5_mathieu_suite():
         assert abs(characteristic_value(n, 0.0, "even").value - n * n) <= 1e-12
         if n >= 1:
             assert abs(characteristic_value(n, 0.0, "odd").value - n * n) <= 1e-12
-    # (b) the doubling loop versus one dense solve at truncation 200 (the
-    # same LAPACK eigvalsh; tests/test_mathieu.py holds the independent
-    # scipy.special and mpmath oracles)
+    # (b) the doubling loop versus one dense solve at truncation 200:
+    # LAPACK's eigvalsh, an oracle independent of heunkit's Sturm counts and
+    # Newton steps (tests/test_mathieu.py also holds scipy.special and mpmath)
     for q in (0.5, 1.0, 2.0, 5.0):
         for n in range(0, 9):
             for parity in ("even", "odd"):

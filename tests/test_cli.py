@@ -530,28 +530,30 @@ print(json.dumps(loaded))
 
 
 def test_cheap_verbs_do_not_import_numpy():
-    """In a fresh interpreter, classify, heun-eval, connect and the stark,
-    h2plus, eguchi-hanson-radial, boundary-dirac and eguchi-hanson-angular
-    scenarios run through cli.main without loading numpy: roots, 2x2
-    algebra, the eigenvalues of a 2x2 monodromy matrix and the Gauss series
-    are pure Python, and numpy is imported only where mathieu and the
-    remaining scenarios use it."""
+    """In a fresh interpreter every CLI verb and all eight scenarios run
+    through cli.main without loading numpy: roots, 2x2 algebra, the Gauss
+    series, Mathieu characteristic values (Sturm counts for real q,
+    Ehrlich-Aberth on the determinant for complex q) and Mathieu grid sums
+    are pure Python, and heunkit has no run-time dependency."""
+    from heunkit.cli import VERBS
+    from heunkit.scenarios import SCENARIOS
+
     argvs = [
         ["classify", "--text", "heun a=1 b=1 c=1 d=1 e=1 f=2 q=0"],
         ["classify", "--text", "cform kind=spheroidal p=0.7 lam=1.1 m=1"],
         ["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
          "--e", "1", "--f", "2", "--q", "0", "--z", "0.3+0.1i"],
         CONNECT_01,
-        ["scenario", "--id", "stark"],
-        ["scenario", "--id", "h2plus"],
-        ["scenario", "--id", "eguchi-hanson-radial"],
-        ["scenario", "--id", "boundary-dirac"],
-        ["scenario", "--id", "eguchi-hanson-angular"],
+        ["mathieu-table", "--q-values", "0,1.3,25", "--n-max", "4"],
+        ["mathieu-table", "--q-values", "0.7+0.4i", "--n-max", "2"],
+        ["scenario", "--id", "nutku-radial", "--set", "Lambda=0.5"],
+        *(["scenario", "--id", sid] for sid in sorted(SCENARIOS)),
     ]
     p = subprocess.run([sys.executable, "-c",
                         _NO_NUMPY_CHILD.format(argvs=argvs)],
                        capture_output=True, text=True, timeout=300)
     assert p.returncode == 0, p.stderr
+    assert {argv[0] for argv in argvs} == set(VERBS)
     assert json.loads(p.stdout) == [[argv[0], 0, False] for argv in argvs]
 
 

@@ -333,7 +333,7 @@ def test_negative_q_supported():
 
 def test_real_q_matches_scipy_special():
     """scipy.special.mathieu_a/mathieu_b do not solve the truncated matrix
-    with LAPACK, so they check the eigen-solver from outside."""
+    by Sturm counts, so they check the eigen-solver from outside."""
     from scipy.special import mathieu_a, mathieu_b
 
     for q in (0.5, 1.0, 2.0, 5.0, 10.0, 19.7):
@@ -361,8 +361,8 @@ def test_high_order_compares_two_truncations():
 @lru_cache(maxsize=None)
 def mpmath_even_pi(q, size=30):
     """Eigenvalues (a_0, a_2, ...) of the size-30 even-pi family matrix from
-    mpmath at 30 digits: an oracle that shares no arithmetic with numpy's
-    LAPACK. The matrix at conj(q) is the conjugate one."""
+    mpmath at 30 digits: an oracle that shares no arithmetic with heunkit's
+    Ehrlich-Aberth sweeps. The matrix at conj(q) is the conjugate one."""
     import mpmath
 
     if q.imag < 0:
@@ -587,3 +587,52 @@ def test_scalar_and_sequence_calls_agree_exactly(q, n, parity):
     assert modified_mathieu(p, ch, xs) == [modified_mathieu(p, ch, x)
                                            for x in xs]
     assert angular_mathieu(p, ch, []) == modified_mathieu(p, ch, []) == []
+
+
+def _mpmath_sums(params, char, theta):
+    """(S, S', S'') of the same Fourier coefficients at theta, summed over
+    every harmonic by mpmath at 30 digits, and the sums of |c| max(|cos|,
+    |sin|)(nu theta) (1 + nu |theta|) times 1, nu and nu^2: the rounding of
+    a double sum, the angle nu theta's own rounding included."""
+    import mpmath
+
+    nus, coeffs = fourier_coefficients(params, char)
+    even = params.parity == "even"
+    sizes = [0.0, 0.0, 0.0]
+    with mpmath.workdps(30):
+        th = mpmath.mpc(complex(theta))
+        S = S1 = S2 = mpmath.mpc(0)
+        for nu, c in zip(nus, coeffs):
+            c, cv, sv = mpmath.mpc(c), mpmath.cos(nu * th), mpmath.sin(nu * th)
+            term, other = (c * cv, -c * sv) if even else (c * sv, c * cv)
+            S, S1, S2 = S + term, S1 + nu * other, S2 - nu * nu * term
+            m = abs(c) * max(abs(cv), abs(sv)) * (1 + nu * abs(th))
+            sizes = [sizes[0] + m, sizes[1] + m * nu, sizes[2] + m * nu * nu]
+        return (complex(S), complex(S1), complex(S2)), [float(s) for s in sizes]
+
+
+@pytest.mark.parametrize("q", [0.0, 1.3, 25.0, 0.7 + 0.4j])
+def test_grid_sums_against_mpmath(q):
+    """S, S', S'' at theta in [0, 2pi] and M, M', M'' at x in [0, 2] and at
+    x + 0.39 + 0.785i (a complex shift like nutku-radial's at k=1,
+    Lambda=3) against the mpmath sums of the same coefficients: within 4
+    eps times the rounding sums of _mpmath_sums, plus 1e-15 max(1, |ref|).
+    Worst seen 0.95 of the eps part, at q = 25, n = 8, x = 1.19+0.785i.
+    Points the cancellation guard refuses are left out."""
+    thetas = [2 * math.pi * k / 24 for k in range(25)]
+    xs = [k / 10 for k in range(21)] + \
+        [k / 10 + 0.39 + 0.785j for k in range(0, 21, 4)]
+    for n, parity in ((0, "even"), (3, "even"), (8, "even"), (1, "odd"),
+                      (4, "odd")):
+        p, ch = MathieuParams(q, n, parity), characteristic_value(n, q, parity)
+        cases = [(got, *_mpmath_sums(p, ch, t)) for t, got in
+                 zip(thetas, angular_mathieu_derivatives(p, ch, thetas))]
+        for x in (x for x in xs if not _cancels(p, ch, x)):
+            (S, S1, S2), sizes = _mpmath_sums(p, ch, 1j * x)
+            cases.append((modified_mathieu_derivatives(p, ch, x),
+                          (S, 1j * S1, -S2), sizes))
+        assert len(cases) >= 40
+        for got, want, sizes in cases:
+            for g, w, size in zip(got, want, sizes):
+                assert abs(g - w) <= 1e-15 * max(1.0, abs(w)) + 4 * EPS * size, \
+                    (q, n, parity, got, want)

@@ -274,6 +274,27 @@ def test_registry_rejects_unknowns():
         run_scenario("stark", {"bogus": 1.0})
 
 
+@pytest.mark.parametrize("sid, overrides, expects", [
+    ("stark", {"E": "abc"}, "'E' expects a finite number"),
+    ("stark", {"E": math.nan}, "'E' expects a finite number"),
+    ("helmholtz-elliptic", {"n": 2.5}, "'n' expects an integer"),
+    ("helmholtz-elliptic", {"parity": 1}, "'parity' expects a string"),
+    ("helmholtz-elliptic", {"b": "x"},
+     "'b' expects None or a finite complex number"),
+])
+def test_registry_rejects_values_of_the_wrong_type(sid, overrides, expects):
+    """run_scenario owns the defaults, so it refuses, called from Python, a
+    value that cannot take its default's type; a value that can runs."""
+    with pytest.raises(InvalidParameter, match=expects):
+        run_scenario(sid, overrides)
+
+
+def test_registry_types_values_like_their_defaults():
+    rep = run_scenario("helmholtz-elliptic", {"n": 2.0, "k": 1, "b": None})
+    assert rep.all_passed(), failing(rep)
+    assert run_scenario("stark", {"E": "0.01"}).all_passed()
+
+
 def test_claim_at_most_prints_the_bound_it_checks():
     rep = ScenarioReport("unit", {})
     rep.claim_at_most("under", 3e-9, "1e-8", "residual")
