@@ -10,23 +10,26 @@ Verbs:
 
 Global options: --format (the formats a verb renders, default first, are
 in its VERBS entry), --output PATH. connect's --tol sets the integration
-tolerance (default 1e-10); it must be a finite number in (0, 1), and one
-below 100 machine epsilons is raised to that floor.
+tolerance (default 1e-10); engine.check_tolerance reads it: a finite
+number in (0, 1), and one below 100 machine epsilons is raised to that
+floor. mathieu-table's --q-values is a comma list of a+bi literals and
+--parity is both, even or odd. A scenario value, from --set or a config
+file, is read by run_scenario like its default, as from Python: an
+integer, a finite number, an a+bi literal or none, or a string.
 Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
-option, a --format the verb does not render, a heun-eval --branch other
-than first or second, malformed equation, parameter-line (cform kind and
-parameter names included) or config text, a malformed or non-finite
-number, an invalid tolerance, a center that is neither f nor a number
-near 0, 1 or f, an unknown scenario, scenario parameter, corpus entry or
-parity, a --set without key=value, a scenario parameter outside its
-domain or not an integer where one is expected, an empty --q-values item
-or an --n-max below 0). Output is deterministic: fixed key order, 17
-significant digits.
+option, a --format or --parity the verb does not take, a heun-eval
+--branch other than first or second, malformed equation, parameter-line
+(cform kind and parameter names included) or config text, a malformed or
+non-finite number, an invalid tolerance, a center that is neither f nor a
+number near 0, 1 or f, an unknown scenario, scenario parameter or corpus
+entry, --id together with a config's scenario key, a --set without
+key=value, a scenario value of the wrong type or outside its domain, or
+an --n-max below 0). A reading error names its option. Output is
+deterministic: fixed key order, 17 significant digits.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -35,24 +38,14 @@ from .engine import DEFAULT_TOL, check_tolerance, connection_matrix
 from .errors import GrammarError, HeunkitError, InvalidParameter, \
     InvalidTolerance, MalformedComplex, MissingOption, UnknownCenter, \
     UnknownKind, UnknownVerb
-from .grammar import format_complex, parse_complex, parse_ode
+from .grammar import format_complex, parse_complex, parse_complex_list, \
+    parse_ode
 from .heun import GeneralHeunParams, heun_value
 from .mathieu import characteristic_value
 from .ode import classify_singularities
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import run_scenario
 from .serialize import emit_json, point_line, render_report_text, \
     to_jsonable
-
-
-def _finite_float(raw, label):
-    """raw as a finite float; MalformedComplex naming label otherwise."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise MalformedComplex(f"{label} expects a number, got {raw!r}")
-    if not math.isfinite(value):
-        raise MalformedComplex(f"{label} expects a finite number, got {raw!r}")
-    return value
 
 
 @dataclass
@@ -62,15 +55,26 @@ class Command:
     output: str = None
 
 
-# verb -> option name -> (kind, required, default); kind in
-# {"complex", "float", "int", "str", "flag-many"} or the tuple of accepted
-# values that _formats builds for --format, the default first
+# verb -> option name -> (kind, required, default); kind is a key of
+# _READERS, "str" (the runner's callee reads the string), "flag-many" or
+# the tuple of accepted values that _choices builds, the default first
 _HEUN_FLAGS = {name: ("complex", True, None) for name in
                ("a", "b", "c", "d", "e", "f", "q")}
 
 
-def _formats(*names):
+def _choices(*names):
     return (names, False, names[0])
+
+
+def _int(raw):
+    try:
+        return int(raw)
+    except ValueError:
+        raise MalformedComplex(f"expects an integer, got {raw!r}") from None
+
+
+_READERS = {"complex": parse_complex, "complex-list": parse_complex_list,
+            "int": _int}
 
 
 VERBS = {
@@ -78,7 +82,7 @@ VERBS = {
         "ode": ("str", False, None),
         "text": ("str", False, None),
         "corpus": ("str", False, None),
-        "format": _formats("json", "csv", "text"),
+        "format": _choices("json", "csv", "text"),
         "output": ("str", False, None),
     },
     "heun-eval": {
@@ -86,14 +90,14 @@ VERBS = {
         "z": ("complex", True, None),
         "center": ("str", False, "0"),
         "branch": ("str", False, "first"),
-        "format": _formats("json", "csv", "text"),
+        "format": _choices("json", "csv", "text"),
         "output": ("str", False, None),
     },
     "mathieu-table": {
-        "q-values": ("str", True, None),
+        "q-values": ("complex-list", True, None),
         "n-max": ("int", False, 5),
-        "parity": ("str", False, "both"),
-        "format": _formats("csv", "json"),
+        "parity": _choices("both", "even", "odd"),
+        "format": _choices("csv", "json"),
         "output": ("str", False, None),
     },
     "scenario": {
@@ -101,23 +105,23 @@ VERBS = {
         "config": ("str", False, None),
         "set": ("flag-many", False, None),
         "grid-out": ("str", False, None),
-        "format": _formats("json", "text"),
+        "format": _choices("json", "text"),
         "output": ("str", False, None),
     },
     "connect": {
         **_HEUN_FLAGS,
         "from": ("str", True, None),
         "to": ("str", True, None),
-        "tol": ("float", False, DEFAULT_TOL),
-        "format": _formats("json", "text"),
+        "tol": ("str", False, DEFAULT_TOL),
+        "format": _choices("json", "text"),
         "output": ("str", False, None),
     },
 }
 
 
 def parse_args(argv):
-    """Validate argv into a Command; raises UnknownVerb / MissingOption /
-    MalformedComplex / InvalidParameter with the offending flag named."""
+    """Validate argv into a Command; raises UnknownVerb / MissingOption, or
+    MalformedComplex / InvalidParameter whose message starts --name:."""
     if not argv:
         raise UnknownVerb("no verb given; expected one of: "
                           + ", ".join(sorted(VERBS)))
@@ -141,22 +145,16 @@ def parse_args(argv):
             raise MissingOption(f"option --{name} needs a value")
         raw = argv[i]
         i += 1
-        if kind == "complex":
-            options[name] = parse_complex(raw)
-        elif kind == "float":
-            options[name] = _finite_float(raw, f"--{name}")
-        elif kind == "int":
-            try:
-                options[name] = int(raw)
-            except ValueError:
-                raise MalformedComplex(f"--{name} expects an integer, got {raw!r}")
-        elif kind == "flag-many":
+        if kind == "flag-many":
             options.setdefault(name, []).append(raw)
-        elif isinstance(kind, tuple):
-            if raw not in kind:
-                raise InvalidParameter(f"--{name} for verb {verb} accepts "
-                                       f"{', '.join(kind)}; got {raw!r}")
-            options[name] = raw
+        elif isinstance(kind, tuple) and raw not in kind:
+            raise InvalidParameter(f"--{name}: verb {verb} accepts "
+                                   f"{', '.join(kind)}; got {raw!r}")
+        elif kind in _READERS:
+            try:
+                options[name] = _READERS[kind](raw)
+            except MalformedComplex as exc:
+                raise MalformedComplex(f"--{name}: {exc}") from None
         else:
             options[name] = raw
     for name, (kind, required, default) in optspec.items():
@@ -270,29 +268,13 @@ def _run_heun_eval(cmd):
     return 0
 
 
-def _mathieu_q(raw):
-    """One --q-values token: a finite real number, or a complex literal
-    such as 0.7+0.4i."""
-    try:
-        return _finite_float(raw, "--q-values")
-    except MalformedComplex:
-        if not raw.strip().endswith("i"):
-            raise
-        return parse_complex(raw)
-
-
 def _run_mathieu_table(cmd):
     o = cmd.options
     if o["n-max"] < 0:
         raise InvalidParameter(f"--n-max must be at least 0, got {o['n-max']}")
-    grid = [_mathieu_q(tok) for tok in o["q-values"].split(",")]
-    parities = {"both": ("even", "odd"), "even": ("even",),
-                "odd": ("odd",)}.get(o["parity"])
-    if parities is None:
-        raise InvalidParameter(f"parity must be even, odd or both, got "
-                               f"{o['parity']!r}")
+    parities = ("even", "odd") if o["parity"] == "both" else (o["parity"],)
     rows = []
-    for q in grid:
+    for q in o["q-values"]:
         for parity in parities:
             start = 0 if parity == "even" else 1
             for n in range(start, o["n-max"] + 1):
@@ -301,7 +283,7 @@ def _run_mathieu_table(cmd):
     fmt = o["format"]
     if fmt == "json":
         payload = {"schema": 1, "rows": [
-            {"n": n, "parity": parity, "q": to_jsonable(complex(q)),
+            {"n": n, "parity": parity, "q": to_jsonable(q),
              "value": to_jsonable(value), "truncation": truncation}
             for n, parity, q, value, truncation in rows]}
         _write(cmd, emit_json(payload) + "\n")
@@ -328,41 +310,15 @@ def _load_config(path):
     return out
 
 
-def _coerce_scenario_params(scenario_id, raw):
-    """Parameter strings typed like the scenario's defaults. Numbers must be
-    finite literals; a malformed one raises InvalidParameter. A name the
-    scenario lacks stays a string, for run_scenario to refuse."""
-    defaults = SCENARIOS.get(scenario_id, (None, {}))[1]
-    out = {}
-    for key, val in raw.items():
-        ref = defaults.get(key, val)
-        try:
-            if isinstance(ref, int):
-                number = _finite_float(val, key)
-                if number != int(number):
-                    raise MalformedComplex(f"{key} expects an integer, "
-                                           f"got {val!r}")
-                out[key] = int(number)
-            elif isinstance(ref, float):
-                out[key] = _finite_float(val, key)
-            elif ref is None:
-                out[key] = None if val.lower() in ("none", "") \
-                    else parse_complex(val)
-            else:
-                out[key] = val
-        except MalformedComplex as exc:
-            raise InvalidParameter(f"scenario {scenario_id!r}: {exc}") from None
-    return out
-
-
 def _run_scenario(cmd):
+    """Config and --set values go to run_scenario as strings; it reads
+    each like its default."""
     o = cmd.options
-    raw = {}
-    scenario_id = o.get("id")
-    if o.get("config"):
-        cfg = _load_config(o["config"])
-        scenario_id = cfg.pop("scenario", scenario_id)
-        raw.update(cfg)
+    raw = _load_config(o["config"]) if o.get("config") else {}
+    if "scenario" in raw and o.get("id"):
+        raise MissingOption("scenario takes --id or a config's 'scenario' "
+                            "key, not both")
+    scenario_id = raw.pop("scenario", o.get("id"))
     for item in o.get("set") or []:
         if "=" not in item:
             raise MissingOption(f"--set expects key=value, got {item!r}")
@@ -371,8 +327,7 @@ def _run_scenario(cmd):
     if not scenario_id:
         raise MissingOption("scenario needs --id or a config with a "
                             "'scenario' key")
-    overrides = _coerce_scenario_params(scenario_id, raw)
-    report = run_scenario(scenario_id, overrides)
+    report = run_scenario(scenario_id, raw)
     if o.get("grid-out"):
         grid = report.data.get("grid")
         if grid:

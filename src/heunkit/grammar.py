@@ -71,6 +71,15 @@ def parse_complex(text, position=0):
     return complex(rv, iv)
 
 
+def parse_complex_list(text, position=0):
+    """Comma-separated complex literals; an error names its item's position."""
+    out = []
+    for item in text.split(","):
+        out.append(parse_complex(item, position))
+        position += len(item) + 1
+    return out
+
+
 def format_complex(z):
     """Render a complex number in the grammar's a+bi form, 17 significant digits."""
     z = complex(z)
@@ -91,12 +100,7 @@ def _parse_list(text, base_pos):
     inner = s[1:-1]
     if not inner.strip():
         raise GrammarError("empty coefficient list", base_pos)
-    out = []
-    offset = 1
-    for item in inner.split(","):
-        out.append(parse_complex(item, base_pos + offset))
-        offset += len(item) + 1
-    return out
+    return parse_complex_list(inner, base_pos + 1)
 
 
 def _split_assignments(text, start_pos):

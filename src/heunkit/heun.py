@@ -46,6 +46,7 @@ numerically by residuals, not assumed.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import (
@@ -53,6 +54,7 @@ from .errors import (
     DegenerateReduction,
     FuchsViolation,
     MalformedComplex,
+    NonFiniteInput,
     NotReducible,
     UnknownCenter,
     UnknownKind,
@@ -72,6 +74,7 @@ MAX_F = 0.01 / TRIM_REL  # 1% of the |f| where poly drops the 1 of z(z-1)(z-f)
 @dataclass(frozen=True)
 class GeneralHeunParams:
     """Exponent parameters a..e, singular location f, accessory parameter q;
+    NonFiniteInput naming the first inf or nan parameter, then
     CollidingSingularities when f is within COLLISION_TOL (relative) of 0
     or 1 or when |f| > MAX_F = 0.01/TRIM_REL = 1e12 (f merges into inf)."""
 
@@ -85,7 +88,11 @@ class GeneralHeunParams:
 
     def __post_init__(self):
         for name in "abcdefq":
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise NonFiniteInput(f"Heun parameter {name} = {value} is "
+                                     "not finite")
+            object.__setattr__(self, name, value)
         gap = self.a + self.b + 1.0 - (self.c + self.d + self.e)
         scale = max(1.0, *(abs(getattr(self, n)) for n in "abcde"))
         if abs(gap) > FUCHS_TOL * scale:
@@ -161,7 +168,7 @@ def heun_center(params, center):
         try:
             center = parse_complex(center)
         except MalformedComplex as exc:
-            raise UnknownCenter(str(exc)) from None
+            raise UnknownCenter(f"center: {exc}") from None
     for idx, loc in enumerate((0j, 1.0 + 0j, params.f)):
         if near(complex(center), loc):
             return idx, loc

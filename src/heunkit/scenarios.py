@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .engine import ComplexPath, SolutionState, integrate_path, \
     loop_transfer_matrix
 from .errors import DegenerateShift, InvalidParameter, LogarithmicCase, \
-    ParameterPole
+    MalformedComplex, ParameterPole
 from .heun import ConfluentFormParams, SIGNATURES, build_confluent_form
 from .mathieu import (
     MathieuParams,
@@ -1103,9 +1103,10 @@ def run_scenario(scenario_id, overrides=None):
 
 
 def _typed_like(scenario_id, key, val, ref):
-    """val with the type of its default ref: an int, a finite float, None
-    or a finite complex (ref None), a str; InvalidParameter when it cannot
-    take that type."""
+    """val with the type of its default ref: an int, a finite float, a str,
+    or (ref None) None or a finite complex, a string giving None for none
+    or empty (any case) and otherwise read by grammar.parse_complex;
+    InvalidParameter when it cannot take that type."""
     try:
         if isinstance(ref, str):
             typed, ok = val, isinstance(val, str)
@@ -1115,10 +1116,15 @@ def _typed_like(scenario_id, key, val, ref):
         elif isinstance(ref, float):
             typed = float(val)
             ok = math.isfinite(typed)
+        elif isinstance(val, str):
+            from .grammar import parse_complex
+            typed = None if val.strip().lower() in ("none", "") \
+                else parse_complex(val)
+            ok = True
         else:
             typed = None if val is None else complex(val)
             ok = typed is None or cmath.isfinite(typed)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, MalformedComplex):
         ok = False
     if not ok:
         kind = {str: "a string", int: "an integer", float: "a finite number"}

@@ -301,9 +301,10 @@ def test_cli_transport_inputs(capsys):
         (["--tol", "-1"], 2, "in (0, 1)"),
         (["--tol", "0"], 2, "--tol must be a finite number in (0, 1)"),
         (["--tol", "1"], 2, "in (0, 1)"),
-        (["--q", "1e400"], 2, "not finite"),
-        (["--a", "1e400i"], 2, "not finite"),
-        (["--to", "x"], 2, "bad complex literal 'x'"),
+        (["--tol", "abc"], 2, "--tol is not a number: 'abc'"),
+        (["--q", "1e400"], 2, "--q: complex literal '1e400' is not finite"),
+        (["--a", "1e400i"], 2, "--a: complex literal '1e400i' is not finite"),
+        (["--to", "x"], 2, "center: bad complex literal 'x'"),
         (["--from", "0.5"], 2, "center (0.5+0j) is not one of 0, 1"),
         (["--tol", "1e-30"], 0, ""),
     ]
@@ -323,18 +324,19 @@ def test_cli_connect_nan_tolerance_exits_quickly():
     assert "usage error" in p.stderr
 
 
-def test_cli_parameter_inputs(capsys):
+def test_cli_parameter_inputs(capsys, tmp_path: Path):
     """Every bad scenario or table parameter ends in a usage error with a
-    message, never a traceback: (argv, exit status, text on stderr)."""
+    message, never a traceback: (argv, exit status, text on stderr). The
+    type of a scenario value is checked by run_scenario, whose table
+    test_scenarios.test_registry_rejects_values_of_the_wrong_type runs
+    through both routes."""
     from heunkit.cli import main
 
+    stark_cfg = tmp_path / "stark.cfg"
+    stark_cfg.write_text("scenario = stark\n")
     cases = [
-        (["scenario", "--id", "stark", "--set", "E=abc"], 2,
-         "E expects a number"),
-        (["scenario", "--id", "stark", "--set", "E=nan"], 2,
-         "E expects a finite number"),
-        (["scenario", "--id", "stark", "--set", "E=1e400"], 2,
-         "E expects a finite number"),
+        (["scenario", "--id", "h2plus", "--config", str(stark_cfg)], 2,
+         "scenario takes --id or a config's 'scenario' key, not both"),
         (["scenario", "--id", "nutku-radial", "--set", "a=-1"], 2,
          "a, k must be positive"),
         (["scenario", "--id", "boundary-dirac", "--set", "k=0"], 2,
@@ -345,15 +347,6 @@ def test_cli_parameter_inputs(capsys):
          "grouping must be"),
         (["scenario", "--id", "nutku-angular", "--set", "parity=x"], 2,
          "parity must be"),
-        (["scenario", "--id", "helmholtz-elliptic", "--set", "b=1x"], 2,
-         "bad complex literal"),
-        (["scenario", "--id", "nutku-angular", "--set", "n=2.5"], 2,
-         "n expects an integer"),
-        (["scenario", "--id", "helmholtz-elliptic", "--set", "n=1e-3"], 2,
-         "n expects an integer"),
-        (["scenario", "--id", "nutku-radial", "--set", "n=inf"], 2,
-         "n expects a finite number"),
-        (["scenario", "--id", "nutku-radial", "--set", "n=2.0"], 0, ""),
         # q = 100 and orders past 7 pass their claims with the same gates
         (["scenario", "--id", "nutku-angular", "--set", "k=20"], 0, ""),
         (["scenario", "--id", "helmholtz-elliptic", "--set", "n=8"], 0, ""),
@@ -366,18 +359,20 @@ def test_cli_parameter_inputs(capsys):
         (["scenario", "--id", "helmholtz-elliptic", "--set", "n=13",
           "--set", "parity=odd"], 0, ""),
         (["mathieu-table", "--q-values", "inf"], 2,
-         "--q-values expects a finite number"),
+         "--q-values: bad complex literal 'inf' (at position 0)"),
         (["mathieu-table", "--q-values", "1,nan"], 2,
-         "--q-values expects a finite number"),
+         "--q-values: bad complex literal 'nan' (at position 2)"),
         (["mathieu-table", "--q-values", "1e400"], 2,
-         "--q-values expects a finite number"),
+         "--q-values: complex literal '1e400' is not finite"),
         (["mathieu-table", "--q-values", "abc"], 2,
-         "--q-values expects a number"),
+         "--q-values: bad complex literal 'abc'"),
         (["mathieu-table", "--q-values", "0.5, 2", "--n-max", "1"], 0, ""),
         (["mathieu-table", "--q-values", ","], 2,
-         "--q-values expects a number, got ''"),
+         "--q-values: empty complex literal (at position 0)"),
         (["mathieu-table", "--q-values", "1, ,2"], 2,
-         "--q-values expects a number, got ' '"),
+         "--q-values: empty complex literal (at position 2)"),
+        (["mathieu-table", "--q-values", "1", "--n-max", "x"], 2,
+         "--n-max: expects an integer, got 'x'"),
         (["mathieu-table", "--n-max", "1"], 2,
          "verb mathieu-table requires --q-values"),
         (["mathieu-table", "--q-values", "1", "--n-max", "-1"], 2,
@@ -386,7 +381,7 @@ def test_cli_parameter_inputs(capsys):
           "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--n-terms", "60"],
          2, "unknown option --n-terms for verb heun-eval"),
         (["mathieu-table", "--q-values", "1", "--parity", "x"], 2,
-         "parity must be even, odd or both"),
+         "--parity: verb mathieu-table accepts both, even, odd; got 'x'"),
         (["scenario", "--id", "nosuch"], 2, "unknown scenario 'nosuch'"),
         (["scenario", "--id", "stark", "--set", "E"], 2,
          "--set expects key=value"),
@@ -398,17 +393,17 @@ def test_cli_parameter_inputs(capsys):
           "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--branch", "x"],
          2, "branch must be 'first' or 'second'"),
         (["classify", "--corpus", "euler-type", "--format", "xml"], 2,
-         "--format for verb classify accepts json, csv, text; got 'xml'"),
+         "--format: verb classify accepts json, csv, text; got 'xml'"),
         (["heun-eval", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
           "--e", "1", "--f", "2", "--q", "0", "--z", "0.3", "--format", "xml"],
-         2, "--format for verb heun-eval accepts json, csv, text"),
+         2, "--format: verb heun-eval accepts json, csv, text"),
         (["connect", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
           "--e", "1", "--f", "2", "--q", "0", "--from", "0", "--to", "1",
-          "--format", "csv"], 2, "--format for verb connect accepts json, text"),
+          "--format", "csv"], 2, "--format: verb connect accepts json, text"),
         (["scenario", "--id", "stark", "--format", "csv"], 2,
-         "--format for verb scenario accepts json, text"),
+         "--format: verb scenario accepts json, text"),
         (["mathieu-table", "--q-values", "1", "--format", "text"], 2,
-         "--format for verb mathieu-table accepts csv, json"),
+         "--format: verb mathieu-table accepts csv, json"),
         (["classify", "--text", "x"], 2,
          "expected line to start with 'ode'"),
         (["classify", "--text", "ode p_num=[1] p_den=[1] q_num=[1]"], 2,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from heunkit.errors import (CollidingSingularities, DegenerateReduction,
-                            FuchsViolation, LogarithmicCase, NotReducible,
-                            OutsideRadius, UnknownKind)
+                            FuchsViolation, LogarithmicCase, NonFiniteInput,
+                            NotReducible, OutsideRadius, UnknownKind)
 from heunkit.heun import (COLLISION_TOL, ConfluentFormParams,
                           GeneralHeunParams, SIGNATURES,
                           anharmonic_to_biconfluent, build_confluent_form,
@@ -53,6 +53,20 @@ def test_colliding_singularities_rejected():
         GeneralHeunParams(1, 1, 1, 1, 1, 1, 0)
     with pytest.raises(CollidingSingularities):
         GeneralHeunParams(1, 1, 1, 1, 1, 1e-13, 0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("a", math.nan), ("q", math.inf), ("f", math.nan),
+    ("c", complex(0.5, math.inf)),
+])
+def test_non_finite_parameter_rejected(name, value):
+    """An inf or nan parameter is named before the Fuchs relation is
+    checked; it never reaches the series (NaN a or q = inf used to run
+    4,096 terms and end in TruncationFailure)."""
+    args = dict(a=0.31, b=0.77, c=1.23, d=0.62, e=0.23, f=2.5, q=0.1)
+    args[name] = value
+    with pytest.raises(NonFiniteInput, match=f"parameter {name} = "):
+        GeneralHeunParams(**args)
 
 
 _PARAM = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-0.5, 0.5))

@@ -274,19 +274,56 @@ def test_registry_rejects_unknowns():
         run_scenario("stark", {"bogus": 1.0})
 
 
+_B_TYPE = "'b' expects None or a finite complex number"
+
+
 @pytest.mark.parametrize("sid, overrides, expects", [
     ("stark", {"E": "abc"}, "'E' expects a finite number"),
     ("stark", {"E": math.nan}, "'E' expects a finite number"),
     ("helmholtz-elliptic", {"n": 2.5}, "'n' expects an integer"),
     ("helmholtz-elliptic", {"parity": 1}, "'parity' expects a string"),
-    ("helmholtz-elliptic", {"b": "x"},
-     "'b' expects None or a finite complex number"),
+    ("helmholtz-elliptic", {"b": "x"}, _B_TYPE),
+    ("helmholtz-elliptic", {"b": "1x"}, _B_TYPE),
+    ("helmholtz-elliptic", {"b": "1+2j"}, _B_TYPE),
+    ("helmholtz-elliptic", {"b": "1e400"}, _B_TYPE),
+    ("helmholtz-elliptic", {"b": "none"}, None),
+    ("helmholtz-elliptic", {"b": "None"}, None),
+    ("helmholtz-elliptic", {"b": ""}, None),
+    ("helmholtz-elliptic", {"b": "1+2i"}, None),
+    ("stark", {"E": "nan"}, "'E' expects a finite number"),
+    ("stark", {"E": "1e400"}, "'E' expects a finite number"),
+    ("nutku-angular", {"n": "2.5"}, "'n' expects an integer"),
+    ("helmholtz-elliptic", {"n": "1e-3"}, "'n' expects an integer"),
+    ("nutku-radial", {"n": "inf"}, "'n' expects an integer"),
+    ("nutku-radial", {"n": "2.0"}, None),
 ])
-def test_registry_rejects_values_of_the_wrong_type(sid, overrides, expects):
-    """run_scenario owns the defaults, so it refuses, called from Python, a
-    value that cannot take its default's type; a value that can runs."""
-    with pytest.raises(InvalidParameter, match=expects):
-        run_scenario(sid, overrides)
+def test_registry_rejects_values_of_the_wrong_type(sid, overrides, expects,
+                                                   capsys):
+    """run_scenario owns the defaults, so it alone reads a value: it refuses
+    one that cannot take its default's type, with the message expects, and
+    runs one that can (expects None). A row of strings also goes through
+    `scenario --set`, which must refuse it with the same message (exit 2)
+    or print the same report."""
+    from heunkit.cli import main
+    from heunkit.serialize import emit_json, to_jsonable
+
+    argv = ["scenario", "--id", sid]
+    for key, val in overrides.items():
+        argv += ["--set", f"{key}={val}"]
+    cli_route = all(isinstance(v, str) for v in overrides.values())
+    if expects is not None:
+        with pytest.raises(InvalidParameter, match=expects) as exc:
+            run_scenario(sid, overrides)
+        if cli_route:
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"usage error: {exc.value}\n")
+        return
+    report = run_scenario(sid, overrides)
+    if cli_route:
+        assert main(argv) == (0 if report.all_passed() else 1)
+        assert capsys.readouterr().out == \
+            emit_json(to_jsonable(report)) + "\n"
 
 
 def test_registry_types_values_like_their_defaults():
