@@ -33,17 +33,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .corpus import canonical_corpus
-from .engine import DEFAULT_TOL, check_tolerance, connection_matrix
 from .errors import GrammarError, HeunkitError, InvalidParameter, \
     InvalidTolerance, MalformedComplex, MissingOption, UnknownCenter, \
     UnknownKind, UnknownVerb
 from .grammar import format_complex, parse_complex, parse_complex_list, \
     parse_ode
-from .heun import GeneralHeunParams, heun_value
-from .mathieu import characteristic_value
-from .ode import classify_singularities
-from .scenarios import run_scenario
 from .serialize import emit_json, point_line, render_report_text, \
     to_jsonable
 
@@ -112,7 +106,7 @@ VERBS = {
         **_HEUN_FLAGS,
         "from": ("str", True, None),
         "to": ("str", True, None),
-        "tol": ("str", False, DEFAULT_TOL),
+        "tol": ("str", False, None),
         "format": _choices("json", "text"),
         "output": ("str", False, None),
     },
@@ -200,6 +194,7 @@ def _parse_equation_text(text):
 
 
 def _run_classify(cmd):
+    from .ode import classify_singularities
     opts = cmd.options
     sources = [name for name in ("ode", "text", "corpus") if opts.get(name)]
     if len(sources) != 1:
@@ -213,6 +208,7 @@ def _run_classify(cmd):
         ode = _parse_equation_text(opts["text"])
         label = "inline"
     else:
+        from .corpus import canonical_corpus
         matches = {name: o for name, o, _ in canonical_corpus()}
         if opts["corpus"] not in matches:
             raise InvalidParameter(f"unknown corpus entry {opts['corpus']!r}; "
@@ -237,6 +233,7 @@ def _run_classify(cmd):
 
 
 def _run_heun_eval(cmd):
+    from .heun import GeneralHeunParams, heun_value
     o = cmd.options
     params = GeneralHeunParams(o["a"], o["b"], o["c"], o["d"], o["e"],
                                o["f"], o["q"])
@@ -269,6 +266,7 @@ def _run_heun_eval(cmd):
 
 
 def _run_mathieu_table(cmd):
+    from .mathieu import characteristic_value
     o = cmd.options
     if o["n-max"] < 0:
         raise InvalidParameter(f"--n-max must be at least 0, got {o['n-max']}")
@@ -313,6 +311,7 @@ def _load_config(path):
 def _run_scenario(cmd):
     """Config and --set values go to run_scenario as strings; it reads
     each like its default."""
+    from .scenarios import run_scenario
     o = cmd.options
     raw = _load_config(o["config"]) if o.get("config") else {}
     if "scenario" in raw and o.get("id"):
@@ -355,10 +354,12 @@ def _run_scenario(cmd):
 
 
 def _run_connect(cmd):
+    from .engine import DEFAULT_TOL, check_tolerance, connection_matrix
+    from .heun import GeneralHeunParams
     o = cmd.options
     params = GeneralHeunParams(o["a"], o["b"], o["c"], o["d"], o["e"],
                                o["f"], o["q"])
-    tol = check_tolerance(o["tol"], "--tol")
+    tol = check_tolerance(o.get("tol", DEFAULT_TOL), "--tol")
     C = connection_matrix(params, o["from"], o["to"], tol=tol)
     payload = {
         "schema": 1,

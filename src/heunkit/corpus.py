@@ -9,10 +9,36 @@ generic parameters, and the two scenario operators with quoted structures.
 
 from __future__ import annotations
 
+import math
+
 from .heun import SIGNATURES, ConfluentFormParams, GeneralHeunParams, \
     build_confluent_form, general_heun
 from .ode import LinearODE
-from .scenarios import _boundary_u_ode_printed, _eguchi_hanson_ode
+
+
+def _eguchi_hanson_ode(k, a, m):
+    """The monic radial operator of scenarios.eguchi_hanson_radial in u."""
+    ka2 = k * k * a * a
+    # p = (2u - 1)/(u(u-1)); q = [k^2 a^2 (2u-1) u (u-1) + m^2] / (4 u^2 (u-1)^2)
+    # with (2u-1) u (u-1) = 2u^3 - 3u^2 + u
+    q_num = [m * m, ka2, -3.0 * ka2, 2.0 * ka2]
+    q_den = [0.0, 0.0, 4.0, -8.0, 4.0]  # 4u^2(u-1)^2
+    return LinearODE.from_coefficients([-1.0, 2.0], [0.0, -1.0, 1.0],
+                                       q_num, q_den)
+
+
+def _boundary_u_ode_printed(ak, x0):
+    """Literal transcription of the printed algebraic form:
+    4u^3(u+1) F'' + [4u^2(u+1) - 2i u^2(u-1)] F'
+      + (ak)^2/2 (u+1) (u^2 e^{-2x0} + u cosh 2x0 + e^{2x0}) F = 0."""
+    g = ak * ak / 2.0
+    em, ep, ch = math.exp(-2.0 * x0), math.exp(2.0 * x0), math.cosh(2.0 * x0)
+    # (u+1)(em u^2 + ch u + ep)
+    C = [g * ep, g * (ch + ep), g * (em + ch), g * em]
+    A = [0.0, 0.0, 0.0, 4.0, 4.0]
+    # 4u^2(u+1) - 2i u^2(u-1) = (4 - 2i) u^3 + (4 + 2i) u^2
+    B = [0.0, 0.0, 4.0 + 2.0j, 4.0 - 2.0j]
+    return LinearODE.from_polynomials(A, B, C)
 
 
 def canonical_corpus():

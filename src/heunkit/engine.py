@@ -122,6 +122,8 @@ class ConnectionMatrix:
         return a * d - b * c
 
     def as_array(self):
+        """The entries as a numpy array, numpy imported on the call. The
+        tests and perfbench's transport oracle call it; heunkit does not."""
         import numpy as np
         return np.array(self.entries, dtype=complex)
 

@@ -53,12 +53,14 @@ from .errors import (
     CollidingSingularities,
     DegenerateReduction,
     FuchsViolation,
+    GrammarError,
     MalformedComplex,
     NonFiniteInput,
     NotReducible,
     UnknownCenter,
     UnknownKind,
 )
+from .grammar import format_complex, parse_complex, parse_params_line
 from .ode import LinearODE
 from .poly import MULT_BASE, TRIM_REL, Polynomial, make_rational, near
 from .series import frobenius_series, frobenius_value
@@ -164,7 +166,6 @@ def heun_center(params, center):
     if isinstance(center, str):
         if center.strip() == "f":
             return 2, params.f
-        from .grammar import parse_complex
         try:
             center = parse_complex(center)
         except MalformedComplex as exc:
@@ -435,8 +436,6 @@ class AnharmonicReduction:
 
 def heun_params_from_text(text):
     """Parse 'heun a=.. b=.. c=.. d=.. e=.. f=.. q=..'."""
-    from .grammar import GrammarError, parse_params_line
-
     _, params = parse_params_line(text, expected_head="heun")
     expected = set("abcdefq")
     if set(params) != expected:
@@ -446,16 +445,12 @@ def heun_params_from_text(text):
 
 
 def heun_params_to_text(params):
-    from .grammar import format_complex
-
     return "heun " + " ".join(
         f"{name}={format_complex(getattr(params, name))}" for name in "abcdefq")
 
 
 def confluent_params_from_text(text):
     """Parse 'cform kind=<kind> <name>=<value> ...'."""
-    from .grammar import GrammarError, parse_params_line
-
     _, params = parse_params_line(text, expected_head="cform")
     kind = params.pop("kind", None)
     if kind is None:
@@ -464,8 +459,6 @@ def confluent_params_from_text(text):
 
 
 def confluent_params_to_text(cf):
-    from .grammar import format_complex
-
     body = " ".join(f"{name}={format_complex(cf.params[name])}"
                     for name in KIND_PARAMS[cf.kind])
     return f"cform kind={cf.kind} {body}"

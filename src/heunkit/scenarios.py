@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
+from .corpus import _boundary_u_ode_printed, _eguchi_hanson_ode
 from .engine import ComplexPath, SolutionState, integrate_path, \
     loop_transfer_matrix
 from .errors import DegenerateShift, InvalidParameter, LogarithmicCase, \
     MalformedComplex, ParameterPole
+from .grammar import parse_complex
 from .heun import ConfluentFormParams, SIGNATURES, build_confluent_form
 from .mathieu import (
     MathieuParams,
@@ -35,118 +36,10 @@ from .mathieu import (
     q_from_h2,
     trig_form_b,
 )
-from .ode import LinearODE, classify_singularities, indicial_exponents, \
-    normalized_residual, ode_residual, singularity_signature
-from .poly import near
+from .ode import LinearODE, indicial_exponents, ode_residual
+from .serialize import ScenarioReport, TrigODE
 from .series import eval_local, frobenius_series, frobenius_value, \
     is_integer
-
-
-# ---------------------------------------------------------------------------
-# report plumbing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Claim:
-    description: str
-    expected: str
-    observed: str
-    passed: bool
-
-
-@dataclass(frozen=True)
-class TrigODE:
-    """w'' + p(t) w' + q(t) w = 0 with callable coefficients.
-
-    ``poles`` lists the coefficient singularities on the working domain,
-    ``period`` the coefficient period (None when aperiodic), ``notes`` a
-    human-readable description of the equation.
-    """
-
-    label: str
-    p: object
-    q: object
-    poles: tuple = ()
-    period: object = None
-    notes: str = ""
-
-    def residual(self, samples):
-        return normalized_residual(self, samples)
-
-
-@dataclass
-class ScenarioReport:
-    """A scenario's equations, classifications, residuals and claims. A
-    gate on a measured value is stated once, through ``claim_at_most``: the
-    literal it prints is the one it compares with."""
-
-    scenario: str
-    inputs: dict
-    odes: list = field(default_factory=list)            # (label, LinearODE | TrigODE)
-    classifications: dict = field(default_factory=dict)  # label -> [SingularPoint]
-    residuals: dict = field(default_factory=dict)        # name -> float
-    claims: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-
-    def add_ode(self, label, ode):
-        self.odes.append((label, ode))
-        if isinstance(ode, LinearODE):
-            self.classifications[label] = classify_singularities(ode)
-
-    def claim(self, description, expected, observed, passed):
-        self.claims.append(Claim(description, str(expected), str(observed), bool(passed)))
-
-    def claim_at_most(self, description, value, bound, what=""):
-        """Claim value <= float(bound); ``bound`` is the literal printed in
-        the expected text "[what] <= bound"."""
-        self.claim(description, f"{what} <= {bound}".lstrip(),
-                   f"{value:.3e}", value <= float(bound))
-
-    def point(self, label, loc):
-        """The classified point of ``label`` at loc, matched as
-        claim_signature matches it; None when there is none."""
-        return _lookup({("inf" if p.at_infinity else p.location): p
-                        for p in self.classifications[label]}, loc)
-
-    def claim_signature(self, description, label, expected_sig):
-        observed = singularity_signature(self.classifications[label])
-        ok = _signatures_match(expected_sig, observed)
-        self.claim(description, _format_signature(expected_sig),
-                   _format_signature(observed), ok)
-        return ok
-
-    def all_passed(self):
-        return all(c.passed for c in self.claims)
-
-
-def _format_signature(sig):
-    def key(item):
-        loc = item[0]
-        if loc == "inf":
-            return (math.inf, 0.0)
-        return (loc.real, loc.imag)
-
-    parts = []
-    for loc, kind in sorted(sig.items(), key=key):
-        label = "inf" if loc == "inf" else f"{loc.real:g}" + (
-            f"{loc.imag:+g}i" if abs(loc.imag) > 1e-9 else "")
-        parts.append(f"{label}: {kind}")
-    return "; ".join(parts)
-
-
-def _lookup(table, loc):
-    """table's value at loc: the key "inf" for "inf", else the first finite
-    key ``near`` loc; None when there is none."""
-    if loc == "inf":
-        return table.get("inf")
-    return next((v for k, v in table.items() if k != "inf" and near(k, loc)), None)
-
-
-def _signatures_match(expected, observed):
-    return len(expected) == len(observed) and all(
-        _lookup(observed, loc) == kind for loc, kind in expected.items())
 
 
 def _linspace(a, b, n):
@@ -657,17 +550,6 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
 # ---------------------------------------------------------------------------
 
 
-def _eguchi_hanson_ode(k, a, m):
-    """The monic radial operator of eguchi_hanson_radial in u."""
-    ka2 = k * k * a * a
-    # p = (2u - 1)/(u(u-1)); q = [k^2 a^2 (2u-1) u (u-1) + m^2] / (4 u^2 (u-1)^2)
-    # with (2u-1) u (u-1) = 2u^3 - 3u^2 + u
-    q_num = [m * m, ka2, -3.0 * ka2, 2.0 * ka2]
-    q_den = [0.0, 0.0, 4.0, -8.0, 4.0]  # 4u^2(u-1)^2
-    return LinearODE.from_coefficients([-1.0, 2.0], [0.0, -1.0, 1.0],
-                                       q_num, q_den)
-
-
 def eguchi_hanson_radial(k, a, m, lam):
     """Radial operator of the scalar wave equation on the extended
     gravitational-instanton background, in the shifted squared-radius
@@ -922,20 +804,6 @@ def _boundary_u_ode_derived(ak, x0):
     return LinearODE.from_polynomials(A, B, C)
 
 
-def _boundary_u_ode_printed(ak, x0):
-    """Literal transcription of the printed algebraic form:
-    4u^3(u+1) F'' + [4u^2(u+1) - 2i u^2(u-1)] F'
-      + (ak)^2/2 (u+1) (u^2 e^{-2x0} + u cosh 2x0 + e^{2x0}) F = 0."""
-    g = ak * ak / 2.0
-    em, ep, ch = math.exp(-2.0 * x0), math.exp(2.0 * x0), math.cosh(2.0 * x0)
-    # (u+1)(em u^2 + ch u + ep)
-    C = [g * ep, g * (ch + ep), g * (em + ch), g * em]
-    A = [0.0, 0.0, 0.0, 4.0, 4.0]
-    # 4u^2(u+1) - 2i u^2(u-1) = (4 - 2i) u^3 + (4 + 2i) u^2
-    B = [0.0, 0.0, 4.0 + 2.0j, 4.0 - 2.0j]
-    return LinearODE.from_polynomials(A, B, C)
-
-
 def boundary_dirac_equation(a, k, x0, phi):
     """Dirac operator restricted to a fixed-radius helicoid boundary.
 
@@ -1117,7 +985,6 @@ def _typed_like(scenario_id, key, val, ref):
             typed = float(val)
             ok = math.isfinite(typed)
         elif isinstance(val, str):
-            from .grammar import parse_complex
             typed = None if val.strip().lower() in ("none", "") \
                 else parse_complex(val)
             ok = True

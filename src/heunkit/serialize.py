@@ -1,4 +1,9 @@
-"""Deterministic JSON emission and report conversion.
+"""Scenario report types, and deterministic JSON and text emission.
+
+The report types are ScenarioReport (a scenario's equations,
+classifications, residuals and claims), its Claim entries and TrigODE (an
+equation with callable coefficients, used for residuals only); the
+scenario drivers build them, and this module renders them.
 
 Golden-file stability requires byte-identical output for identical inputs,
 so floats are always printed with %.17g, keys keep insertion order, and no
@@ -9,11 +14,115 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .grammar import format_ode
-from .ode import LinearODE, SingularPoint
-from .scenarios import Claim, ScenarioReport, TrigODE
+from .ode import LinearODE, SingularPoint, classify_singularities, \
+    normalized_residual, singularity_signature
+from .poly import near
+
+
+@dataclass(frozen=True)
+class Claim:
+    description: str
+    expected: str
+    observed: str
+    passed: bool
+
+
+@dataclass(frozen=True)
+class TrigODE:
+    """w'' + p(t) w' + q(t) w = 0 with callable coefficients.
+
+    ``poles`` lists the coefficient singularities on the working domain,
+    ``period`` the coefficient period (None when aperiodic), ``notes`` a
+    human-readable description of the equation.
+    """
+
+    label: str
+    p: object
+    q: object
+    poles: tuple = ()
+    period: object = None
+    notes: str = ""
+
+    def residual(self, samples):
+        return normalized_residual(self, samples)
+
+
+@dataclass
+class ScenarioReport:
+    """A scenario's equations, classifications, residuals and claims. A
+    gate on a measured value is stated once, through ``claim_at_most``: the
+    literal it prints is the one it compares with."""
+
+    scenario: str
+    inputs: dict
+    odes: list = field(default_factory=list)            # (label, LinearODE | TrigODE)
+    classifications: dict = field(default_factory=dict)  # label -> [SingularPoint]
+    residuals: dict = field(default_factory=dict)        # name -> float
+    claims: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+    data: dict = field(default_factory=dict)
+
+    def add_ode(self, label, ode):
+        self.odes.append((label, ode))
+        if isinstance(ode, LinearODE):
+            self.classifications[label] = classify_singularities(ode)
+
+    def claim(self, description, expected, observed, passed):
+        self.claims.append(Claim(description, str(expected), str(observed), bool(passed)))
+
+    def claim_at_most(self, description, value, bound, what=""):
+        """Claim value <= float(bound); ``bound`` is the literal printed in
+        the expected text "[what] <= bound"."""
+        self.claim(description, f"{what} <= {bound}".lstrip(),
+                   f"{value:.3e}", value <= float(bound))
+
+    def point(self, label, loc):
+        """The classified point of ``label`` at loc, matched as
+        claim_signature matches it; None when there is none."""
+        return _lookup({("inf" if p.at_infinity else p.location): p
+                        for p in self.classifications[label]}, loc)
+
+    def claim_signature(self, description, label, expected_sig):
+        observed = singularity_signature(self.classifications[label])
+        ok = _signatures_match(expected_sig, observed)
+        self.claim(description, _format_signature(expected_sig),
+                   _format_signature(observed), ok)
+        return ok
+
+    def all_passed(self):
+        return all(c.passed for c in self.claims)
+
+
+def _format_signature(sig):
+    def key(item):
+        loc = item[0]
+        if loc == "inf":
+            return (math.inf, 0.0)
+        return (loc.real, loc.imag)
+
+    parts = []
+    for loc, kind in sorted(sig.items(), key=key):
+        label = "inf" if loc == "inf" else f"{loc.real:g}" + (
+            f"{loc.imag:+g}i" if abs(loc.imag) > 1e-9 else "")
+        parts.append(f"{label}: {kind}")
+    return "; ".join(parts)
+
+
+def _lookup(table, loc):
+    """table's value at loc: the key "inf" for "inf", else the first finite
+    key ``near`` loc; None when there is none."""
+    if loc == "inf":
+        return table.get("inf")
+    return next((v for k, v in table.items() if k != "inf" and near(k, loc)), None)
+
+
+def _signatures_match(expected, observed):
+    return len(expected) == len(observed) and all(
+        _lookup(observed, loc) == kind for loc, kind in expected.items())
 
 
 def _fmt_float(x):

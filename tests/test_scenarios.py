@@ -7,9 +7,9 @@ from heunkit.errors import DegenerateShift, InvalidParameter, ParameterPole
 from heunkit.mathieu import (MathieuParams, angular_mathieu,
                              characteristic_value, fourier_coefficients)
 from heunkit.ode import LinearODE, ode_residual
+from heunkit.serialize import ScenarioReport, TrigODE
 from heunkit.series import eval_local
-from heunkit.scenarios import (SCENARIOS, ScenarioReport, TrigODE,
-                               boundary_dirac_equation,
+from heunkit.scenarios import (SCENARIOS, boundary_dirac_equation,
                                eguchi_hanson_angular, eguchi_hanson_radial,
                                h2plus_separation, helmholtz_elliptic,
                                nutku_angular, nutku_radial, run_scenario,
