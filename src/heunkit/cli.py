@@ -23,8 +23,9 @@ option, a --format or --parity the verb does not take, a heun-eval
 non-finite number, an invalid tolerance, a center that is neither f nor a
 number near 0, 1 or f, an unknown scenario, scenario parameter or corpus
 entry, --id together with a config's scenario key, a --set without
-key=value, a scenario value of the wrong type or outside its domain, or
-an --n-max below 0). A reading error names its option. Output is
+key=value, a scenario value of the wrong type or outside its domain, an
+--n-max below 0, or a Mathieu q with |Im q| above 300). A reading error
+names its option. Output is
 deterministic: fixed key order, 17 significant digits.
 """
 

@@ -44,6 +44,7 @@ from .poly import _EPS, _aberth
 from .series import ROUNDING
 
 MAX_TRUNCATION = 2048
+MAX_IMAG_Q = 300.0  # the label path takes 4|Im q| + 1 steps; 3 s at 300i
 CONVERGENCE_TOL = 1e-13
 STALL_TOL = 1e-10
 LABEL_OFFSET = 1e-2
@@ -91,6 +92,9 @@ class MathieuParams:
         q = complex(self.q)
         if not cmath.isfinite(q):
             raise InvalidParameter(f"q must be finite, got {self.q}")
+        if abs(q.imag) > MAX_IMAG_Q:
+            raise InvalidParameter(f"|Im q| must be at most {MAX_IMAG_Q:g}, "
+                                   f"got q = {q}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", int(self.n))
 
@@ -317,7 +321,9 @@ def characteristic_value(n, q, parity):
     Re q = LABEL_OFFSET (-LABEL_OFFSET if Re q < 0, so Re q = 0 means the
     limit from Re q > 0) and the value is the eigenvalue at q nearest its
     end. Past the branch point 1.4688i of a_0, a_2 (DLMF 28.7) this gives
-    a_0(2i) = 2.16256 - 1.86749i, and a_2(2i) is its conjugate.
+    a_0(2i) = 2.16256 - 1.86749i, and a_2(2i) is its conjugate. The path
+    takes 4|Im q| + 1 steps, so |Im q| above MAX_IMAG_Q (300) raises
+    InvalidParameter.
     """
     params = MathieuParams(q, n, parity)
     return CharacteristicValue(params, *_solve(params.n, params.q, parity))

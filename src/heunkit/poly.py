@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ZeroDenominator
+from .errors import NonFiniteInput, ZeroDenominator
 
 # Relative threshold below which trailing coefficients are treated as zero.
 TRIM_REL = 1e-14
@@ -49,6 +49,9 @@ def near(a, b):
 
 def _trim(coeffs):
     coeffs = tuple(complex(c) for c in coeffs)
+    if not all(map(cmath.isfinite, coeffs)):
+        raise NonFiniteInput(f"polynomial coefficients must be finite, got "
+                             f"{list(coeffs)}")
     if not coeffs:
         return (0j,)
     scale = max(abs(c) for c in coeffs)
@@ -61,7 +64,8 @@ def _trim(coeffs):
 
 
 class Polynomial:
-    """Immutable dense polynomial with complex coefficients (ascending)."""
+    """Immutable dense polynomial with complex coefficients (ascending);
+    an inf or nan coefficient raises NonFiniteInput."""
 
     __slots__ = ("coeffs",)
 

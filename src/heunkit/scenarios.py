@@ -41,6 +41,8 @@ from .serialize import ScenarioReport, TrigODE
 from .series import eval_local, frobenius_series, frobenius_value, \
     is_integer
 
+NUTKU_ANGULAR_MAX_ORDER = 300  # n = 300 takes about 2 s, n = 400 about 4 s
+
 
 def _linspace(a, b, n):
     return [a + (b - a) * i / (n - 1) for i in range(n)]
@@ -77,7 +79,11 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
     report = ScenarioReport("helmholtz-elliptic",
                             {"a": a, "k": k, "n": int(n), "parity": parity,
                              "b": b})
-    h2 = (a * k) ** 2 / 4.0
+    try:
+        h2 = (a * k) ** 2 / 4.0
+    except OverflowError:
+        raise InvalidParameter(f"a = {a:g}, k = {k:g}: h^2 = (a k)^2 / 4 "
+                               "overflows") from None
     q = q_from_h2(h2)
     params = MathieuParams(q, int(n), parity)
     char = characteristic_value(int(n), q, parity)
@@ -382,11 +388,15 @@ def nutku_angular(a, k, n=2, parity="even"):
     the standard Mathieu operator with q = a^2 k^2 / 4. Periodicity in T
     forces the separation constant onto the discrete characteristic values;
     the order-n solution is verified by residual, periodicity and
-    orthogonality against the other orders.
+    orthogonality against the other orders. Orders above
+    NUTKU_ANGULAR_MAX_ORDER (300, about 2 s) raise InvalidParameter.
     """
     a, k = float(a), float(k)
     if a <= 0 or k < 0:
         raise InvalidParameter("a must be positive and k >= 0")
+    if int(n) > NUTKU_ANGULAR_MAX_ORDER:
+        raise InvalidParameter(f"nutku-angular supports orders n <= "
+                               f"{NUTKU_ANGULAR_MAX_ORDER}, got {n}")
     report = ScenarioReport("nutku-angular",
                             {"a": a, "k": k, "n": int(n), "parity": parity})
     kappa2 = a * a * k * k / 2.0
@@ -475,6 +485,9 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
     if abs(abs(A) - abs(B)) <= 1e-12 * max(abs(A), abs(B), 1.0):
         raise DegenerateShift(
             f"|A| = |B| = {abs(A):.6g}: no cosh normal form exists")
+    if A == 0.0:
+        raise InvalidParameter(f"a = {a:g}, k = {k:g}: A = a^2 k^2 / 2 "
+                               "underflows to 0")
     bshift = 0.5 * cmath.atanh(complex(B) / complex(A))
     C = complex(A) / cmath.cosh(2.0 * bshift)
     A6 = -C / 2.0
@@ -824,11 +837,16 @@ def boundary_dirac_equation(a, k, x0, phi):
     F' = f'/(2iu) and compared against integration of the derived
     u-equation along the image path; also round-trips back to T.
     Raises InvalidParameter unless a > 0, x0 >= 0 and k > 0: at ak = 0 the
-    u-equations lose their C term, so 0 and infinity are regular.
+    u-equations lose their C term, so 0 and infinity are regular; also when
+    e^(4 x0) overflows.
     """
     a, k, x0, phi = float(a), float(k), float(x0), float(phi)
     if a <= 0 or k <= 0 or x0 < 0:
         raise InvalidParameter("need a > 0, k > 0, x0 >= 0")
+    try:
+        math.exp(4.0 * x0)
+    except OverflowError:
+        raise InvalidParameter(f"x0 = {x0:g}: e^(4 x0) overflows") from None
     ak = a * k
     report = ScenarioReport("boundary-dirac",
                             {"a": a, "k": k, "x0": x0, "phi": phi})

@@ -243,6 +243,9 @@ def transport(cleared, vertices, cols, tol):
                         2.0 * _coefficient_scale(a, b, c))
             d = zb - z
             z_next = zb if abs(d) <= reach else z + d * (reach / abs(d))
+            if z_next == z:
+                raise StepUnderflow(f"a step of {reach:.3e} does not move "
+                                    f"z = {z}")
             cols = _taylor_step(a, b, c, z_next - z, cols, tol)
             z = z_next
     return cols

@@ -563,6 +563,38 @@ def test_cli_exponent_overflow_is_a_domain_error():
     assert p.stderr.startswith("error: OverflowGuard:")
 
 
+@pytest.mark.parametrize("argv, status, message", [
+    (["scenario", "--id", "h2plus", "--set", "lam=1e200"], 1,
+     "error: NonFiniteInput: polynomial coefficients must be finite"),
+    (["scenario", "--id", "stark", "--set", "beta1=1e200"], 1,
+     "error: StepUnderflow: a step of"),
+    (["scenario", "--id", "boundary-dirac", "--set", "x0=100"], 1,
+     "error: StepUnderflow: a step of"),
+    (["scenario", "--id", "boundary-dirac", "--set", "x0=200"], 2,
+     "x0 = 200: e^(4 x0) overflows"),
+    (["scenario", "--id", "nutku-radial", "--set", "k=1e-300"], 2,
+     "A = a^2 k^2 / 2 underflows to 0"),
+    (["scenario", "--id", "helmholtz-elliptic", "--set", "a=1e200"], 2,
+     "h^2 = (a k)^2 / 4 overflows"),
+    (["mathieu-table", "--q-values", "1e10i", "--n-max", "1"], 2,
+     "|Im q| must be at most 300"),
+    (["scenario", "--id", "nutku-radial", "--set", "Lambda=1000"], 2,
+     "|Im q| must be at most 300"),
+    (["scenario", "--id", "nutku-angular", "--set", "n=1500"], 2,
+     "nutku-angular supports orders n <= 300, got 1500"),
+], ids=["h2plus-lam", "stark-beta1", "boundary-dirac-x0-100",
+        "boundary-dirac-x0-200", "nutku-radial-k", "helmholtz-a",
+        "mathieu-table-imag-q", "nutku-radial-Lambda", "nutku-angular-n"])
+def test_cli_extreme_values_exit_typed_and_quickly(argv, status, message):
+    """Finite values whose derived quantities overflow, vanish or stall a
+    Taylor step, and Mathieu inputs past the stated bounds, end within
+    seconds in a typed error, not a traceback or a run of minutes."""
+    p = run_cli(*argv, timeout=30)
+    assert p.returncode == status, p.stderr
+    assert "Traceback" not in p.stderr
+    assert message in p.stderr
+
+
 # every option value of the property test comes from this pool: malformed,
 # boundary, non-finite, overflowing and complex numbers, a valid and an
 # unknown scenario id

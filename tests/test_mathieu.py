@@ -449,6 +449,15 @@ def test_out_of_range_inputs_rejected():
         characteristic_value(5000, 1.0, "even")
 
 
+def test_imaginary_q_bound():
+    """|Im q| above 300 is refused before any solve: the label path would
+    take 4|Im q| + 1 steps (about 3 s a family at 300i)."""
+    for q in (300.5j, -1e10j, complex(2.0, -1e3)):
+        with pytest.raises(InvalidParameter, match="at most 300"):
+            MathieuParams(q, 0, "even")
+    assert MathieuParams(-300j, 0, "even").q == -300j
+
+
 def test_stale_characteristic_value_rejected():
     ch = characteristic_value(2, 1.0, "even")
     other = MathieuParams(2.0, 2, "even")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from heunkit.errors import ZeroDenominator
+from heunkit.errors import NonFiniteInput, ZeroDenominator
 from heunkit.poly import Polynomial, make_rational
 
 
@@ -32,6 +32,13 @@ def test_make_rational_long_division_case():
 def test_make_rational_zero_denominator():
     with pytest.raises(ZeroDenominator):
         make_rational([1, 2], [0, 0])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"),
+                                 complex(1, float("inf"))])
+def test_polynomial_refuses_non_finite_coefficients(bad):
+    with pytest.raises(NonFiniteInput):
+        Polynomial([1.0, bad, 2.0])
 
 
 def test_polynomial_arithmetic_and_eval():

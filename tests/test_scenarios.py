@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from heunkit.errors import DegenerateShift, InvalidParameter, ParameterPole
+from heunkit.errors import DegenerateShift, HeunkitError, InvalidParameter, \
+    ParameterPole
 from heunkit.mathieu import (MathieuParams, angular_mathieu,
                              characteristic_value, fourier_coefficients)
 from heunkit.ode import LinearODE, ode_residual
@@ -330,6 +331,22 @@ def test_registry_types_values_like_their_defaults():
     rep = run_scenario("helmholtz-elliptic", {"n": 2.0, "k": 1, "b": None})
     assert rep.all_passed(), failing(rep)
     assert run_scenario("stark", {"E": "0.01"}).all_passed()
+
+
+def test_extreme_float_values_give_a_report_or_a_typed_error():
+    """Every float default of every scenario, set to 1e200, -1e200 or
+    1e-300, gives a report or a HeunkitError: derived quantities that
+    overflow or vanish are refused, not left to raise ZeroDivisionError or
+    OverflowError."""
+    for sid, (_, defaults) in SCENARIOS.items():
+        for key, ref in defaults.items():
+            if not isinstance(ref, float):
+                continue
+            for value in (1e200, -1e200, 1e-300):
+                try:
+                    run_scenario(sid, {key: value})
+                except HeunkitError:
+                    pass
 
 
 def test_claim_at_most_prints_the_bound_it_checks():
