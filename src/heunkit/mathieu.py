@@ -44,7 +44,9 @@ from .poly import _EPS, _aberth
 from .series import ROUNDING
 
 MAX_TRUNCATION = 2048
-MAX_IMAG_Q = 300.0  # the label path takes 4|Im q| + 1 steps; 3 s at 300i
+# the label path takes 4|Im q| + 1 steps: at 300i about 3 s a family
+# (2 vCPUs, Python 3.11)
+MAX_IMAG_Q = 300.0
 CONVERGENCE_TOL = 1e-13
 STALL_TOL = 1e-10
 LABEL_OFFSET = 1e-2

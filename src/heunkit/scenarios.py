@@ -41,7 +41,9 @@ from .serialize import ScenarioReport, TrigODE
 from .series import eval_local, frobenius_series, frobenius_value, \
     is_integer
 
-NUTKU_ANGULAR_MAX_ORDER = 300  # n = 300 takes about 2 s, n = 400 about 4 s
+# a cold run takes about 2 s at n = 300 and 4 s at n = 400 (2 vCPUs,
+# Python 3.11); the cost grows like n^3
+NUTKU_ANGULAR_MAX_ORDER = 300
 
 
 def _linspace(a, b, n):

@@ -444,18 +444,13 @@ def test_out_of_range_inputs_rejected():
     for q in (math.nan, math.inf, complex(1, math.nan), complex(-math.inf, 0)):
         with pytest.raises(InvalidParameter):
             characteristic_value(0, q, "even")
+    # |Im q| above 300, refused before the label path's 4|Im q| + 1 steps
+    for q in (300.5j, -1e10j, complex(2.0, -1e3)):
+        with pytest.raises(InvalidParameter, match="at most 300"):
+            characteristic_value(0, q, "even")
     # an order whose first truncation would exceed the largest one
     with pytest.raises(InvalidParameter):
         characteristic_value(5000, 1.0, "even")
-
-
-def test_imaginary_q_bound():
-    """|Im q| above 300 is refused before any solve: the label path would
-    take 4|Im q| + 1 steps (about 3 s a family at 300i)."""
-    for q in (300.5j, -1e10j, complex(2.0, -1e3)):
-        with pytest.raises(InvalidParameter, match="at most 300"):
-            MathieuParams(q, 0, "even")
-    assert MathieuParams(-300j, 0, "even").q == -300j
 
 
 def test_stale_characteristic_value_rejected():
