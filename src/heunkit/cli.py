@@ -24,8 +24,8 @@ non-finite number, an invalid tolerance, a center that is neither f nor a
 number near 0, 1 or f, an unknown scenario, scenario parameter or corpus
 entry, --id together with a config's scenario key, a --set without
 key=value, a scenario value of the wrong type or outside its domain, an
---n-max below 0, or a Mathieu q with |Im q| above 300). A reading error
-names its option. Output is
+--n-max below 0 or above 4079 (mathieu.MAX_ORDER), or a Mathieu q with
+|Im q| above 300). A reading error names its option. Output is
 deterministic: fixed key order, 17 significant digits.
 """
 
@@ -267,10 +267,13 @@ def _run_heun_eval(cmd):
 
 
 def _run_mathieu_table(cmd):
-    from .mathieu import characteristic_value
+    from .mathieu import MAX_ORDER, characteristic_value
     o = cmd.options
     if o["n-max"] < 0:
         raise InvalidParameter(f"--n-max must be at least 0, got {o['n-max']}")
+    if o["n-max"] > MAX_ORDER:
+        raise InvalidParameter(f"--n-max must be at most {MAX_ORDER}, "
+                               f"got {o['n-max']}")
     parities = ("even", "odd") if o["parity"] == "both" else (o["parity"],)
     rows = []
     for q in o["q-values"]:

@@ -60,7 +60,7 @@ from .errors import (
     UnknownCenter,
     UnknownKind,
 )
-from .grammar import format_complex, parse_complex, parse_params_line
+from .grammar import parse_complex, parse_params_line
 from .ode import LinearODE
 from .poly import MULT_BASE, TRIM_REL, Polynomial, make_rational, near
 from .series import frobenius_series, frobenius_value
@@ -444,11 +444,6 @@ def heun_params_from_text(text):
     return GeneralHeunParams(**params)
 
 
-def heun_params_to_text(params):
-    return "heun " + " ".join(
-        f"{name}={format_complex(getattr(params, name))}" for name in "abcdefq")
-
-
 def confluent_params_from_text(text):
     """Parse 'cform kind=<kind> <name>=<value> ...'."""
     _, params = parse_params_line(text, expected_head="cform")
@@ -456,12 +451,6 @@ def confluent_params_from_text(text):
     if kind is None:
         raise GrammarError("cform line needs kind=<form name>")
     return ConfluentFormParams(kind, params)
-
-
-def confluent_params_to_text(cf):
-    body = " ".join(f"{name}={format_complex(cf.params[name])}"
-                    for name in KIND_PARAMS[cf.kind])
-    return f"cform kind={cf.kind} {body}"
 
 
 def anharmonic_to_biconfluent(E, nu, mu, lam, eta):

@@ -12,6 +12,8 @@ Conventions (fixed here, used everywhere else):
 * Modified (radial) functions are the angular series at imaginary argument,
   M(x) = S(ix), M' = i S'(ix), M'' = -S''(ix): sums of cosh for even series,
   i * sums of sinh for odd ones, solving y'' = (a - 2 q cosh 2x) y.
+* A function's one handle is the CharacteristicValue of characteristic_value
+  (q, n, parity, value, truncation): every evaluator takes it alone.
 
 Characteristic values are eigenvalues of the tridiagonal Fourier-mode
 matrices, truncated and doubled until the value is stable, all in plain
@@ -44,6 +46,10 @@ from .poly import _EPS, _aberth
 from .series import ROUNDING
 
 MAX_TRUNCATION = 2048
+# an order's first truncation, index + 8 from index 28 on, needs a larger one
+# within MAX_TRUNCATION to compare with: index <= 2039, which every order up
+# to 4079 meets
+MAX_ORDER = 2 * (MAX_TRUNCATION - 9) + 1
 # the label path takes 4|Im q| + 1 steps: at 300i about 3 s a family
 # (2 vCPUs, Python 3.11)
 MAX_IMAG_Q = 300.0
@@ -77,33 +83,12 @@ def trig_form_b(a, h2):
 
 
 @dataclass(frozen=True)
-class MathieuParams:
+class CharacteristicValue:
+    """Characteristic value of the order-n, given-parity function at q and
+    the truncation that gave it, as built by characteristic_value."""
     q: complex
     n: int
     parity: str
-
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise InvalidParameter(f"parity must be 'even' or 'odd', "
-                                   f"got {self.parity!r}")
-        if self.n < 0 or self.n != int(self.n):
-            raise InvalidParameter(f"order must be a non-negative integer, "
-                                   f"got {self.n}")
-        if self.parity == "odd" and self.n < 1:
-            raise InvalidParameter("odd (sine) functions start at order 1")
-        q = complex(self.q)
-        if not cmath.isfinite(q):
-            raise InvalidParameter(f"q must be finite, got {self.q}")
-        if abs(q.imag) > MAX_IMAG_Q:
-            raise InvalidParameter(f"|Im q| must be at most {MAX_IMAG_Q:g}, "
-                                   f"got q = {q}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", int(self.n))
-
-
-@dataclass(frozen=True)
-class CharacteristicValue:
-    params: MathieuParams
     value: complex
     truncation: int
 
@@ -292,9 +277,6 @@ def _value_at(n, q, parity, M, prev=None):
     fam, idx = _family(n, parity), _eig_index(n, parity)
     if M <= idx + 4:
         M = idx + 8
-        if M > MAX_TRUNCATION:
-            raise InvalidParameter(f"order {n} needs a truncation above "
-                                   f"{MAX_TRUNCATION}")
     if q.imag == 0:
         guess = None if prev is None else prev.real
         return complex(_real_eigenvalue(*_matrix(fam, q, M), idx, guess)), M
@@ -311,8 +293,10 @@ def characteristic_value(n, q, parity):
     index + 8, and the next size doubles the one solved. Near a branch point, where rounding alone
     moves the value by about 3e-13 per doubling (q = 1.4688i, n = 0), it
     also stops once the difference stops shrinking and is within 1e-10;
-    that difference then bounds the error. Beyond truncation 2048
-    NonConvergence is raised.
+    that difference then bounds the error. Two sizes that still disagree at
+    truncation MAX_TRUNCATION (2048) raise NonConvergence; orders above
+    MAX_ORDER (4079), whose first size leaves no larger one to compare
+    with, raise InvalidParameter before any solve.
 
     Labels. Real q: the eigenvalue with the order's index in its family,
     from the bottom. Complex q, at the first truncation: that eigenvalue at
@@ -327,8 +311,23 @@ def characteristic_value(n, q, parity):
     takes 4|Im q| + 1 steps, so |Im q| above MAX_IMAG_Q (300) raises
     InvalidParameter.
     """
-    params = MathieuParams(q, n, parity)
-    return CharacteristicValue(params, *_solve(params.n, params.q, parity))
+    if parity not in ("even", "odd"):
+        raise InvalidParameter(f"parity must be 'even' or 'odd', "
+                               f"got {parity!r}")
+    if n < 0 or n != int(n):
+        raise InvalidParameter(f"order must be a non-negative integer, "
+                               f"got {n}")
+    if parity == "odd" and n < 1:
+        raise InvalidParameter("odd (sine) functions start at order 1")
+    if n > MAX_ORDER:
+        raise InvalidParameter(f"order must be at most {MAX_ORDER}, got {n}")
+    n, z = int(n), complex(q)
+    if not cmath.isfinite(z):
+        raise InvalidParameter(f"q must be finite, got {q}")
+    if abs(z.imag) > MAX_IMAG_Q:
+        raise InvalidParameter(f"|Im q| must be at most {MAX_IMAG_Q:g}, "
+                               f"got q = {z}")
+    return CharacteristicValue(z, n, parity, *_solve(n, z, parity))
 
 
 @lru_cache(maxsize=1024)
@@ -355,22 +354,18 @@ def _solve(n, q, parity):
         M = min(2 * M, MAX_TRUNCATION)
 
 
-def characteristic_value_at(n, q, parity, truncation):
-    """Characteristic value at a fixed truncation (stability probes)."""
-    return _value_at(int(n), complex(q), parity, int(truncation))[0]
-
-
 @lru_cache(maxsize=256)
-def _coefficients_cached(n, q, parity, truncation, value):
-    """(harmonics, coefficients) from the family matrix's eigenvector x at
-    a = value with x[idx] = 1. Each x[j] first holds its ratio to the next
-    entry toward idx, a continued fraction run from x[M] = 0 above idx and
-    from row 0 below it."""
-    fam, idx = _family(n, parity), _eig_index(n, parity)
-    M = max(truncation, idx + 10) + 8
-    d, e = _family_matrix(fam, q, M)
+def fourier_coefficients(char):
+    """(harmonics, coefficients) of the angular Fourier series of a handle:
+    the family matrix's eigenvector x at a = char.value with x[idx] = 1.
+    Each x[j] first holds its ratio to the next entry toward idx, a
+    continued fraction run from x[M] = 0 above idx and from row 0 below it."""
+    n = char.n
+    fam, idx = _family(n, char.parity), _eig_index(n, char.parity)
+    M = max(char.truncation, idx + 10) + 8
+    d, e = _family_matrix(fam, char.q, M)
     e = [0j, *e, 0j]  # e[j] now couples rows j - 1 and j
-    a, x, r = complex(value), [0j] * M, 0j
+    a, x, r = complex(char.value), [0j] * M, 0j
     for j in range(M - 1, idx, -1):
         r = x[j] = -e[j] / (d[j] - a + e[j + 1] * r)
     r = 0j
@@ -404,15 +399,6 @@ def _normalize(fam, coeffs, n):
     if anchor.real < 0 or (anchor.real == 0 and anchor.imag < 0):
         coeffs = [-c for c in coeffs]
     return coeffs
-
-
-def fourier_coefficients(params, char):
-    """(harmonics, coefficients) of the angular Fourier series."""
-    if not isinstance(char, CharacteristicValue) or char.params != params:
-        raise InvalidParameter("characteristic value does not match the "
-                               "parameters")
-    return _coefficients_cached(params.n, params.q, params.parity,
-                                char.truncation, char.value)
 
 
 def _prefix(nus, sizes, reach):
@@ -472,7 +458,7 @@ def _sum_complex(nus, cs, th, even):
     return S, S1, S2, big
 
 
-def _series_at(params, char, x, modified):
+def _series_at(char, x, modified):
     """(S, S', S'') of the angular series, term by term, at x or, when
     modified, (M, M', M'') = (S(ix), i S'(ix), -S''(ix)); a tuple at a
     number x, a list at a sequence. Each point sums its own prefix of the
@@ -484,9 +470,9 @@ def _series_at(params, char, x, modified):
         points, one = list(x), False
     except TypeError:
         points, one = [x], True
-    nus, cs = fourier_coefficients(params, char)
+    nus, cs = fourier_coefficients(char)
     sizes = [abs(c) * max(1, nu * nu) for nu, c in zip(nus, cs)]
-    real_q, even = not params.q.imag, params.parity == "even"
+    real_q, even = not char.q.imag, char.parity == "even"
     prefixes, rows = {}, []
     for point in points:
         t = complex(point)
@@ -518,24 +504,24 @@ def _series_at(params, char, x, modified):
     return rows[0] if one else rows
 
 
-def angular_mathieu(params, char, theta):
+def angular_mathieu(char, theta):
     """Angular Mathieu function of the given order/parity at theta, or a
     list of values at a sequence of theta.
 
     2pi-periodic by construction; returns a real float for real q.
     """
-    vals = _series_at(params, char, theta, False)
+    vals = _series_at(char, theta, False)
     return vals[0] if isinstance(vals, tuple) else [v[0] for v in vals]
 
 
-def angular_mathieu_derivatives(params, char, theta):
+def angular_mathieu_derivatives(char, theta):
     """(S, S', S'') with derivatives taken term by term (independent of the
     defining ODE, so residual checks are meaningful), or a list of them at
     a sequence of theta."""
-    return _series_at(params, char, theta, False)
+    return _series_at(char, theta, False)
 
 
-def modified_mathieu(params, char, x):
+def modified_mathieu(char, x):
     """Angular series at imaginary argument: S(i x), or a list of values at
     a sequence of x.
 
@@ -545,33 +531,32 @@ def modified_mathieu(params, char, x):
     bound: max |term| / |sum| must stay below 1e7, so the coefficient noise
     floor of ~1e-15 stays below 1e-8 of the value).
     """
-    vals = _series_at(params, char, x, True)
+    vals = _series_at(char, x, True)
     return vals[0] if isinstance(vals, tuple) else [v[0] for v in vals]
 
 
-def modified_mathieu_derivatives(params, char, x):
+def modified_mathieu_derivatives(char, x):
     """(M, M', M'') of the modified function at x, or a list of them at a
     sequence of x; M(x) = S(i x) satisfies M'' = (a - 2 q cosh 2x) M."""
-    return _series_at(params, char, x, True)
+    return _series_at(char, x, True)
 
 
 def basis_functions(q, n_max):
-    """All (params, char) pairs with order <= n_max, both parities."""
+    """The handles of every order <= n_max: the even ones, then the odd."""
     orders = [(n, "even") for n in range(n_max + 1)] + \
         [(n, "odd") for n in range(1, n_max + 1)]
-    return [(MathieuParams(q, n, parity), characteristic_value(n, q, parity))
-            for n, parity in orders]
+    return [characteristic_value(n, q, parity) for n, parity in orders]
 
 
 def orthogonality_matrix(funcs):
-    """Gram matrix, as a list of rows, of the (params, char) pairs funcs from
+    """Gram matrix, as a list of rows, of the handles funcs from
     basis_functions: the integrals of S_i S_j over [0, 2pi], pi times the
     Parseval sum within a family (DLMF 28.4.13 - 28.4.16; the square, not
     |S|^2, for complex q) and exactly 0 across families. Floats for real
     q, complex otherwise; the diagonal is pi by the normalization."""
-    series = [(_family(p.n, p.parity), fourier_coefficients(p, c)[1])
-              for p, c in funcs]
+    series = [(_family(c.n, c.parity), fourier_coefficients(c)[1])
+              for c in funcs]
     rows = [[math.pi * _parseval(f, u, v) if f == g else 0j
              for g, v in series] for f, u in series]
-    return rows if any(p.q.imag for p, _ in funcs) else \
+    return rows if any(c.q.imag for c in funcs) else \
         [[x.real for x in row] for row in rows]

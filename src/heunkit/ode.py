@@ -269,24 +269,6 @@ def indicial_exponents(ode, z0):
     return regular_exponents(pt, "inf" if z0 is None else z0)
 
 
-def fuchs_exponent_sum(ode):
-    """Sum of all indicial exponents over every singular point (incl. infinity).
-
-    For a Fuchsian equation with N regular singular points this equals N - 2.
-    Raises NotRegular if any singular point is irregular.
-    """
-    total = 0j
-    count = 0
-    for pt in classify_singularities(ode):
-        if pt.kind is PointKind.ORDINARY:
-            continue
-        if pt.kind is not PointKind.REGULAR:
-            raise NotRegular("equation is not Fuchsian")
-        total += pt.exponents[0] + pt.exponents[1]
-        count += 1
-    return total, count
-
-
 def normalized_residual(ode, samples):
     """Max normalized residual of (z, w, w', w'') samples against any
     equation with callable coefficients ``ode.p`` and ``ode.q``.

@@ -10,7 +10,8 @@ Equations with trigonometric or hyperbolic coefficients are carried as
 TrigODE (callable coefficients, used for residuals only) and classified
 and transported only after an explicit algebraization substitution
 (u = exp(2 i t), v = tan t, t = cos theta, u = exp(2x)), which is recorded
-in the report.
+in the report. A Mathieu function is evaluated through its one handle, the
+CharacteristicValue of mathieu.characteristic_value.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import DegenerateShift, InvalidParameter, LogarithmicCase, \
 from .grammar import parse_complex
 from .heun import ConfluentFormParams, SIGNATURES, build_confluent_form
 from .mathieu import (
-    MathieuParams,
     angular_mathieu,
     angular_mathieu_derivatives,
     basis_functions,
@@ -50,9 +50,9 @@ def _linspace(a, b, n):
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-def _on_grid(derivatives, params, char, xs):
+def _on_grid(derivatives, char, xs):
     """(x, y, y', y'') at every x of a grid, from one Mathieu call."""
-    return [(x, *d) for x, d in zip(xs, derivatives(params, char, xs))]
+    return [(x, *d) for x, d in zip(xs, derivatives(char, xs))]
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,6 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
         raise InvalidParameter(f"a = {a:g}, k = {k:g}: h^2 = (a k)^2 / 4 "
                                "overflows") from None
     q = q_from_h2(h2)
-    params = MathieuParams(q, int(n), parity)
     char = characteristic_value(int(n), q, parity)
     b_char = trig_form_b(char.value, h2)
     if b is None:
@@ -103,11 +102,11 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
     report.data["characteristic_value"] = char.value
     report.data["b"] = b_used
 
-    ang = TrigODE("angular", lambda t: 0j, lambda t, b0=b_used, h=h2:
+    ang = TrigODE(lambda t: 0j, lambda t, b0=b_used, h=h2:
                   (b0 - h * math.cos(t) ** 2),
                   poles=(), period=2.0 * math.pi,
                   notes="H'' + (b - h^2 cos^2 t) H = 0")
-    rad = TrigODE("radial", lambda t: 0j, lambda t, b0=b_used, h=h2:
+    rad = TrigODE(lambda t: 0j, lambda t, b0=b_used, h=h2:
                   -(b0 - h * math.cosh(t) ** 2),
                   poles=(), period=None,
                   notes="M'' - (b - h^2 cosh^2 mu) M = 0")
@@ -131,10 +130,10 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
                             "characteristic value; solution checks skipped")
         return report
 
-    res_ang = ang.residual(_on_grid(angular_mathieu_derivatives, params, char,
+    res_ang = ang.residual(_on_grid(angular_mathieu_derivatives, char,
                                     _linspace(0.0, 2.0 * math.pi, 50)))
     report.residuals["angular"] = res_ang
-    res_rad = rad.residual(_on_grid(modified_mathieu_derivatives, params, char,
+    res_rad = rad.residual(_on_grid(modified_mathieu_derivatives, char,
                                     _linspace(0.0, 2.0, 41)))
     report.residuals["radial"] = res_rad
 
@@ -150,9 +149,9 @@ def helmholtz_elliptic(a, k, n=2, parity="even", b=None):
     # odd M = S(i mu) = i sum B_k sinh(nu_k mu): psi takes the real -i M
     worst2d, rows, unit = 0.0, [], -1j if parity == "odd" else 1.0
     angular = [(t, S, S2, max(1.0, abs(S2), abs(ang.q(t) * S))) for t, S, _, S2
-               in _on_grid(angular_mathieu_derivatives, params, char,
+               in _on_grid(angular_mathieu_derivatives, char,
                            _linspace(0.0, 2.0 * math.pi, 20))]
-    for mu, M, _, M2 in _on_grid(modified_mathieu_derivatives, params, char,
+    for mu, M, _, M2 in _on_grid(modified_mathieu_derivatives, char,
                                  _linspace(0.0, 2.0, 20)):
         rad_scale = max(1.0, abs(M2), abs(rad.q(mu) * M))
         for t, S, S2, ang_scale in angular:
@@ -403,27 +402,26 @@ def nutku_angular(a, k, n=2, parity="even"):
                             {"a": a, "k": k, "n": int(n), "parity": parity})
     kappa2 = a * a * k * k / 2.0
     q = kappa2 / 2.0
-    params = MathieuParams(q, int(n), parity)
+    char = characteristic_value(int(n), q, parity)
     funcs = basis_functions(q, max(int(n), 3))
-    char = next(c for p, c in funcs if p == params)
     nsep = char.value
     report.data["mathieu_q"] = q
     report.data["separation_constant"] = nsep
 
-    ang = TrigODE("angular", lambda t: 0j,
+    ang = TrigODE(lambda t: 0j,
                   lambda t, ns=nsep, k2=kappa2: ns - k2 * math.cos(2.0 * t),
                   period=2.0 * math.pi,
                   notes="S'' - (kappa2 cos 2T - nsep) S = 0")
     report.add_ode("angular", ang)
 
-    res = ang.residual(_on_grid(angular_mathieu_derivatives, params, char,
+    res = ang.residual(_on_grid(angular_mathieu_derivatives, char,
                                 _linspace(0.0, 2.0 * math.pi, 50)))
     report.residuals["angular"] = res
     report.claim_at_most("order-n Mathieu function solves the angular "
                          "equation", res, "1e-8", "residual")
 
     ts = _linspace(0.0, 2.0 * math.pi, 17)
-    vals = angular_mathieu(params, char, ts + [t + 2.0 * math.pi for t in ts])
+    vals = angular_mathieu(char, ts + [t + 2.0 * math.pi for t in ts])
     worst_per = max(abs(v - w) for v, w in zip(vals[:17], vals[17:]))
     report.residuals["periodicity"] = worst_per
     report.claim_at_most("angular solutions are 2pi-periodic (separation "
@@ -470,7 +468,8 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
     satisfies R'' = (char_n(A6) + C cosh 2(x+b)) R exactly, so the radial
     separation constant consistent with an order-n solution is
     nrad = -char_n(A6). Both nrad and the angular constant are recorded;
-    they coincide up to sign at Lambda = 0.
+    they coincide up to sign at Lambda = 0. An A or B that overflows
+    raises InvalidParameter.
     """
     a, k, Lambda = float(a), float(k), float(Lambda)
     if a <= 0 or k <= 0:
@@ -482,6 +481,9 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
                              "parity": parity, "grouping": grouping})
     A = a * a * k * k / 2.0
     B = (a * a / 2.0 if grouping == "consistent" else 1.0) * Lambda * Lambda
+    if not (math.isfinite(A) and math.isfinite(B)):
+        raise InvalidParameter(f"a = {a:g}, k = {k:g}, Lambda = {Lambda:g}: "
+                               "A = a^2 k^2 / 2 or B overflows")
     report.data["A"] = A
     report.data["B"] = B
     if abs(abs(A) - abs(B)) <= 1e-12 * max(abs(A), abs(B), 1.0):
@@ -505,7 +507,6 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
     report.claim_at_most("hyperbolic shift identity A cosh + B sinh = "
                          "C cosh(2(x+b))", worst_id, "1e-12")
 
-    params = MathieuParams(A6, int(n), parity)
     char = characteristic_value(int(n), A6, parity)
     nrad = -char.value
     q_ang = a * a * k * k / 4.0
@@ -513,16 +514,14 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
     report.data["separation_constant_radial"] = nrad
     report.data["separation_constant_angular"] = nang
 
-    rad = TrigODE(
-        "radial", lambda t: 0j,
-        lambda x, A=A, B=B, ns=nrad:
-            -(A * math.cosh(2 * x) + B * math.sinh(2 * x)) + ns,
-        notes="R'' - [A cosh 2x + B sinh 2x - nrad] R = 0")
+    rad = TrigODE(lambda t: 0j, lambda x, A=A, B=B, ns=nrad:
+                  -(A * math.cosh(2 * x) + B * math.sinh(2 * x)) + ns,
+                  notes="R'' - [A cosh 2x + B sinh 2x - nrad] R = 0")
     report.add_ode("radial", rad)
 
     xs = _linspace(0.0, 2.0, 41)
     res = rad.residual((x, *d) for x, d in zip(
-        xs, modified_mathieu_derivatives(params, char, [x + bshift for x in xs])))
+        xs, modified_mathieu_derivatives(char, [x + bshift for x in xs])))
     report.residuals["radial"] = res
     report.claim_at_most("shifted modified Mathieu candidate solves the "
                          "radial equation with the derived (A6, b)", res,
@@ -723,7 +722,7 @@ def eguchi_hanson_angular(lam, m, n):
         return (2.0 * m * n * math.cos(t) - (m * m + n * n)) / (st * st) \
             + lam / 4.0
 
-    ang = TrigODE("angular", lambda t: math.cos(t) / math.sin(t), qfun,
+    ang = TrigODE(lambda t: math.cos(t) / math.sin(t), qfun,
                   poles=(0.0, math.pi), period=2.0 * math.pi,
                   notes="g'' + cot t g' + [(2mn cos t - m^2 - n^2)/sin^2 t "
                         "+ lam/4] g = 0")
@@ -787,7 +786,7 @@ def _boundary_trig_ode(ak, x0):
         return -(ak * ak / 2.0) * (cmath.cos(2.0 * t) * c2
                                    - 1j * cmath.sin(2.0 * t) * s2 + c2)
 
-    return TrigODE("boundary-angular", lambda t: cmath.tan(t), qfun,
+    return TrigODE(lambda t: cmath.tan(t), qfun,
                    poles=(math.pi / 2.0, 3.0 * math.pi / 2.0),
                    period=2.0 * math.pi,
                    notes="f'' + tan T f' - (ak)^2/2 [cos 2T cosh 2x0 "

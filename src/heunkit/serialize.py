@@ -40,7 +40,6 @@ class TrigODE:
     human-readable description of the equation.
     """
 
-    label: str
     p: object
     q: object
     poles: tuple = ()
@@ -186,7 +185,7 @@ def to_jsonable(obj):
     if isinstance(obj, LinearODE):
         return {"kind": "rational", "text": format_ode(obj)}
     if isinstance(obj, TrigODE):
-        return {"kind": "trig", "label": obj.label, "notes": obj.notes,
+        return {"kind": "trig", "notes": obj.notes,
                 "period": to_jsonable(obj.period),
                 "poles": [to_jsonable(p) for p in obj.poles]}
     if isinstance(obj, Claim):

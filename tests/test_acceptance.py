@@ -20,7 +20,7 @@ from heunkit.engine import (ComplexPath, SolutionState, connection_matrix,
 from heunkit.errors import FuchsViolation
 from heunkit.heun import GeneralHeunParams, general_heun, heun_series, \
     heun_value
-from heunkit.mathieu import (MathieuParams, angular_mathieu_derivatives,
+from heunkit.mathieu import (angular_mathieu_derivatives,
                              basis_functions, characteristic_value,
                              modified_mathieu_derivatives,
                              orthogonality_matrix, trig_form_b,
@@ -191,15 +191,14 @@ def test_criterion_5_mathieu_suite():
     h2 = 4.0 * q
     for n, parity in ((0, "even"), (2, "even"), (1, "odd")):
         ch = characteristic_value(n, q, parity)
-        p = MathieuParams(q, n, parity)
         b = trig_form_b(ch.value, h2)
         worst_a = worst_b = worst_m = 0.0
         for t in np.linspace(0.0, 2 * math.pi, 40):
-            S, S1, S2 = angular_mathieu_derivatives(p, ch, t)
+            S, S1, S2 = angular_mathieu_derivatives(ch, t)
             worst_a = max(worst_a, abs(S2 + (ch.value - 2 * q * math.cos(2 * t)) * S))
             worst_b = max(worst_b, abs(S2 + (b - h2 * math.cos(t) ** 2) * S))
         for x in np.linspace(0.0, 2.0, 40):
-            M, M1, M2 = modified_mathieu_derivatives(p, ch, x)
+            M, M1, M2 = modified_mathieu_derivatives(ch, x)
             res = abs(-M2 + (b - h2 * math.cosh(x) ** 2) * M)
             worst_m = max(worst_m, res / max(1.0, abs(M2)))
         assert worst_a <= 1e-7 and worst_b <= 1e-7 and worst_m <= 1e-7

