@@ -39,7 +39,7 @@ from .mathieu import (
 from .ode import LinearODE, indicial_exponents, ode_residual
 from .serialize import ScenarioReport, TrigODE
 from .series import eval_local, frobenius_series, frobenius_value, \
-    is_integer
+    is_integer, transport
 
 # a cold run takes about 2 s at n = 300 and 4 s at n = 400 (2 vCPUs,
 # Python 3.11); the cost grows like n^3
@@ -227,8 +227,9 @@ def stark_separation(E, F, m, beta1):
                             {"E": E, "F": F, "m": m, "beta1": beta1,
                              "beta2": beta2})
     report.notes.append("separation constants satisfy beta1 + beta2 = 1")
-    for label, beta in (("xi", beta1), ("eta", beta2)):
-        ode = _stark_ode(E, F, beta, m)
+    odes = {label: _stark_ode(E, F, beta, m)
+            for label, beta in (("xi", beta1), ("eta", beta2))}
+    for label, ode in odes.items():
         report.add_ode(label, ode)
         report.claim_signature(
             f"{label} equation has a regular point at 0 and an irregular "
@@ -262,7 +263,7 @@ def stark_separation(E, F, m, beta1):
 
     if F != 0.0:
         # numerical check of the substitution: map an integrated solution
-        ode_xi = _stark_ode(E, F, beta1, m)
+        ode_xi = odes["xi"]
         x0, x1 = 0.7, 1.9
         st = integrate_path(ode_xi, SolutionState(x0, 1.0, 0.0),
                             ComplexPath((x0, x1)), tol=1e-12)
@@ -486,12 +487,12 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
                                "A = a^2 k^2 / 2 or B overflows")
     report.data["A"] = A
     report.data["B"] = B
-    if abs(abs(A) - abs(B)) <= 1e-12 * max(abs(A), abs(B), 1.0):
-        raise DegenerateShift(
-            f"|A| = |B| = {abs(A):.6g}: no cosh normal form exists")
     if A == 0.0:
         raise InvalidParameter(f"a = {a:g}, k = {k:g}: A = a^2 k^2 / 2 "
                                "underflows to 0")
+    if abs(abs(A) - abs(B)) <= 1e-12 * max(abs(A), abs(B), 1.0):
+        raise DegenerateShift(
+            f"|A| = |B| = {abs(A):.6g}: no cosh normal form exists")
     bshift = 0.5 * cmath.atanh(complex(B) / complex(A))
     C = complex(A) / cmath.cosh(2.0 * bshift)
     A6 = -C / 2.0
@@ -707,7 +708,8 @@ def eguchi_hanson_angular(lam, m, n):
     The printed closed-form candidates are evaluated exactly as printed
     (including the twice-printed (cos t/2 - 1/2) factor, combined into the
     exponent (m-n)/2), each from one Gauss series (``_gauss_series``), and
-    their residual is recorded as a pass/fail claim rather than assumed. Raises
+    their residual is recorded as a pass/fail claim rather than assumed; at
+    m + n = 0 the two coincide and are evaluated once. Raises
     ParameterPole when either candidate's series parameter 1 -+ (n+m) is a
     non-positive integer.
     """
@@ -736,17 +738,21 @@ def eguchi_hanson_angular(lam, m, n):
                 f"series parameter {c:g} is a non-positive integer")
 
     ts = _linspace(0.45, math.pi - 0.45, 31)
+    t0 = math.pi / 2.0
 
     def branch(beta, *Fargs):
+        """Residual over ts and (g, g', g'') at t0 of one candidate."""
         series = _gauss_series(*Fargs, (1.0 + math.cos(ts[0])) / 2.0)
-        return lambda t: _power_product_term(t, m, n, beta, Fargs, series)
+        res = ang.residual(
+            (t, *_power_product_term(t, m, n, beta, Fargs, series))
+            for t in ts)
+        return res, _power_product_term(t0, m, n, beta, Fargs, series)
 
-    branch1 = branch((1.0 - n - m) / 2.0, 0.5 - n + root / 2.0,
-                     0.5 - n - root / 2.0, c1)
-    branch2 = branch((1.0 + n + m) / 2.0, 0.5 + m + root / 2.0,
-                     0.5 + m - root / 2.0, c2)
-    res1 = ang.residual((t, *branch1(t)) for t in ts)
-    res2 = ang.residual((t, *branch2(t)) for t in ts)
+    cand1 = (c1 / 2.0, 0.5 - n + root / 2.0, 0.5 - n - root / 2.0, c1)
+    cand2 = (c2 / 2.0, 0.5 + m + root / 2.0, 0.5 + m - root / 2.0, c2)
+    res1, v1 = branch(*cand1)
+    # at m + n = 0 the second printed candidate is the first one again
+    res2, v2 = (res1, v1) if cand2 == cand1 else branch(*cand2)
     report.residuals["branch1"] = res1
     report.residuals["branch2"] = res2
     for name, res in (("first", res1), ("second", res2)):
@@ -754,9 +760,6 @@ def eguchi_hanson_angular(lam, m, n):
                              "branch) solves the angular equation", res,
                              "1e-8", "residual")
 
-    t0 = math.pi / 2.0
-    v1 = branch1(t0)
-    v2 = branch2(t0)
     W = v1[0] * v2[1] - v2[0] * v1[1]
     report.data["midpoint_wronskian"] = W
     distinct = abs(m + n) > 1e-9
@@ -832,11 +835,12 @@ def boundary_dirac_equation(a, k, x0, phi):
     while the literal printed transcription differs in the first-derivative
     term and the exponential weights; both are classified (same signature:
     irregular at 0 and infinity, regular at -1) and the mismatch is
-    recorded. Transport: the T-data are carried in v = tan T, where the
-    equation is rational (``_boundary_v_ode``; its states mapped back by
-    f' = (1+v^2) f_v are checked against the T-equation), mapped by
-    F' = f'/(2iu) and compared against integration of the derived
-    u-equation along the image path; also round-trips back to T.
+    recorded. Transport: the pair of T-data (f, f') = (1, 0), (0, 1) is
+    carried in v = tan T, where the equation is rational
+    (``_boundary_v_ode``; its states mapped back by f' = (1+v^2) f_v are
+    checked against the T-equation), mapped by F' = f'/(2iu) and compared
+    against integration of the derived u-equation along the image path,
+    then carried back to T; the pair walks each of the three paths once.
     Raises InvalidParameter unless a > 0, x0 >= 0 and k > 0: at ak = 0 the
     u-equations lose their C term, so 0 and infinity are regular; also when
     e^(4 x0) overflows.
@@ -886,42 +890,43 @@ def boundary_dirac_equation(a, k, x0, phi):
     vode = _boundary_v_ode(ak, x0)
     report.add_ode("tangent-derived", vode)
 
-    # transport T -> u and back. A Taylor step ends at every vertex, so the
-    # straight v run is one segment. Every vertex of the u polyline lies on
-    # |u| = 1 at arg u = 2T in [0.3, 2.5], 0.275 apart, so each chord stays
-    # at |u| >= cos(0.1375); the lunes between the chords and the arc hold
-    # neither 0 nor -1, so the polyline continues solutions as the arc does
+    # transport T -> u and back, the pair (f, f_T) = (1, 0), (0, 1) carried
+    # together, so each path is walked once. A Taylor step ends at every
+    # vertex, so the straight v run is one segment. Every vertex of the u
+    # polyline lies on |u| = 1 at arg u = 2T in [0.3, 2.5], 0.275 apart, so
+    # each chord stays at |u| >= cos(0.1375); the lunes between the chords
+    # and the arc hold neither 0 nor -1, so the polyline continues solutions
+    # as the arc does
     t0, t1 = 0.15, 1.25
     v0, v1 = math.tan(t0), math.tan(t1)
-    vpath = ComplexPath((v0, v1))
-    upath = ComplexPath(tuple(cmath.exp(2j * t) for t in _linspace(t0, t1, 9)))
-    u0, u1 = upath.vertices[0], upath.vertices[-1]
+    uverts = tuple(cmath.exp(2j * t) for t in _linspace(t0, t1, 9))
+    u0, u1 = uverts[0], uverts[-1]
+    data = ((1.0, 0.0), (0.0, 1.0))
 
-    def t_sample(t, st):
-        """(T, f, f_T, f_TT) of a state at v = tan T, f_vv from vode."""
-        v, s = st.z, 1.0 + st.z * st.z
-        ddw = -(vode.p(v) * st.dw + vode.q(v) * st.w)
-        return (t, st.w, s * st.dw, s * s * ddw + 2.0 * v * s * st.dw)
+    def t_sample(t, v, w, dw):
+        """(T, f, f_T, f_TT) of a state (w, dw) at v = tan T, f_vv from
+        vode."""
+        s = 1.0 + v * v
+        ddw = -(vode.p(v) * dw + vode.q(v) * w)
+        return (t, w, s * dw, s * s * ddw + 2.0 * v * s * dw)
 
+    starts = [(w0, dw0 / (1.0 + v0 * v0)) for w0, dw0 in data]
+    ends_v = transport(vode.cleared(), (v0, v1), starts, 1e-11)
+    ends_u = transport(derived.cleared(), uverts,
+                       [(w0, dw0 / (2j * u0)) for w0, dw0 in data], 1e-11)
+    # round trip: both u end states back along the reversed path
+    backs = transport(derived.cleared(), uverts[::-1], ends_u, 1e-11)
     worst_fwd = 0.0
     worst_rt = 0.0
     samples = []
-    for w0, dw0 in ((1.0, 0.0), (0.0, 1.0)):
-        start = SolutionState(v0, w0, dw0 / (1.0 + v0 * v0))
-        stV = integrate_path(vode, start, vpath, tol=1e-11)
-        samples += [t_sample(t0, start), t_sample(t1, stV)]
-        F0 = SolutionState(u0, complex(w0), complex(dw0) / (2j * u0))
-        stU = integrate_path(derived, F0, upath, tol=1e-11)
-        expect_w = stV.w
-        expect_du = stV.dw * (1.0 + v1 * v1) / (2j * u1)
-        scale = max(1.0, abs(expect_w), abs(expect_du))
-        err = max(abs(stU.w - expect_w), abs(stU.dw - expect_du)) / scale
+    for (w0, dw0), start, (vw, vdw), (uw, udw), (bw, bdw) in zip(
+            data, starts, ends_v, ends_u, backs):
+        samples += [t_sample(t0, v0, *start), t_sample(t1, v1, vw, vdw)]
+        expect_du = vdw * (1.0 + v1 * v1) / (2j * u1)
+        scale = max(1.0, abs(vw), abs(expect_du))
+        err = max(abs(uw - vw), abs(udw - expect_du)) / scale
         worst_fwd = max(worst_fwd, err)
-        # round trip: integrate back in u, map to T data
-        back = integrate_path(derived, stU,
-                              ComplexPath(tuple(reversed(upath.vertices))),
-                              tol=1e-11)
-        rt_err = max(abs(back.w - w0), abs(back.dw * (2j * u0) - dw0))
+        rt_err = max(abs(bw - w0), abs(bdw * (2j * u0) - dw0))
         worst_rt = max(worst_rt, rt_err)
     res_v = trig.residual(samples)
     report.residuals["tangent_image"] = res_v

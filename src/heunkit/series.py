@@ -9,9 +9,12 @@ of s**(k+rho-2) gives
 so every new term is -(sum of the earlier ones)/pivot, the pivot being the
 first P_d that does not vanish. ``sum_until`` runs that one loop for every
 series in the package and holds the one tail rule that ends a sum at a
-point; ``eval_local`` applies the same rule at rounding level to stop
-Horner at the prefix a point needs, and ``_horner`` gives every sum's value
-and derivative:
+point. It carries one column or a pair (a fundamental pair on a Taylor
+step): one column adds each weight P_d(m + rho) to its sum as the weight
+is formed, a pair forms each weight once for both columns, and a column's
+coefficients come out bit for bit the same either way. ``eval_local``
+applies the tail rule at rounding level to stop Horner at the prefix a
+point needs, and ``_horner`` gives every sum's value and derivative:
 
 * a regular singular point (``frobenius_series``): A, B, C are the
   equation's cached ``LinearODE.cleared`` polynomials shifted to the point
@@ -102,13 +105,18 @@ def _window(weights, lead):
 
 
 def sum_until(weights, lead, rho, cols, r, tol, max_terms, pivot_floor=0.0):
-    """Append the next coefficient to every list in ``cols`` until the tail
-    rule holds at distance r > 0 from the center, or up to index max_terms
-    (always, for a negative tol); return whether the rule held. ``lead`` is
-    the offset d of the pivot: the order of A's root at the center (0 at an
-    ordinary point). All columns share the weights, so carrying a
-    fundamental pair costs little more than one solution. Raises
-    LogarithmicCase when |pivot| <= pivot_floor * max(1, n**2).
+    """Append the next coefficient to each list in ``cols``, one column or
+    a pair, until the tail rule holds at distance r > 0 from the center, or
+    up to index max_terms (always, for a negative tol); return whether the
+    rule held. ``lead`` is the offset d of the pivot: the order of A's root
+    at the center (0 at an ordinary point). Raises LogarithmicCase when
+    |pivot| <= pivot_floor * max(1, n**2).
+
+    Term n sums weight * h_m over m = n - 1, n - 2, ... down to n - depth,
+    with weight P_{lead+n-m}(m + rho): one column adds each weight as it is
+    formed, a pair forms it once for both. Either way a column's sum starts
+    at 0j and adds the same products in the same order, so its
+    coefficients do not depend on whether it shares the pass.
 
     The tail rule: term n is the largest |h_n| r**n over the columns (NaN
     if any column's is), weighted by max(1, n/r) to bound the derivative's
@@ -116,38 +124,55 @@ def sum_until(weights, lead, rho, cols, r, tol, max_terms, pivot_floor=0.0):
     window being the recurrence depth beyond lead and at least 2, so a run
     of zero coefficients cannot end a sum early.
     """
+    if len(cols) not in (1, 2):
+        raise InvalidParameter(f"sum_until carries one column or a pair, "
+                               f"got {len(cols)}")
     pa, pb, pc = weights[lead]
-    higher = [(d - lead, w) for d, w in enumerate(weights) if d > lead]
+    higher = weights[lead + 1:]
+    depth = len(higher)
     window = _window(weights, lead)
-    n = len(cols[0])
+    h = cols[0]
+    h2 = cols[1] if len(cols) == 2 else None
+    n = len(h)
+    ys = [m + rho for m in range(n)]  # m + rho for every stored h_m
     rn = r ** (n - 1)
     errs = []
     while n <= max_terms:
         x = n + rho
         pivot = (pa * x + pb) * x + pc
-        if abs(pivot) <= pivot_floor * max(1.0, n * n):
+        if abs(pivot) <= pivot_floor * (n * n or 1):
             raise LogarithmicCase(
                 f"recurrence pivot vanishes at order {n}; exponents are "
                 "resonant and this branch needs a logarithm")
-        ws = []
-        for back, (wa, wb, wc) in higher:
-            m = n - back
-            if m < 0:
-                break
-            y = m + rho
-            ws.append((m, (wa * y + wb) * y + wc))
-        big = 0.0
-        for h in cols:
-            acc = 0j
-            for m, wgt in ws:
-                acc += wgt * h[m]
-            h.append(-acc / pivot)
-            mag = abs(h[n])
+        m = n
+        acc = 0j
+        if h2 is None:
+            for wa, wb, wc in (higher if n >= depth else higher[:n]):
+                m -= 1
+                y = ys[m]
+                acc += ((wa * y + wb) * y + wc) * h[m]
+            term = -acc / pivot
+            big = abs(term)
+        else:
+            acc2 = 0j
+            for wa, wb, wc in (higher if n >= depth else higher[:n]):
+                m -= 1
+                y = ys[m]
+                weight = (wa * y + wb) * y + wc
+                acc += weight * h[m]
+                acc2 += weight * h2[m]
+            term, term2 = -acc / pivot, -acc2 / pivot
+            h2.append(term2)
+            big = abs(term)
+            mag = abs(term2)
             if mag > big or mag != mag:
                 big = mag
+        h.append(term)
+        ys.append(x)
         rn *= r
-        errs.append(rn * max(1.0, n / r) * big)
-        if errs[-1] <= tol and n > window and sum(errs[-window:]) <= tol:
+        err = rn * (n / r if n > r else 1.0) * big
+        errs.append(err)
+        if err <= tol and n > window and sum(errs[-window:]) <= tol:
             return True
         n += 1
     return False

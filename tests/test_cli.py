@@ -574,6 +574,8 @@ def test_cli_exponent_overflow_is_a_domain_error():
      "x0 = 200: e^(4 x0) overflows"),
     (["scenario", "--id", "nutku-radial", "--set", "k=1e-300"], 2,
      "A = a^2 k^2 / 2 underflows to 0"),
+    (["scenario", "--id", "nutku-radial", "--set", "a=1e-200"], 2,
+     "a = 1e-200, k = 2: A = a^2 k^2 / 2 underflows to 0"),
     (["scenario", "--id", "nutku-radial", "--set", "Lambda=1e200"], 2,
      "a = 1, k = 2, Lambda = 1e+200: A = a^2 k^2 / 2 or B overflows"),
     (["scenario", "--id", "nutku-radial", "--set", "a=1e200"], 2,
@@ -589,9 +591,10 @@ def test_cli_exponent_overflow_is_a_domain_error():
     (["scenario", "--id", "nutku-angular", "--set", "n=1500"], 2,
      "nutku-angular supports orders n <= 300, got 1500"),
 ], ids=["h2plus-lam", "stark-beta1", "boundary-dirac-x0-100",
-        "boundary-dirac-x0-200", "nutku-radial-k", "nutku-radial-Lambda-big",
-        "nutku-radial-a-big", "helmholtz-a", "mathieu-table-imag-q",
-        "mathieu-table-n-max", "nutku-radial-Lambda", "nutku-angular-n"])
+        "boundary-dirac-x0-200", "nutku-radial-k", "nutku-radial-a-small",
+        "nutku-radial-Lambda-big", "nutku-radial-a-big", "helmholtz-a",
+        "mathieu-table-imag-q", "mathieu-table-n-max", "nutku-radial-Lambda",
+        "nutku-angular-n"])
 def test_cli_extreme_values_exit_typed_and_quickly(argv, status, message):
     """Finite values whose derived quantities overflow, vanish or stall a
     Taylor step, and Mathieu inputs past the stated bounds, end within

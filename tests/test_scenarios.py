@@ -214,10 +214,10 @@ def test_eguchi_hanson_angular_parameter_pole():
                                        (5.0, 0.7, -0.2)])
 def test_eguchi_hanson_angular_gauss_series_match_oracle(monkeypatch, lam,
                                                           m, n):
-    """Each branch sums one Gauss series per run, and at the 31 samples its
-    F and F' match 30-digit mpmath: F = 2F1(a, b; c; s) and
-    F' = (ab/c) 2F1(a+1, b+1; c+1; s). Errors are relative to
-    max(1, |reference|)."""
+    """Each distinct branch sums one Gauss series per run (m + n = 0 prints
+    one candidate twice), and at the 31 samples its F and F' match
+    30-digit mpmath: F = 2F1(a, b; c; s) and F' = (ab/c) 2F1(a+1, b+1;
+    c+1; s). Errors are relative to max(1, |reference|)."""
     import mpmath
 
     import heunkit.scenarios as scenarios
@@ -231,7 +231,7 @@ def test_eguchi_hanson_angular_gauss_series_match_oracle(monkeypatch, lam,
 
     monkeypatch.setattr(scenarios, "_gauss_series", spy)
     assert not failing(eguchi_hanson_angular(lam, m, n))
-    assert len(built) == 2
+    assert len(built) == (1 if m + n == 0 else 2)
     for (a, b, c), series in built:
         for t in scenarios._linspace(0.45, math.pi - 0.45, 31):
             s = (1.0 + math.cos(t)) / 2.0
@@ -242,6 +242,53 @@ def test_eguchi_hanson_angular_gauss_series_match_oracle(monkeypatch, lam,
                                 * mpmath.hyp2f1(a + 1, b + 1, c + 1, s))
             assert abs(F - want) <= 1e-14 * max(1.0, abs(want))
             assert abs(dF - dwant) <= 1e-13 * max(1.0, abs(dwant))
+
+
+def _work_counts(monkeypatch, scenario_id, overrides=None):
+    """Taylor steps, sum_until calls and recurrence terms of one run,
+    counted by wrapping series._taylor_step and series.sum_until."""
+    import heunkit.series as series
+
+    counts = {"steps": 0, "sums": 0, "terms": 0}
+    step, sum_until = series._taylor_step, series.sum_until
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    def counted_sum(weights, lead, rho, cols, *args):
+        before = len(cols[0])
+        try:
+            return sum_until(weights, lead, rho, cols, *args)
+        finally:
+            counts["sums"] += 1
+            counts["terms"] += len(cols[0]) - before
+
+    monkeypatch.setattr(series, "_taylor_step", counted_step)
+    monkeypatch.setattr(series, "sum_until", counted_sum)
+    assert run_scenario(scenario_id, overrides).all_passed()
+    return counts
+
+
+def test_boundary_dirac_walks_each_path_once(monkeypatch):
+    """The pair of initial data shares one Taylor pass per path: 51 steps
+    and 1,251 terms at the defaults (71 and 1,830 one datum at a time)."""
+    assert _work_counts(monkeypatch, "boundary-dirac") == {
+        "steps": 51, "sums": 51, "terms": 1251}
+
+
+@pytest.mark.parametrize("m, n, built", [(0.0, 0.0, 1), (0.5, -0.5, 1),
+                                         (0.3, 0.2, 2), (0.7, -0.2, 2)])
+def test_eguchi_hanson_angular_sums_each_distinct_candidate_once(
+        monkeypatch, m, n, built):
+    """One Gauss series per distinct printed candidate: one at m + n = 0,
+    where the two coincide, two otherwise; 623 terms at the defaults."""
+    counts = _work_counts(monkeypatch, "eguchi-hanson-angular",
+                          {"m": m, "n": n})
+    assert counts["steps"] == 0
+    assert counts["sums"] == built
+    if m == n == 0.0:
+        assert counts["terms"] == 623
 
 
 def test_boundary_dirac_generic():

@@ -1,11 +1,13 @@
 import cmath
+import random
 
 import pytest
 
 from heunkit.errors import LogarithmicCase, NotRegular, OutsideRadius
 from heunkit.heun import GeneralHeunParams, general_heun, heun_series
 from heunkit.ode import LinearODE, ode_residual
-from heunkit.series import LocalSeries, eval_local, frobenius_series
+from heunkit.series import LocalSeries, _window, eval_local, \
+    frobenius_series, sum_until
 
 
 def termwise_second_derivative(series, z):
@@ -213,3 +215,115 @@ def test_a_nan_column_never_meets_the_tail_rule():
     with pytest.raises(StepUnderflow):
         transport(ode.cleared(), [0j, 0.5 + 0j], [(1.0, 0.0), (0.0, nan)],
                   1e-12)
+
+
+def reference_sum_until(weights, lead, rho, cols, r, tol, max_terms,
+                        pivot_floor=0.0):
+    """sum_until as one generic loop over any number of columns: the weights
+    of each order listed with their indices, then every column summed over
+    that list. Kept as the oracle of the kernel's one-column and pair
+    loops, which must agree with it bit for bit."""
+    pa, pb, pc = weights[lead]
+    higher = [(d - lead, w) for d, w in enumerate(weights) if d > lead]
+    window = _window(weights, lead)
+    n = len(cols[0])
+    rn = r ** (n - 1)
+    errs = []
+    while n <= max_terms:
+        x = n + rho
+        pivot = (pa * x + pb) * x + pc
+        if abs(pivot) <= pivot_floor * max(1.0, n * n):
+            raise LogarithmicCase(f"pivot vanishes at order {n}")
+        ws = []
+        for back, (wa, wb, wc) in higher:
+            m = n - back
+            if m < 0:
+                break
+            y = m + rho
+            ws.append((m, (wa * y + wb) * y + wc))
+        big = 0.0
+        for h in cols:
+            acc = 0j
+            for m, wgt in ws:
+                acc += wgt * h[m]
+            h.append(-acc / pivot)
+            mag = abs(h[n])
+            if mag > big or mag != mag:
+                big = mag
+        rn *= r
+        errs.append(rn * max(1.0, n / r) * big)
+        if errs[-1] <= tol and n > window and sum(errs[-window:]) <= tol:
+            return True
+        n += 1
+    return False
+
+
+def _random_recurrence(rng, lead, depth):
+    """lead + 1 + depth weight triples with complex entries, about a fifth
+    of them zero; the pivot triple has no zero a_d."""
+    def entry():
+        return 0j if rng.random() < 0.2 else complex(rng.uniform(-2, 2),
+                                                      rng.uniform(-2, 2))
+    weights = [(entry(), entry(), entry()) for _ in range(lead + 1 + depth)]
+    pa, pb, pc = weights[lead]
+    weights[lead] = (pa or 1.0 + 0.5j, pb, pc)
+    return weights
+
+
+def _run_both(weights, lead, rho, cols, *args):
+    """(result or the LogarithmicCase order, columns) of the kernel and of
+    the reference on copies of the same columns."""
+    out = []
+    for fn in (sum_until, reference_sum_until):
+        copy = [list(h) for h in cols]
+        try:
+            result = fn(weights, lead, rho, copy, *args)
+        except LogarithmicCase:
+            result = ("log", len(copy[0]))
+        out.append((result, copy))
+    return out
+
+
+@pytest.mark.parametrize("lead", [0, 1, 2])
+@pytest.mark.parametrize("ncols", [1, 2])
+def test_kernel_matches_reference_loop(lead, ncols):
+    """On seeded random recurrences (complex rho, weights with zero entries,
+    depth 1 to 4) the kernel appends exactly the reference's coefficients,
+    compared with ==, and returns what it returns: a positive tol, where
+    the tail rule ends some sums and not others, and a negative tol, which
+    fixes the length."""
+    rng = random.Random(1000 * lead + ncols)
+    held = 0
+    for _ in range(40):
+        weights = _random_recurrence(rng, lead, rng.randint(1, 4))
+        rho = 0j if lead == 0 else complex(rng.uniform(-1, 1),
+                                           rng.uniform(-1, 1))
+        start = 2 if lead == 0 else 1
+        cols = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                 for _ in range(start)] for _ in range(ncols)]
+        r = rng.uniform(0.05, 0.6)
+        for tol, max_terms in ((1e-12, 80), (-1.0, 30)):
+            (got, got_cols), (want, want_cols) = _run_both(
+                weights, lead, rho, cols, r, tol, max_terms)
+            assert got == want
+            assert got_cols == want_cols
+            assert len(got_cols[0]) <= max_terms + 1
+            held += got is True
+    assert 0 < held < 40  # the tail rule held for some sums, not all
+
+
+@pytest.mark.parametrize("ncols", [1, 2])
+def test_kernel_raises_logarithmic_case_at_the_reference_order(ncols):
+    """A pivot P_lead(x) with a root at x = 5 + rho: with pivot_floor
+    1e-10 the kernel and the reference both raise LogarithmicCase at order
+    5, after the same coefficients of orders 1 to 4."""
+    rng = random.Random(7 + ncols)
+    lead, rho = 1, complex(0.3, -0.2)
+    x1, x2 = 5 + rho, complex(-2.5, 0.7)
+    weights = _random_recurrence(rng, lead, 2)
+    weights[lead] = (1.0 + 0j, -(x1 + x2), x1 * x2)
+    cols = [[1.0 + 0j] for _ in range(ncols)]
+    (got, got_cols), (want, want_cols) = _run_both(
+        weights, lead, rho, cols, 0.4, 1e-12, 60, 1e-10)
+    assert got == want == ("log", 5)
+    assert got_cols == want_cols
