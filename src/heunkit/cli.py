@@ -16,17 +16,18 @@ floor. mathieu-table's --q-values is a comma list of a+bi literals and
 --parity is both, even or odd. A scenario value, from --set or a config
 file, is read by run_scenario like its default, as from Python: an
 integer, a finite number, an a+bi literal or none, or a string.
-Exit status: 0 success, 1 domain error, 2 usage error (unknown verb or
-option, a --format or --parity the verb does not take, a heun-eval
---branch other than first or second, malformed equation, parameter-line
-(cform kind and parameter names included) or config text, a malformed or
-non-finite number, an invalid tolerance, a center that is neither f nor a
-number near 0, 1 or f, an unknown scenario, scenario parameter or corpus
-entry, --id together with a config's scenario key, a --set without
-key=value, a scenario value of the wrong type or outside its domain, an
---n-max below 0 or above 4079 (mathieu.MAX_ORDER), or a Mathieu q with
-|Im q| above 300). A reading error names its option. Output is
-deterministic: fixed key order, 17 significant digits.
+Exit status: 0 success, 1 a domain error, 2 a usage error, which is an
+errors.UsageError (unknown verb or option, a --format or --parity the
+verb does not take, a heun-eval --branch other than first or second,
+malformed equation, parameter-line (cform kind and parameter names
+included) or config text, a malformed or non-finite number, an invalid
+tolerance, a center that is neither f nor a number near 0, 1 or f, an
+unknown scenario, scenario parameter or corpus entry, --id together with
+a config's scenario key, a --set without key=value, a scenario value of
+the wrong type or outside its domain, an --n-max below 0 or above 4079
+(mathieu.MAX_ORDER), or a Mathieu q with |Im q| above 300). A reading
+error names its option. Output is deterministic: fixed key order, 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import GrammarError, HeunkitError, InvalidParameter, \
-    InvalidTolerance, MalformedComplex, MissingOption, UnknownCenter, \
-    UnknownKind, UnknownVerb
+    MalformedComplex, MissingOption, UnknownVerb, UsageError
 from .grammar import format_complex, parse_complex, parse_complex_list, \
     parse_ode
 from .serialize import emit_json, point_line, render_report_text, \
@@ -209,12 +209,11 @@ def _run_classify(cmd):
         ode = _parse_equation_text(opts["text"])
         label = "inline"
     else:
-        from .corpus import canonical_corpus
-        matches = {name: o for name, o, _ in canonical_corpus()}
-        if opts["corpus"] not in matches:
+        from .corpus import CORPUS
+        if opts["corpus"] not in CORPUS:
             raise InvalidParameter(f"unknown corpus entry {opts['corpus']!r}; "
-                                   "known: " + ", ".join(sorted(matches)))
-        ode = matches[opts["corpus"]]
+                                   "known: " + ", ".join(sorted(CORPUS)))
+        ode = CORPUS[opts["corpus"]][0]()
         label = opts["corpus"]
     points = classify_singularities(ode)
     fmt = opts["format"]
@@ -402,8 +401,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return run(parse_args(argv))
-    except (UnknownVerb, MissingOption, GrammarError, InvalidParameter,
-            InvalidTolerance, UnknownCenter, UnknownKind) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except HeunkitError as exc:

@@ -1,12 +1,19 @@
 """Exception types shared across the toolkit.
 
 All domain errors derive from HeunkitError so callers (and the CLI) can
-distinguish bad mathematics/input from genuine bugs.
+distinguish bad mathematics/input from genuine bugs. UsageError marks the
+faults of the input itself (a malformed literal or line, an unknown name,
+a value outside its domain); the CLI exits 2 for them and 1 for any other
+HeunkitError.
 """
 
 
 class HeunkitError(Exception):
     pass
+
+
+class UsageError(HeunkitError):
+    """Input the caller must correct: the CLI's exit status 2."""
 
 
 # --- polynomial / rational-function layer ---
@@ -27,7 +34,7 @@ class NotRegular(HeunkitError):
 
 # --- textual grammar ---
 
-class GrammarError(HeunkitError):
+class GrammarError(UsageError):
     """Parse failure; carries the offending character position."""
 
     def __init__(self, message, position=None):
@@ -64,11 +71,11 @@ class OutsideRadius(HeunkitError):
     pass
 
 
-class UnknownKind(HeunkitError):
+class UnknownKind(UsageError):
     pass
 
 
-class UnknownCenter(HeunkitError, ValueError):
+class UnknownCenter(UsageError, ValueError):
     """A center that is none of the Heun singular points 0, 1, f."""
 
 
@@ -82,7 +89,7 @@ class DegenerateReduction(HeunkitError):
 
 # --- path integration engine ---
 
-class InvalidTolerance(HeunkitError):
+class InvalidTolerance(UsageError):
     """A tolerance that is not a finite number in (0, 1)."""
 
 
@@ -118,7 +125,7 @@ class OverflowGuard(HeunkitError):
 
 # --- scenarios ---
 
-class InvalidParameter(HeunkitError, ValueError):
+class InvalidParameter(UsageError, ValueError):
     """A scenario, Mathieu or series parameter outside its domain (a negative
     scale or order, an unknown parity or grouping, a non-finite number, a
     series length below 1)."""
@@ -134,9 +141,9 @@ class ParameterPole(HeunkitError):
 
 # --- CLI ---
 
-class UnknownVerb(HeunkitError):
+class UnknownVerb(UsageError):
     pass
 
 
-class MissingOption(HeunkitError):
+class MissingOption(UsageError):
     pass

@@ -18,8 +18,9 @@ from .errors import GrammarError, MalformedComplex
 from .ode import LinearODE
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_FIRST_TERM = re.compile(rf"[+-]?(?:{_NUM})?i|[+-]?{_NUM}")
-_NEXT_TERM = re.compile(rf"[+-](?:{_NUM})?i|[+-]{_NUM}")
+# a real and an imaginary term, in either order, the second one signed
+_LITERAL = re.compile(rf"(?P<re>[+-]?{_NUM})(?P<im>[+-](?:{_NUM})?i)?"
+                      rf"|(?P<im1>[+-]?(?:{_NUM})?i)(?P<re1>[+-]{_NUM})?")
 
 
 def parse_complex(text, position=0):
@@ -35,36 +36,12 @@ def parse_complex(text, position=0):
         raise MalformedComplex(f"bad complex literal {text!r}", position)
     if not s:
         raise MalformedComplex("empty complex literal", position)
-    terms = []
-    m = _FIRST_TERM.match(s)
-    while m is not None:
-        terms.append(m.group(0))
-        if m.end() == len(s):
-            break
-        m = _NEXT_TERM.match(s, m.end())
-    else:
+    m = _LITERAL.fullmatch(s)
+    if m is None:
         raise MalformedComplex(f"bad complex literal {text!r}", position)
-    if m is None or m.end() != len(s) or len(terms) > 2:
-        raise MalformedComplex(f"bad complex literal {text!r}", position)
-    rv, iv = 0.0, 0.0
-    seen_real = seen_imag = False
-    for term in terms:
-        if term.endswith("i"):
-            if seen_imag:
-                raise MalformedComplex(f"bad complex literal {text!r}", position)
-            seen_imag = True
-            body = term[:-1]
-            if body in ("", "+"):
-                iv = 1.0
-            elif body == "-":
-                iv = -1.0
-            else:
-                iv = float(body)
-        else:
-            if seen_real:
-                raise MalformedComplex(f"bad complex literal {text!r}", position)
-            seen_real = True
-            rv = float(term)
+    rv = float(m["re"] or m["re1"] or "0")
+    imag = (m["im"] or m["im1"] or "0i")[:-1]  # "", "+" and "-" stand for 1
+    iv = float(imag + "1" if imag in ("", "+", "-") else imag)
     if not (math.isfinite(rv) and math.isfinite(iv)):
         raise MalformedComplex(f"complex literal {text!r} is not finite",
                                position)

@@ -38,7 +38,7 @@ heun_recurrence_residual re-substitutes a series into the recurrence as
 written here, apart from that code.
 
 Confluent family members are transcribed literally from their usual
-printed shapes (see build_confluent_form); reductions between members
+printed shapes, one FORMS row per kind; reductions between members
 (double-confluent -> trigonometric Mathieu operator, anharmonic oscillator
 -> biconfluent) derive their variable/gauge changes here and are verified
 numerically by residuals, not assumed.
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import (
     CollidingSingularities,
@@ -235,53 +236,6 @@ def heun_recurrence_residual(params, series):
 # Confluent family
 # ---------------------------------------------------------------------------
 
-KIND_PARAMS = {
-    "symmetric-confluent": ("p", "beta", "lam", "m", "s"),
-    "two-center-coulomb": ("p", "beta", "lam", "m"),
-    "spheroidal": ("p", "lam", "m"),
-    "algebraic-mathieu": ("p", "lam"),
-    "double-confluent": ("alpha1", "alpham1", "B1", "B0", "Bm1"),
-    "biconfluent": ("A0", "A1", "A2", "A3"),
-    "anharmonic": ("E", "nu", "mu", "lam", "eta"),
-    "triconfluent": ("A0", "A1", "A2"),
-}
-
-# Expected singularity signatures (kind level) for generic parameters.
-SIGNATURES = {
-    "symmetric-confluent": {-1.0 + 0j: "regular", 1.0 + 0j: "regular", "inf": "irregular"},
-    "two-center-coulomb": {-1.0 + 0j: "regular", 1.0 + 0j: "regular", "inf": "irregular"},
-    "spheroidal": {-1.0 + 0j: "regular", 1.0 + 0j: "regular", "inf": "irregular"},
-    "algebraic-mathieu": {-1.0 + 0j: "regular", 1.0 + 0j: "regular", "inf": "irregular"},
-    "double-confluent": {0j: "irregular", "inf": "irregular"},
-    "biconfluent": {0j: "regular", "inf": "irregular"},
-    "anharmonic": {0j: "regular", "inf": "irregular"},
-    "triconfluent": {"inf": "irregular"},
-}
-
-
-@dataclass(frozen=True)
-class ConfluentFormParams:
-    kind: str
-    params: dict
-
-    def __post_init__(self):
-        if self.kind not in KIND_PARAMS:
-            raise UnknownKind(f"unknown confluent form {self.kind!r}")
-        expected = set(KIND_PARAMS[self.kind])
-        got = set(self.params)
-        if got != expected:
-            raise UnknownKind(
-                f"{self.kind} expects parameters {sorted(expected)}, got {sorted(got)}")
-        clean = {k: complex(v) for k, v in self.params.items()}
-        for k, v in clean.items():
-            if not (abs(v.real) < float("inf") and abs(v.imag) < float("inf")):
-                raise UnknownKind(f"parameter {k} is not finite")
-        object.__setattr__(self, "params", clean)
-
-    def __getitem__(self, key):
-        return self.params[key]
-
-
 def _self_adjoint_pair(p, beta, lam, m2_term):
     """(z^2-1) w'' + 2z w' + [-p^2(z^2-1) + 2 p beta z - lam - m2/(z^2-1)] w = 0
     multiplied by (z^2-1); returns (A, B, C) coefficient polynomials."""
@@ -293,51 +247,98 @@ def _self_adjoint_pair(p, beta, lam, m2_term):
     return A, B, C
 
 
-def build_confluent_form(cf):
-    """Transcribe a confluent-family member into a LinearODE.
+def _double_confluent(P):
+    a1, am1 = P["alpha1"], P["alpham1"]
+    return (Polynomial((0j, 0j, 0j, 1.0)),        # z^3
+            Polynomial((0j, am1, 1.0, a1)),       # alpha1 z^3 + z^2 + alpham1 z
+            Polynomial((P["Bm1"] - am1 / 2.0, P["B0"] + a1 * am1 / 2.0,
+                        P["B1"] + a1 / 2.0)))
 
-    Each kind is multiplied through by its leading polynomial so the
-    coefficients are rational; the classifier is expected to reproduce the
-    kind's singularity signature (SIGNATURES) for generic parameters.
-    """
+
+class Form(NamedTuple):
+    """A confluent-family member: its parameter names, its singularity
+    signature for generic parameters, and build(params), its (A, B, C)
+    coefficient polynomials of A w'' + B w' + C w = 0."""
+
+    params: tuple
+    signature: dict
+    build: Callable
+
+
+_PAIR = {-1.0 + 0j: "regular", 1.0 + 0j: "regular", "inf": "irregular"}
+_ORIGIN = {0j: "regular", "inf": "irregular"}
+
+FORMS = {
+    "symmetric-confluent": Form(
+        ("p", "beta", "lam", "m", "s"), _PAIR,
+        lambda P: _self_adjoint_pair(P["p"], P["beta"], P["lam"], Polynomial(
+            (P["m"] * P["m"] + P["s"] * P["s"], 2.0 * P["m"] * P["s"])))),
+    "two-center-coulomb": Form(
+        ("p", "beta", "lam", "m"), _PAIR,
+        lambda P: _self_adjoint_pair(P["p"], P["beta"], P["lam"],
+                                     Polynomial((P["m"] * P["m"],)))),
+    "spheroidal": Form(
+        ("p", "lam", "m"), _PAIR,
+        lambda P: _self_adjoint_pair(P["p"], 0j, P["lam"],
+                                     Polynomial((P["m"] * P["m"],)))),
+    "algebraic-mathieu": Form(
+        ("p", "lam"), _PAIR,
+        lambda P: _self_adjoint_pair(P["p"], 0j, P["lam"],
+                                     Polynomial((0.25,)))),
+    "double-confluent": Form(
+        ("alpha1", "alpham1", "B1", "B0", "Bm1"),
+        {0j: "irregular", "inf": "irregular"}, _double_confluent),
+    "biconfluent": Form(
+        ("A0", "A1", "A2", "A3"), _ORIGIN,
+        lambda P: (Polynomial((0j, 0j, 1.0)), Polynomial((0j, 1.0)),  # z^2, z
+                   Polynomial((P["A0"], P["A1"], P["A2"], P["A3"], -1.0)))),
+    "anharmonic": Form(
+        ("E", "nu", "mu", "lam", "eta"), _ORIGIN,
+        lambda P: (Polynomial((0j, 0j, 1.0)), Polynomial((0j,)),       # r^2, 0
+                   Polynomial((-P["nu"], 0j, P["E"], 0j, -P["mu"], 0j,
+                               -P["lam"], 0j, -P["eta"])))),
+    "triconfluent": Form(
+        ("A0", "A1", "A2"), {"inf": "irregular"},
+        lambda P: (Polynomial((1.0,)), Polynomial((0j,)),
+                   Polynomial((P["A0"], P["A1"], P["A2"], 0j, -2.25)))),
+}
+
+
+@dataclass(frozen=True)
+class ConfluentFormParams:
+    """A FORMS kind and its parameters; UnknownKind for a kind or parameter
+    names not in FORMS, NonFiniteInput naming an inf or nan parameter."""
+
+    kind: str
+    params: dict
+
+    def __post_init__(self):
+        if self.kind not in FORMS:
+            raise UnknownKind(f"unknown confluent form {self.kind!r}")
+        expected = set(FORMS[self.kind].params)
+        got = set(self.params)
+        if got != expected:
+            raise UnknownKind(
+                f"{self.kind} expects parameters {sorted(expected)}, got {sorted(got)}")
+        clean = {k: complex(v) for k, v in self.params.items()}
+        for k, v in clean.items():
+            if not cmath.isfinite(v):
+                raise NonFiniteInput(f"{self.kind} parameter {k} = {v} is "
+                                     "not finite")
+        object.__setattr__(self, "params", clean)
+
+    def __getitem__(self, key):
+        return self.params[key]
+
+
+def build_confluent_form(cf):
+    """Transcribe a confluent-family member into a LinearODE: the
+    coefficients of its FORMS row, each kind multiplied through by its
+    leading polynomial so they are rational. The classifier is expected to
+    reproduce the row's signature for generic parameters."""
     if not isinstance(cf, ConfluentFormParams):
         raise UnknownKind("build_confluent_form expects ConfluentFormParams")
-    P = cf.params
-    kind = cf.kind
-    if kind == "symmetric-confluent":
-        m, s = P["m"], P["s"]
-        m2 = Polynomial((m * m + s * s, 2.0 * m * s))
-        A, B, C = _self_adjoint_pair(P["p"], P["beta"], P["lam"], m2)
-    elif kind == "two-center-coulomb":
-        A, B, C = _self_adjoint_pair(P["p"], P["beta"], P["lam"],
-                                     Polynomial((P["m"] * P["m"],)))
-    elif kind == "spheroidal":
-        A, B, C = _self_adjoint_pair(P["p"], 0j, P["lam"],
-                                     Polynomial((P["m"] * P["m"],)))
-    elif kind == "algebraic-mathieu":
-        A, B, C = _self_adjoint_pair(P["p"], 0j, P["lam"],
-                                     Polynomial((0.25,)))
-    elif kind == "double-confluent":
-        a1, am1 = P["alpha1"], P["alpham1"]
-        A = Polynomial((0j, 0j, 0j, 1.0))                      # z^3
-        B = Polynomial((0j, am1, 1.0, a1))                     # alpha1 z^3 + z^2 + alpham1 z
-        C = Polynomial((P["Bm1"] - am1 / 2.0,
-                        P["B0"] + a1 * am1 / 2.0,
-                        P["B1"] + a1 / 2.0))
-    elif kind == "biconfluent":
-        A = Polynomial((0j, 0j, 1.0))                          # z^2
-        B = Polynomial((0j, 1.0))                              # z
-        C = Polynomial((P["A0"], P["A1"], P["A2"], P["A3"], -1.0))
-    elif kind == "anharmonic":
-        A = Polynomial((0j, 0j, 1.0))                          # r^2
-        B = Polynomial((0j,))
-        C = Polynomial((-P["nu"], 0j, P["E"], 0j, -P["mu"], 0j,
-                        -P["lam"], 0j, -P["eta"]))
-    elif kind == "triconfluent":
-        A = Polynomial((1.0,))
-        B = Polynomial((0j,))
-        C = Polynomial((P["A0"], P["A1"], P["A2"], 0j, -2.25))
-    return LinearODE.from_polynomials(A, B, C)
+    return LinearODE.from_polynomials(*FORMS[cf.kind].build(cf.params))
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidParameter, NonConvergence, OverflowGuard
-from .poly import _EPS, _aberth
-from .series import ROUNDING
+from .poly import _EPS, ROUNDING, _aberth
 
 MAX_TRUNCATION = 2048
 # an order's first truncation, index + 8 from index 28 on, needs a larger one

@@ -285,6 +285,7 @@ def _transitive_groups(points, linked):
 # resolution limit of multiplicity detection in double precision.
 MULT_BASE = 3e-5
 _EPS = 2.220446049250313e-16
+ROUNDING = 2.0 ** -55  # a series' tail rule, relative to the largest term
 
 
 def _verified_root_clusters(poly, group):

@@ -19,13 +19,13 @@ from __future__ import annotations
 import cmath
 import math
 
-from .corpus import _boundary_u_ode_printed, _eguchi_hanson_ode
+from .corpus import CORPUS, _boundary_u_ode_printed, _eguchi_hanson_ode
 from .engine import ComplexPath, SolutionState, integrate_path, \
     loop_transfer_matrix
 from .errors import DegenerateShift, InvalidParameter, LogarithmicCase, \
     MalformedComplex, ParameterPole
 from .grammar import parse_complex
-from .heun import ConfluentFormParams, SIGNATURES, build_confluent_form
+from .heun import FORMS, ConfluentFormParams, build_confluent_form
 from .mathieu import (
     angular_mathieu,
     angular_mathieu_derivatives,
@@ -254,7 +254,7 @@ def stark_separation(E, F, m, beta1):
     report.claim_signature(
         "squared-variable equation keeps the regular-0 / irregular-infinity "
         "signature of the quartic-oscillator (biconfluent) class",
-        "xi_squared_variable", SIGNATURES["biconfluent"])
+        "xi_squared_variable", FORMS["biconfluent"].signature)
     report.data["biconfluent_rank_match"] = (post_rank == 2)
     report.notes.append(
         f"post-substitution rank at infinity is {post_rank} versus 2 for the "
@@ -332,7 +332,7 @@ def h2plus_separation(lam, kappa, mu, m):
         if generic:
             report.claim_signature(
                 f"{label} equation has the confluent-family signature",
-                label, SIGNATURES[kind])
+                label, FORMS[kind].signature)
 
     if generic:
         mapped_xi = build_confluent_form(ConfluentFormParams(
@@ -548,7 +548,7 @@ def nutku_radial(a, k, Lambda, n=2, parity="even", grouping="consistent"):
     report.claim_signature(
         "algebraized radial equation has the double-confluent pattern "
         "(irregular at 0 and infinity)", "radial_algebraic",
-        SIGNATURES["double-confluent"])
+        FORMS["double-confluent"].signature)
     report.data["algebraic_ranks"] = {
         key: str(report.point("radial_algebraic", loc).rank)
         for key, loc in (("0", 0j), ("inf", "inf"))}
@@ -593,14 +593,14 @@ def eguchi_hanson_radial(k, a, m, lam):
     report.add_ode("radial", ode)
     report.claim_signature(
         "radial operator: regular at 0 and 1, irregular at infinity",
-        "radial", {0j: "regular", 1.0 + 0j: "regular", "inf": "irregular"})
+        "radial", CORPUS["instanton-radial-operator"][1])
 
     hyp = LinearODE.from_polynomials([0, 1.0, -1.0], [1.1, -2.0], [-0.3])
     report.add_ode("gauss-hypergeometric-contrast", hyp)
     report.claim_signature(
         "contrast: the Gauss hypergeometric pattern has all three points "
         "regular", "gauss-hypergeometric-contrast",
-        {0j: "regular", 1.0 + 0j: "regular", "inf": "regular"})
+        CORPUS["gauss-hypergeometric"][1])
 
     for z0, label in ((0j, "0"), (1.0 + 0j, "1")):
         exps = indicial_exponents(ode, z0)
@@ -864,7 +864,7 @@ def boundary_dirac_equation(a, k, x0, phi):
     printed = _boundary_u_ode_printed(ak, x0)
     report.add_ode("algebraic-derived", derived)
     report.add_ode("algebraic-printed", printed)
-    expected = {0j: "irregular", -1.0 + 0j: "regular", "inf": "irregular"}
+    _, expected = CORPUS["helicoid-boundary-algebraic"]
     report.claim_signature(
         "algebraized equation: irregular at 0 and infinity, regular at -1",
         "algebraic-printed", expected)

@@ -53,7 +53,7 @@ from typing import NamedTuple
 from .errors import InvalidParameter, LogarithmicCase, OutsideRadius, \
     OverflowGuard, SingularityTooClose, StepUnderflow, TruncationFailure
 from .ode import local_form, regular_exponents
-from .poly import near, taylor_shift
+from .poly import ROUNDING, near, taylor_shift
 
 INTEGER_TOL = 1e-9
 PIVOT_FLOOR = 1e-10  # LogarithmicCase below this pivot, relative to A, B, C
@@ -62,7 +62,6 @@ CLEARANCE_FACTOR = 1e-3
 STEP_FRACTION = 0.5  # step / distance to the nearest finite singular point
 MAX_STEPS = 10_000  # Taylor steps per path
 MAX_TERMS = 400  # series terms per Taylor step
-ROUNDING = 2.0 ** -55  # eval_local's tail rule, relative to the largest term
 
 
 def is_integer(x):

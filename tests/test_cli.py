@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from heunkit import cli
 from heunkit.cli import VERBS, parse_args
-from heunkit.errors import MalformedComplex, MissingOption, UnknownVerb
+from heunkit.errors import GrammarError, HeunkitError, InvalidParameter, \
+    InvalidTolerance, MalformedComplex, MissingOption, UnknownCenter, \
+    UnknownKind, UnknownVerb, UsageError
 
 
 def run_cli(*args, **kw):
@@ -55,6 +58,38 @@ def test_cli_exit_codes():
                 "--e", "1", "--f", "2", "--q", "0", "--z", "5")
     assert p.returncode == 1
     assert "OutsideRadius" in p.stderr
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+_ERRORS = sorted(set(_subclasses(HeunkitError)), key=lambda c: c.__name__)
+
+
+def test_usage_errors_are_the_exit_2_classes():
+    assert set(_subclasses(UsageError)) == {
+        GrammarError, MalformedComplex, InvalidParameter, InvalidTolerance,
+        UnknownCenter, UnknownKind, UnknownVerb, MissingOption}
+
+
+@pytest.mark.parametrize("cls", _ERRORS, ids=lambda c: c.__name__)
+def test_cli_exit_status_of_each_error_class(cls, monkeypatch, capsys):
+    """main exits 2 for every UsageError and 1 for any other HeunkitError,
+    whichever runner raises it."""
+    def raise_it(cmd):
+        raise cls("raised by the runner")
+
+    monkeypatch.setitem(cli._RUNNERS, "classify", raise_it)
+    status = cli.main(["classify", "--text", "x"])
+    err = capsys.readouterr().err
+    if issubclass(cls, UsageError):
+        assert (status, err) == (2, "usage error: raised by the runner\n")
+    else:
+        assert (status, err) == (
+            1, f"error: {cls.__name__}: raised by the runner\n")
 
 
 def test_cli_classify_file(tmp_path: Path):

@@ -1,3 +1,7 @@
+import math
+import random
+import re
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -5,7 +9,7 @@ from heunkit.errors import CollidingSingularities, GrammarError, \
     MalformedComplex
 from heunkit.grammar import (format_complex, format_ode, parse_complex,
                              parse_ode, parse_params_line)
-from heunkit.heun import (KIND_PARAMS, ConfluentFormParams, GeneralHeunParams,
+from heunkit.heun import (FORMS, ConfluentFormParams, GeneralHeunParams,
                           confluent_params_from_text, heun_params_from_text)
 from heunkit.ode import LinearODE
 
@@ -19,7 +23,7 @@ def heun_params_to_text(params):
 def confluent_params_to_text(cf):
     """The 'cform kind=... ...' line of cf, each value by format_complex."""
     body = " ".join(f"{name}={format_complex(cf.params[name])}"
-                    for name in KIND_PARAMS[cf.kind])
+                    for name in FORMS[cf.kind].params)
     return f"cform kind={cf.kind} {body}"
 
 
@@ -45,6 +49,84 @@ def test_parse_complex(text, value):
 def test_parse_complex_rejects(bad):
     with pytest.raises(MalformedComplex):
         parse_complex(bad)
+
+
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_FIRST_TERM = re.compile(rf"[+-]?(?:{_NUM})?i|[+-]?{_NUM}")
+_NEXT_TERM = re.compile(rf"[+-](?:{_NUM})?i|[+-]{_NUM}")
+
+
+def reference_parse_complex(text, position=0):
+    """parse_complex as a term tokenizer: terms matched one at a time, each
+    sign and kind checked by hand, at most one real and one imaginary."""
+    s = text.strip()
+    s = re.sub(r"(?<=[0-9i.])\s*([+-])\s*", r"\1", s)
+    s = re.sub(r"\s+i$", "i", s)
+    if any(ch.isspace() for ch in s):
+        raise MalformedComplex(f"bad complex literal {text!r}", position)
+    if not s:
+        raise MalformedComplex("empty complex literal", position)
+    terms = []
+    m = _FIRST_TERM.match(s)
+    while m is not None:
+        terms.append(m.group(0))
+        if m.end() == len(s):
+            break
+        m = _NEXT_TERM.match(s, m.end())
+    else:
+        raise MalformedComplex(f"bad complex literal {text!r}", position)
+    if m is None or m.end() != len(s) or len(terms) > 2:
+        raise MalformedComplex(f"bad complex literal {text!r}", position)
+    rv, iv = 0.0, 0.0
+    seen_real = seen_imag = False
+    for term in terms:
+        if term.endswith("i"):
+            if seen_imag:
+                raise MalformedComplex(f"bad complex literal {text!r}",
+                                       position)
+            seen_imag = True
+            body = term[:-1]
+            if body in ("", "+"):
+                iv = 1.0
+            elif body == "-":
+                iv = -1.0
+            else:
+                iv = float(body)
+        else:
+            if seen_real:
+                raise MalformedComplex(f"bad complex literal {text!r}",
+                                       position)
+            seen_real = True
+            rv = float(term)
+    if not (math.isfinite(rv) and math.isfinite(iv)):
+        raise MalformedComplex(f"complex literal {text!r} is not finite",
+                               position)
+    return complex(rv, iv)
+
+
+def _outcome(parse, text):
+    """The value with the signs of its zeros, or the error message."""
+    try:
+        z = parse(text, 7)
+    except MalformedComplex as exc:
+        return str(exc)
+    return z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+def test_parse_complex_matches_reference_tokenizer():
+    """On 30,000 seeded random strings of length 1 to 8 over the literal
+    alphabet, the one-pattern parser and the tokenizer give the same value
+    or the same message."""
+    rng = random.Random(35)
+    alphabet = "0123456789.eE+-i j\t"
+    differ = []
+    for _ in range(30_000):
+        text = "".join(rng.choice(alphabet)
+                       for _ in range(rng.randint(1, 8)))
+        if _outcome(parse_complex, text) != _outcome(reference_parse_complex,
+                                                     text):
+            differ.append(text)
+    assert differ == []
 
 
 def test_format_complex_roundtrip():
@@ -156,9 +238,9 @@ def test_heun_line_round_trip(values):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(KIND_PARAMS)), st.lists(_COMPLEX, min_size=5,
-                                                     max_size=5))
+@given(st.sampled_from(sorted(FORMS)), st.lists(_COMPLEX, min_size=5,
+                                               max_size=5))
 def test_cform_line_round_trip(kind, values):
-    cf = ConfluentFormParams(kind, dict(zip(KIND_PARAMS[kind], values)))
+    cf = ConfluentFormParams(kind, dict(zip(FORMS[kind].params, values)))
     text = confluent_params_to_text(cf)
     assert confluent_params_to_text(confluent_params_from_text(text)) == text

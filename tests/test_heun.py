@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from heunkit.errors import (CollidingSingularities, DegenerateReduction,
                             FuchsViolation, LogarithmicCase, NonFiniteInput,
                             NotReducible, OutsideRadius, UnknownKind)
-from heunkit.heun import (COLLISION_TOL, ConfluentFormParams,
-                          GeneralHeunParams, SIGNATURES,
+from heunkit.heun import (COLLISION_TOL, FORMS, ConfluentFormParams,
+                          GeneralHeunParams,
                           anharmonic_to_biconfluent, build_confluent_form,
                           double_confluent_to_mathieu, general_heun,
                           heun_recurrence_residual, heun_series, heun_value)
@@ -343,7 +343,7 @@ def test_confluent_signatures_match_table():
     for kind, params in generic.items():
         ode = build_confluent_form(ConfluentFormParams(kind, params))
         sig = singularity_signature(classify_singularities(ode))
-        expected = SIGNATURES[kind]
+        expected = FORMS[kind].signature
         assert len(sig) == len(expected), kind
         for loc, k in expected.items():
             if loc == "inf":
@@ -378,6 +378,19 @@ def test_unknown_kind_rejected():
         ConfluentFormParams("lame", {"p": 1.0})
     with pytest.raises(UnknownKind):
         ConfluentFormParams("spheroidal", {"p": 1.0})  # missing params
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("spheroidal", "p", math.inf), ("biconfluent", "A2", math.nan),
+    ("triconfluent", "A0", complex(0.5, -math.inf)),
+])
+def test_non_finite_confluent_parameter_rejected(kind, name, value):
+    """An inf or nan confluent parameter is a NonFiniteInput naming the
+    kind and the parameter, as for GeneralHeunParams."""
+    params = dict.fromkeys(FORMS[kind].params, 0.5)
+    params[name] = value
+    with pytest.raises(NonFiniteInput, match=f"{kind} parameter {name} = "):
+        ConfluentFormParams(kind, params)
 
 
 # --- double-confluent -> Mathieu reduction ---------------------------------

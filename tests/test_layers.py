@@ -99,7 +99,7 @@ _HEUN = ["--a", "0.31", "--b", "0.77", "--c", "1.23", "--d", "0.62",
     (["heun-eval", *_HEUN, "--z", "0.3+0.1i"],
      {"engine", "mathieu", "scenarios", "corpus"}),
     (["mathieu-table", "--q-values", "0,1,0.7+0.4i", "--n-max", "2"],
-     {"heun", "engine", "scenarios", "corpus"}),
+     {"series", "heun", "engine", "scenarios", "corpus"}),
     (["connect", *_HEUN, "--from", "0", "--to", "1"],
      {"mathieu", "scenarios", "corpus"}),
 ], ids=["import heunkit", "classify", "heun-eval", "mathieu-table", "connect"])
